@@ -104,30 +104,47 @@ def repair_genome(
     return tuple(genes)
 
 
+class RouletteWheel:
+    """Selection weights of one population, built once and drawn from many times.
+
+    Each individual's weight is (worst finite - fitness + eps); infinite
+    fitness weighs nothing, and a population without positive total weight
+    is drawn from uniformly.
+    """
+
+    def __init__(self, population: Sequence[Individual]):
+        self.population = population
+        self.cumulative: "np.ndarray | None" = None
+        self.total = 0.0
+        fitnesses = [ind.fitness for ind in population]
+        finite = [f for f in fitnesses if math.isfinite(f)]
+        if not finite:
+            return
+        max_f = max(finite)
+        min_f = min(finite)
+        eps = 1e-12 * (1.0 + abs(max_f) + abs(min_f))
+        weights = np.empty(len(population))
+        for i, f in enumerate(fitnesses):
+            if f == math.inf:
+                weights[i] = 0.0
+            else:
+                clamped = min_f - 1.0 if f == -math.inf else f
+                weights[i] = max_f - clamped + eps
+        self.total = float(weights.sum())
+        if self.total > 0.0:
+            self.cumulative = np.cumsum(weights)
+
+    def pick(self, rng: np.random.Generator) -> Individual:
+        if self.cumulative is None:
+            return self.population[int(rng.integers(len(self.population)))]
+        pick = rng.uniform(0.0, self.total)
+        idx = int(np.searchsorted(self.cumulative, pick, side="right"))
+        return self.population[min(idx, len(self.population) - 1)]
+
+
 def roulette_select(population: Sequence[Individual], rng: np.random.Generator) -> Individual:
     """Sample with probability proportional to (worst finite - fitness + eps)."""
-    fitnesses = [ind.fitness for ind in population]
-    finite = [f for f in fitnesses if math.isfinite(f)]
-    if not finite:
-        idx = int(rng.integers(len(population)))
-        return population[idx]
-    max_f = max(finite)
-    min_f = min(finite)
-    eps = 1e-12 * (1.0 + abs(max_f) + abs(min_f))
-    weights = np.empty(len(population))
-    for i, f in enumerate(fitnesses):
-        if f == math.inf:
-            weights[i] = 0.0
-        else:
-            clamped = min_f - 1.0 if f == -math.inf else f
-            weights[i] = max_f - clamped + eps
-    total = float(weights.sum())
-    if total <= 0.0:
-        idx = int(rng.integers(len(population)))
-        return population[idx]
-    pick = rng.uniform(0.0, total)
-    idx = int(np.searchsorted(np.cumsum(weights), pick, side="right"))
-    return population[min(idx, len(population) - 1)]
+    return RouletteWheel(population).pick(rng)
 
 
 def two_point_crossover(
@@ -298,10 +315,11 @@ def calibrate(
 
     for gen in range(config.iterations):
         elite = sorted(population, key=lambda ind: ind.fitness)[: config.elite_count]
+        wheel = RouletteWheel(population)
         children: list[Individual] = []
         while len(children) < config.population_size - config.elite_count:
-            pa = roulette_select(population, rng)
-            pb = roulette_select(population, rng)
+            pa = wheel.pick(rng)
+            pb = wheel.pick(rng)
             if rng.random() < config.crossover_rate:
                 ga, gb = two_point_crossover(pa.genome, pb.genome, rng)
             else:

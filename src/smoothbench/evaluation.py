@@ -86,7 +86,8 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
     Column t is the smoother applied to the series with x_t replaced by its
     deletion imputation.  For the linear catalog methods that is computed as
     a rank-one update of one matrix application (same map, fewer passes); the
-    data-adaptive methods are re-run per deletion.
+    data-adaptive methods smooth the stack of all T deletion series in one
+    call.
     """
     if not series.is_gap_free():
         raise InsufficientData("LOOCV input must be gap-free; impute first")
@@ -102,11 +103,11 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
         base = apply_to_values(spec, y)
         matrix = base[:, None] + operator * (imp - y)[None, :]
     else:
-        matrix = np.empty((n, n))
-        for i in range(n):
-            deleted = y.copy()
-            deleted[i] = imp[i]
-            matrix[:, i] = apply_to_values(spec, deleted)
+        deleted = np.tile(y, (n, 1))  # row i: the series with x_i deleted
+        np.fill_diagonal(deleted, imp)
+        # the copy keeps the matrix C-contiguous: var_index sums its rows in
+        # memory order, and a transposed view would change the last digits
+        matrix = np.ascontiguousarray(apply_to_values(spec, deleted).T)
     return LoocvMatrix(matrix, series)
 
 

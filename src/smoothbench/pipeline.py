@@ -71,6 +71,10 @@ class PipelineConfig:
         object.__setattr__(self, "methods", tuple(MethodId(m) for m in self.methods))
         if len(self.methods) < 3:
             raise ValueError("the benchmark needs at least 3 methods to cluster")
+        try:
+            self.ga_config(self.master_seed)
+        except ValueError as exc:
+            raise InputError(f"invalid GA budget: {exc}") from exc
 
     def with_paper_fidelity(self) -> "PipelineConfig":
         return replace(self, ga_population=100, ga_iterations=1000)

@@ -51,14 +51,35 @@ __all__ = [
 ]
 
 
+# methods whose smoother takes a (B, T) stack in one call; the others are
+# applied row by row
+_STACKED_METHODS = frozenset({MethodId.RRM, MethodId.TUK, MethodId.ADP, MethodId.SUP})
+
+
 def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
-    """Run a smoother over a plain gap-free value array."""
-    n = len(y)
+    """Run a smoother over gap-free values: one series (T,) or a stack (B, T).
+
+    Each row of a stack is smoothed on its own and the result has the shape
+    of ``y``; row b equals the 1-D call on ``y[b]`` bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"expected values of shape (T,) or (B, T), got {y.shape}")
+    n = y.shape[-1]
     req = required_length(spec)
     if n < req:
         raise SeriesTooShort(
             f"{spec.method.value} with these parameters needs at least {req} points, got {n}"
         )
+    if y.ndim == 1 or spec.method in _STACKED_METHODS:
+        return _smooth(spec, y)
+    out = np.empty_like(y)
+    for b, row in enumerate(y):
+        out[b] = _smooth(spec, row)
+    return out
+
+
+def _smooth(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
     p = spec.params
     method = spec.method
     if method is MethodId.SMA:

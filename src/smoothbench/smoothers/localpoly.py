@@ -5,7 +5,13 @@ import math
 
 import numpy as np
 
-from .windows import batched_local_polyfit, knn_starts, local_polyfit_rows, window_offsets
+from .windows import (
+    batched_local_polyfit,
+    knn_starts,
+    local_design,
+    local_polyfit_rows,
+    window_offsets,
+)
 
 
 def _geometry(n: int, span: float):
@@ -23,7 +29,7 @@ def _geometry(n: int, span: float):
 
 def local_quadratic(y: np.ndarray, span: float) -> np.ndarray:
     k, starts, weights = _geometry(len(y), span)
-    return batched_local_polyfit(y, starts, k, 2, weights=weights)
+    return batched_local_polyfit(y, local_design(starts, k, 2, weights=weights))
 
 
 def local_quadratic_operator(n: int, span: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import f as f_dist
 
-from .windows import batched_local_polyfit, polyfit_window
+from .windows import batched_local_polyfit, local_design, polyfit_window
 
 F_TEST_ALPHA = 0.05
 _SSE_TINY = 1e-280
@@ -86,53 +86,92 @@ def _step_accepted(sse_d: float, sse_up: float, jump: int, m: int, d: int) -> bo
     return f_stat > _f_critical(jump, dof2)
 
 
+def _steps_accepted(
+    sse_d: np.ndarray, sse_up: np.ndarray, jump: int, m: int, d: np.ndarray
+) -> np.ndarray:
+    """:func:`_step_accepted` elementwise over arrays of fits at degrees ``d``."""
+    dof2 = m - (d + jump) - 1
+    crit = np.full(dof2.shape, np.inf)
+    for k in np.unique(dof2[dof2 > 0]):
+        crit[dof2 == k] = _f_critical(jump, int(k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_stat = ((sse_d - sse_up) / jump) * dof2 / sse_up
+    return (dof2 > 0) & ((sse_up <= _SSE_TINY) | (f_stat > crit))
+
+
+def _choose_degrees(sses: np.ndarray, min_degree: int, window: int) -> np.ndarray:
+    """Forward F-test degree choice for every full-window fit at once.
+
+    ``sses[di, r]`` is the residual SSE of fit r at degree min_degree + di;
+    returns the chosen di per fit.
+    """
+    ndeg = len(sses)
+    chosen = np.zeros(sses.shape[1], dtype=int)
+    active = np.arange(sses.shape[1])
+    while active.size:
+        di = chosen[active]
+        sse_d = sses[di, active]
+        d = min_degree + di
+        going = ~(sse_d <= _SSE_TINY) & (di + 1 < ndeg)
+        one = going & _steps_accepted(
+            sse_d, sses[np.minimum(di + 1, ndeg - 1), active], 1, window, d
+        )
+        # a symmetric window can hide the d+1 term; probe two ahead
+        two = (going & ~one & (di + 2 < ndeg)) & _steps_accepted(
+            sse_d, sses[np.minimum(di + 2, ndeg - 1), active], 2, window, d
+        )
+        chosen[active] += one + 2 * two
+        active = active[one | two]
+    return chosen
+
+
 def adaptive_degree_filter(
     y: np.ndarray, window: int, min_degree: int, max_degree: int
 ) -> np.ndarray:
-    n = len(y)
+    """Adaptive-degree filter of one series (T,) or a stack (B, T) of series.
+
+    Rows of a stack are filtered independently, each exactly as a 1-D call.
+    Full windows are still fitted row by row (a batch axis in the solves
+    changes their rounding); the degree tests run over all rows at once, and
+    a boundary window whose values recur in another row is fitted only once.
+    """
+    y = np.asarray(y, dtype=float)
+    rows = y.reshape(-1, y.shape[-1])
+    count, n = rows.shape
     half = window // 2
-    out = np.empty(n)
+    out = np.empty(rows.shape)
 
     interior = np.arange(half, n - half)
     if interior.size:
-        degrees = list(range(min_degree, max_degree + 1))
-        ndeg = len(degrees)
-        fits = np.empty((ndeg, interior.size))
-        sses = np.empty((ndeg, interior.size))
+        ndeg = max_degree - min_degree + 1
+        fits = np.empty((ndeg, count, interior.size))
+        sses = np.empty((ndeg, count, interior.size))
         starts = interior - half
-        for di, d in enumerate(degrees):
-            fits[di], sses[di] = batched_local_polyfit(
-                y, starts, window, d, centers=interior, want_sse=True
-            )
-        chosen = np.zeros(interior.size, dtype=int)  # index into `degrees`
-        active = np.ones(interior.size, dtype=bool)
-        while active.any():
-            rows = np.flatnonzero(active)
-            for r in rows:
-                di = chosen[r]
-                d = degrees[di]
-                if sses[di, r] <= _SSE_TINY or di + 1 >= ndeg:
-                    active[r] = False
-                    continue
-                if _step_accepted(sses[di, r], sses[di + 1, r], 1, window, d):
-                    chosen[r] = di + 1
-                    continue
-                # a symmetric window can hide the d+1 term; probe two ahead
-                if di + 2 < ndeg and _step_accepted(
-                    sses[di, r], sses[di + 2, r], 2, window, d
-                ):
-                    chosen[r] = di + 2
-                    continue
-                active[r] = False
-        out[interior] = fits[chosen, np.arange(interior.size)]
+        designs = [
+            local_design(starts, window, min_degree + di, centers=interior)
+            for di in range(ndeg)
+        ]
+        for b, row in enumerate(rows):
+            for di, local in enumerate(designs):
+                fits[di, b], sses[di, b] = batched_local_polyfit(row, local, want_sse=True)
+        chosen = _choose_degrees(sses.reshape(ndeg, -1), min_degree, window)
+        picked = np.take_along_axis(fits.reshape(ndeg, -1), chosen[None, :], axis=0)
+        out[:, interior] = picked.reshape(count, interior.size)
 
     for i in range(min(half, n)):
         for j in (i, n - 1 - i):
             lo, hi = max(0, j - half), min(n, j + half + 1)
-            out[j] = _adaptive_window_value(
-                y[lo:hi], np.arange(lo, hi) - j, min_degree, max_degree
-            )
-    return out
+            offsets = np.arange(lo, hi) - j
+            by_content: dict[bytes, float] = {}
+            for b in range(count):
+                y_win = rows[b, lo:hi]
+                key = y_win.tobytes()
+                if key not in by_content:
+                    by_content[key] = _adaptive_window_value(
+                        y_win, offsets, min_degree, max_degree
+                    )
+                out[b, j] = by_content[key]
+    return out.reshape(y.shape)
 
 
 def _adaptive_window_value(

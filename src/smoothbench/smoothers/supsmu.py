@@ -47,16 +47,18 @@ def _window_geometry(n: int, k: int):
 def _local_linear(y: np.ndarray, k: int, want_loo: bool = False):
     """Local linear fit over contiguous k-point windows via running sums.
 
-    Returns the fitted values, plus leave-one-out residuals when asked (from
-    the closed-form hat diagonal of the within-window regression).
+    Works along the last axis of ``y``.  Returns the fitted values, plus
+    leave-one-out residuals when asked (from the closed-form hat diagonal of
+    the within-window regression).
     """
-    n = len(y)
+    n = y.shape[-1]
     lo, hi, s1, sxx, centered, hat = _window_geometry(n, k)
     x = np.arange(n, dtype=float)
-    cy = np.concatenate(([0.0], np.cumsum(y)))
-    cxy = np.concatenate(([0.0], np.cumsum(x * y)))
-    sy = cy[hi] - cy[lo]
-    sxy = cxy[hi] - cxy[lo]
+    zero = np.zeros(y.shape[:-1] + (1,))
+    cy = np.concatenate((zero, np.cumsum(y, axis=-1)), axis=-1)
+    cxy = np.concatenate((zero, np.cumsum(x * y, axis=-1)), axis=-1)
+    sy = cy[..., hi] - cy[..., lo]
+    sxy = cxy[..., hi] - cxy[..., lo]
     slope = (sxy - s1 * sy / k) / sxx
     fitted = sy / k + slope * centered
     if not want_loo:
@@ -66,7 +68,9 @@ def _local_linear(y: np.ndarray, k: int, want_loo: bool = False):
 
 
 def super_smoother(y: np.ndarray, bass: float) -> np.ndarray:
-    n = len(y)
+    """Super smoother of one series (T,) or a stack (B, T) of series."""
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
     ks = [_span_points(s, n) for s in PRIMARY_SPANS]
     mid_k = ks[1]
 
@@ -77,6 +81,7 @@ def super_smoother(y: np.ndarray, bass: float) -> np.ndarray:
         fits.append(fitted)
         abs_resids.append(np.abs(loo))
 
+    # axis 0 runs over the primary spans
     smoothed_resids = np.array(
         [np.maximum(_local_linear(r, mid_k), 0.0) for r in abs_resids]
     )
@@ -85,11 +90,10 @@ def super_smoother(y: np.ndarray, bass: float) -> np.ndarray:
 
     if bass > 0.0:
         woofer_resid = smoothed_resids[-1]
-        best_resid = smoothed_resids[best, np.arange(n)]
+        best_resid = np.take_along_axis(smoothed_resids, best[None], axis=0)[0]
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = best_resid / woofer_resid
         enhance = (spans < PRIMARY_SPANS[-1]) & (woofer_resid > _TINY) & (ratio < 1.0)
-        spans = spans.copy()
         spans[enhance] += (PRIMARY_SPANS[-1] - spans[enhance]) * ratio[enhance] ** (
             10.0 - bass
         )
@@ -101,5 +105,6 @@ def super_smoother(y: np.ndarray, bass: float) -> np.ndarray:
     seg = np.clip(np.searchsorted(grid, spans, side="right") - 1, 0, len(grid) - 2)
     frac = (spans - grid[seg]) / (grid[seg + 1] - grid[seg])
     stacked = np.array(fits)
-    rows = np.arange(n)
-    return (1.0 - frac) * stacked[seg, rows] + frac * stacked[seg + 1, rows]
+    below = np.take_along_axis(stacked, seg[None], axis=0)[0]
+    above = np.take_along_axis(stacked, seg[None] + 1, axis=0)[0]
+    return (1.0 - frac) * below + frac * above

@@ -9,6 +9,8 @@ to keep the normal equations well conditioned up to degree 6.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -42,21 +44,28 @@ def window_offsets(
     return cols, offsets
 
 
-def batched_local_polyfit(
-    y: np.ndarray,
+@dataclass(frozen=True)
+class LocalDesign:
+    """The data-independent half of a batched local polynomial fit."""
+
+    cols: np.ndarray  # (m, k) series index of every window point
+    design: np.ndarray  # (m, k, degree+1) rescaled offsets raised to each power
+    weights: np.ndarray  # (m, k) least-squares weights
+    weighted: np.ndarray  # design * weights
+    normal: np.ndarray  # (m, degree+1, degree+1) normal matrices
+
+
+def local_design(
     starts: np.ndarray,
     k: int,
     degree: int,
     weights: np.ndarray | None = None,
     centers: np.ndarray | None = None,
-    want_hat: bool = False,
-    want_sse: bool = False,
-):
-    """Fit a degree-``degree`` polynomial in every window, evaluated at its center.
+) -> LocalDesign:
+    """Windows, design and normal matrices of a degree-``degree`` local fit.
 
     Parameters
     ----------
-    y : (n,) series values
     starts : (m,) inclusive window starts (one window per evaluation point)
     k : common window size
     degree : polynomial degree (k and the weight pattern must leave at least
@@ -64,43 +73,32 @@ def batched_local_polyfit(
     weights : optional (m, k) nonnegative least-squares weights
     centers : (m,) series index each window is evaluated at (default 0..m-1,
         i.e. one window per point)
-    want_hat : also return the hat-matrix diagonal h_ii (leverage of the
-        center observation on its own fitted value)
-    want_sse : also return each window's weighted residual sum of squares
-
-    Returns
-    -------
-    fitted : (m,) fitted value at each center
-    hat : (m,) only if ``want_hat``
-    sse : (m,) only if ``want_sse``
     """
-    if centers is None:
-        centers = np.arange(len(starts))
     cols, offsets = window_offsets(starts, k, centers)
     scale = max(1.0, float(np.abs(offsets).max()))
     t = offsets / scale
     powers = np.arange(degree + 1)
     design = t[:, :, None] ** powers[None, None, :]
     w = np.ones_like(t) if weights is None else weights
-    yw = y[cols]
     aw = design * w[:, :, None]
     normal = np.einsum("nkp,nkq->npq", aw, design)
-    rhs = np.einsum("nkp,nk->np", aw, yw)
-    coef = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+    return LocalDesign(cols, design, w, aw, normal)
+
+
+def batched_local_polyfit(y: np.ndarray, local: LocalDesign, want_sse: bool = False):
+    """Fit the local polynomial in every window of ``local``, evaluated at its center.
+
+    Returns the (m,) fitted values, and with ``want_sse`` also each window's
+    weighted residual sum of squares.
+    """
+    yw = y[local.cols]
+    rhs = np.einsum("nkp,nk->np", local.weighted, yw)
+    coef = np.linalg.solve(local.normal, rhs[:, :, None])[:, :, 0]
     fitted = coef[:, 0]  # polynomial evaluated at offset 0
-    out = [fitted]
-    if want_hat:
-        m = len(starts)
-        e0 = np.zeros((m, degree + 1))
-        e0[:, 0] = 1.0
-        ninv_e0 = np.linalg.solve(normal, e0[:, :, None])[:, :, 0]
-        center_pos = centers - starts
-        w_center = w[np.arange(m), center_pos]
-        out.append(ninv_e0[:, 0] * w_center)
-    if want_sse:
-        resid = yw - np.einsum("nkp,np->nk", design, coef)
-        out.append(np.einsum("nk,nk->n", w, resid**2))
-    return out[0] if len(out) == 1 else tuple(out)
+    if not want_sse:
+        return fitted
+    resid = yw - np.einsum("nkp,np->nk", local.design, coef)
+    return fitted, np.einsum("nk,nk->n", local.weights, resid**2)
 
 
 def local_polyfit_rows(
@@ -116,20 +114,13 @@ def local_polyfit_rows(
     of :func:`batched_local_polyfit` over one window per point (the fitted
     value is linear in y for fixed windows and weights).
     """
-    cols, offsets = window_offsets(starts, k)
-    scale = max(1.0, float(np.abs(offsets).max()))
-    t = offsets / scale
-    powers = np.arange(degree + 1)
-    design = t[:, :, None] ** powers[None, None, :]
-    w = np.ones((n, k)) if weights is None else weights
-    aw = design * w[:, :, None]
-    normal = np.einsum("nkp,nkq->npq", aw, design)
+    local = local_design(starts, k, degree, weights)
     e0 = np.zeros((n, degree + 1, 1))
     e0[:, 0, 0] = 1.0
-    ninv_e0 = np.linalg.solve(normal, e0)[:, :, 0]
-    window_rows = np.einsum("np,nkp->nk", ninv_e0, aw)
+    ninv_e0 = np.linalg.solve(local.normal, e0)[:, :, 0]
+    window_rows = np.einsum("np,nkp->nk", ninv_e0, local.weighted)
     out = np.zeros((n, n))
-    np.put_along_axis(out, cols, window_rows, axis=1)
+    np.put_along_axis(out, local.cols, window_rows, axis=1)
     return out
 
 

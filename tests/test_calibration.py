@@ -7,6 +7,7 @@ from smoothbench.calibration import (
     CalibrationResult,
     GaConfig,
     Individual,
+    RouletteWheel,
     calibrate,
     desk_config,
     repair_genome,
@@ -77,6 +78,15 @@ class TestRouletteSelect:
         pop = [Individual((0.0,), fitness=1.0), Individual((1.0,), fitness=math.inf)]
         gen = np.random.default_rng(3)
         assert all(roulette_select(pop, gen) is pop[0] for _ in range(200))
+
+    def test_wheel_draws_like_repeated_selection(self):
+        fits = [3.0, math.inf, -math.inf, 0.5, 3.0, 12.0]
+        pop = [Individual((float(i),), fitness=f) for i, f in enumerate(fits)]
+        wheel = RouletteWheel(pop)
+        once, each = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(300):
+            assert wheel.pick(once) is roulette_select(pop, each)
+        assert once.random() == each.random()
 
     def test_all_infinite_falls_back_to_uniform(self):
         pop = [Individual((float(i),), fitness=math.inf) for i in range(3)]

@@ -69,11 +69,21 @@ class TestBuildMatrix:
             build_loocv_matrix(default_spec(MethodId.SMA), TimeSeries.from_values([1.0, 2, 3, 4]))
 
     def test_fast_path_matches_per_deletion_loop(self, noisy_sine, monkeypatch):
-        spec = SmootherSpec(MethodId.SGF, (7, 2))
-        fast = build_loocv_matrix(spec, noisy_sine).matrix
+        specs = [
+            SmootherSpec(MethodId.SMA, (5,)),
+            SmootherSpec(MethodId.KER, (1.5,)),
+            SmootherSpec(MethodId.SPL, (1.0,)),
+            SmootherSpec(MethodId.SGF, (7, 2)),
+            SmootherSpec(MethodId.POL, (0.4,)),
+            SmootherSpec(MethodId.GAM, (12, 0.5, 0, 0)),
+        ]
+        fast = [build_loocv_matrix(spec, noisy_sine).matrix for spec in specs]
         monkeypatch.setattr(ev, "linear_operator", lambda *a, **k: None)
-        slow = build_loocv_matrix(spec, noisy_sine).matrix
-        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+        for spec, matrix in zip(specs, fast):
+            slow = build_loocv_matrix(spec, noisy_sine).matrix
+            np.testing.assert_allclose(
+                matrix, slow, rtol=1e-10, atol=1e-12, err_msg=spec.method.value
+            )
 
     def test_deletion_imputations_match_impute_linear(self, rng):
         from smoothbench.timeseries import impute_linear

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import smoothbench.pipeline as pl
-from smoothbench.errors import MissingBiomarker, SeriesTooShort
+from smoothbench.errors import InputError, MissingBiomarker, SeriesTooShort
 from smoothbench.clustering import cluster_methods
 from smoothbench.pipeline import (
     PipelineConfig,
@@ -198,6 +198,20 @@ class TestRawAndNormalized:
         raw, norm = run_raw_and_normalized(records, config)
         assert raw.optimal_method == norm.optimal_method
         assert raw.cluster.assignments == norm.cluster.assignments
+
+
+class TestConfig:
+    def test_bad_ga_budget_fails_at_construction(self):
+        # 5% elitism of 10 individuals rounds to no elite at all
+        with pytest.raises(InputError, match="elitism"):
+            PipelineConfig(ga_population=10)
+        with pytest.raises(InputError, match="population_size"):
+            PipelineConfig(ga_population=1, elitism_fraction=1.0)
+        with pytest.raises(InputError, match="mutation_rate"):
+            PipelineConfig(mutation_rate=1.5)
+
+    def test_desk_budget_accepted(self):
+        assert PipelineConfig().ga_config(7).population_size == 30
 
 
 class TestSeeds:
