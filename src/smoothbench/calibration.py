@@ -26,14 +26,18 @@ from .timeseries import TimeSeries
 
 OBJECTIVES = ("aic", "mae", "combined")
 MAX_FAILURE_FRACTION = 0.1
+# GA budgets as (population size, generations): the paper's full-fidelity
+# budget, and the reduced desk budget that the CLI and the pipeline default to
+PAPER_BUDGET = (100, 1000)
+DESK_BUDGET = (30, 100)
 
 
 @dataclass(frozen=True)
 class GaConfig:
     """GA hyperparameters; the defaults are the full-fidelity configuration."""
 
-    population_size: int = 100
-    iterations: int = 1000
+    population_size: int = PAPER_BUDGET[0]
+    iterations: int = PAPER_BUDGET[1]
     mutation_rate: float = 0.1
     crossover_rate: float = 0.8
     elitism_fraction: float = 0.05
@@ -53,11 +57,6 @@ class GaConfig:
     @property
     def elite_count(self) -> int:
         return max(1, int(round(self.elitism_fraction * self.population_size)))
-
-
-def desk_config(seed: int = 42, patience: int | None = None) -> GaConfig:
-    """Reduced desk-scale budget used by the CLI unless full fidelity is asked."""
-    return GaConfig(population_size=30, iterations=100, seed=seed, patience=patience)
 
 
 @dataclass
@@ -142,16 +141,8 @@ class RouletteWheel:
         return self.population[min(idx, len(self.population) - 1)]
 
 
-def roulette_select(population: Sequence[Individual], rng: np.random.Generator) -> Individual:
-    """Sample with probability proportional to (worst finite - fitness + eps)."""
-    return RouletteWheel(population).pick(rng)
-
-
 def two_point_crossover(
-    a: Sequence[float],
-    b: Sequence[float],
-    rng: np.random.Generator,
-    bounds: Sequence[ParamSpec] | None = None,
+    a: Sequence[float], b: Sequence[float], rng: np.random.Generator
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Exchange the segment between two uniform cut points.
 
@@ -173,9 +164,6 @@ def two_point_crossover(
         c1, c2 = sorted(rng.choice(np.arange(1, length), size=2, replace=False))
         child_a = tuple(a[:c1]) + tuple(b[c1:c2]) + tuple(a[c2:])
         child_b = tuple(b[:c1]) + tuple(a[c1:c2]) + tuple(b[c2:])
-    if bounds is not None:
-        child_a = tuple(s.repair(g) for s, g in zip(bounds, child_a))
-        child_b = tuple(s.repair(g) for s, g in zip(bounds, child_b))
     return child_a, child_b
 
 
@@ -223,15 +211,6 @@ class _FitnessCache:
         return value, failed
 
 
-def _index_objective(
-    objective: str, series: TimeSeries, method: MethodId
-) -> Callable[[tuple[float, ...]], PerformanceIndex]:
-    def run(genome: tuple[float, ...]) -> PerformanceIndex:
-        return evaluate_method(SmootherSpec(method, genome), series)
-
-    return run
-
-
 def calibrate(
     method: MethodId,
     series: TimeSeries,
@@ -256,7 +235,10 @@ def calibrate(
     else:
         if objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES} or callable")
-        index_of = _index_objective(objective, series, method)
+
+        def index_of(genome: tuple[float, ...]) -> PerformanceIndex:
+            return evaluate_method(SmootherSpec(method, genome), series)
+
         z_stats: list[tuple[float, float]] | None = None
 
         def raw_objective(genome: tuple[float, ...]) -> float:

@@ -16,7 +16,7 @@ import sys
 import warnings
 
 from . import __version__
-from .calibration import GaConfig, calibrate
+from .calibration import DESK_BUDGET, PAPER_BUDGET, GaConfig, calibrate
 from .csvio import (
     UnitConfig,
     fmt,
@@ -77,8 +77,12 @@ def _add_common(parser: argparse.ArgumentParser, units: bool = False) -> None:
 
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ga-seed", type=int, default=None, help="override the GA seed")
-    parser.add_argument("--ga-pop", type=int, default=None, help="GA population size (default 30)")
-    parser.add_argument("--ga-iters", type=int, default=None, help="GA generations (default 100)")
+    parser.add_argument(
+        "--ga-pop", type=int, default=None, help=f"GA population size (default {DESK_BUDGET[0]})"
+    )
+    parser.add_argument(
+        "--ga-iters", type=int, default=None, help=f"GA generations (default {DESK_BUDGET[1]})"
+    )
     parser.add_argument(
         "--objective", choices=("aic", "mae", "combined"), default=None, help="GA objective"
     )
@@ -86,7 +90,8 @@ def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--paper-fidelity",
         action="store_true",
-        help="use the full-fidelity GA budget (population 100, 1000 iterations)",
+        help="use the full-fidelity GA budget "
+        f"(population {PAPER_BUDGET[0]}, {PAPER_BUDGET[1]} iterations)",
     )
 
 
@@ -324,17 +329,10 @@ def _method_filter(settings: _Settings) -> tuple[MethodId, ...]:
     return tuple(_method_id(m) for m in methods)
 
 
-def _ga_config(settings: _Settings, seed: int) -> GaConfig:
-    if settings.get("paper-fidelity", False):
-        pop_default, iter_default = 100, 1000
-    else:
-        pop_default, iter_default = 30, 100
-    return GaConfig(
-        population_size=settings.get("ga-pop", pop_default, int),
-        iterations=settings.get("ga-iters", iter_default, int),
-        seed=settings.get("ga-seed", seed, int),
-        patience=settings.get("patience", None, int),
-    )
+def _ga_budget(settings: _Settings) -> tuple[int, int]:
+    """(population size, generations): the flags over the selected budget."""
+    pop, iters = PAPER_BUDGET if settings.get("paper-fidelity", False) else DESK_BUDGET
+    return settings.get("ga-pop", pop, int), settings.get("ga-iters", iters, int)
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -409,7 +407,13 @@ def cmd_calibrate(args) -> int:
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
     series = _input_series(settings, args.input, args.field, args.site)
     gap_free = impute_linear(series)
-    config = _ga_config(settings, settings.seed())
+    population, iterations = _ga_budget(settings)
+    config = GaConfig(
+        population_size=population,
+        iterations=iterations,
+        seed=settings.get("ga-seed", settings.seed(), int),
+        patience=settings.get("patience", None, int),
+    )
     objective = settings.get("objective", "aic")
     result = calibrate(method, gap_free, config, objective=objective)
     payload = {
@@ -443,13 +447,13 @@ def cmd_benchmark(args) -> int:
     if signal in ("normalized", "both"):
         f_nh4 = _resolve_f_nh4(settings, site)
 
-    ga = _ga_config(settings, seed)
+    population, iterations = _ga_budget(settings)
     config = PipelineConfig(
         master_seed=seed,
-        ga_population=ga.population_size,
-        ga_iterations=ga.iterations,
+        ga_population=population,
+        ga_iterations=iterations,
         objective=settings.get("objective", "aic"),
-        patience=ga.patience,
+        patience=settings.get("patience", None, int),
         standardize=not settings.get("no-standardize", False),
         standard_aic_sign=settings.get("aic-sign", "paper") == "standard",
         band_level=settings.get("band-level", 0.95, float),
@@ -501,11 +505,11 @@ def cmd_regress(args) -> int:
         source = "raw normalized loads"
     else:
         f_nh4 = _resolve_f_nh4(settings, site)
-        ga = _ga_config(settings, settings.seed())
+        population, iterations = _ga_budget(settings)
         config = PipelineConfig(
             master_seed=settings.seed(),
-            ga_population=ga.population_size,
-            ga_iterations=ga.iterations,
+            ga_population=population,
+            ga_iterations=iterations,
             methods=_method_filter(settings),
             f_nh4=f_nh4,
         )

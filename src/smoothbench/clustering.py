@@ -2,9 +2,8 @@
 
 Features are z-scored before Euclidean distances are taken (the three indices
 live on wildly different scales); a flag restores raw-feature behaviour.  The
-thirteen-method instances are small enough that the globally optimal medoid
-triple is found by exhaustive enumeration; larger inputs fall back to the
-classic most-central initialization followed by best-improving single swaps.
+thirteen-method instances are small enough (C(13, 3) = 286 medoid triples)
+that the globally optimal medoid triple is found by exhaustive enumeration.
 
 Clusters are ranked best/middle/worst by mean standardized AIC and the
 optimal method is the medoid (multivariate median) of the best cluster.
@@ -23,8 +22,6 @@ from .evaluation import PerformanceIndex
 from .smoothers import MethodId
 
 CLUSTER_LABELS = ("best", "middle", "worst")
-_EXHAUSTIVE_LIMIT = 20000  # number of candidate medoid sets
-MAX_SWAP_ITERATIONS = 100
 AIC_SENTINEL_OFFSET = 10.0
 
 
@@ -96,50 +93,20 @@ def _cost(dist: np.ndarray, medoids: Sequence[int]) -> float:
 
 
 def k_medoid(
-    points: Sequence[Sequence[float]], k: int = 3, seed: int = 0
+    points: Sequence[Sequence[float]], k: int = 3
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Partition points around k medoids; returns (assignments, medoid indices).
 
-    Assignments map each point to a medoid position 0..k-1.  Small instances
-    are solved exactly by enumerating all medoid sets; larger ones run the
-    most-central initialization plus best-improving swaps to a fixpoint.
-    Ties are broken by index order, so the result is deterministic (the seed
-    is accepted for interface stability but no random draw is needed).
+    Assignments map each point to a medoid position 0..k-1.  Every medoid set
+    is enumerated and the cheapest one wins, the first in index order on a
+    tie, so the result is exact and deterministic.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < k:
         raise TooFewPoints(f"need at least {k} points, got {n}")
     dist = _distance_matrix(pts)
-
-    if math.comb(n, k) <= _EXHAUSTIVE_LIMIT:
-        best_set: tuple[int, ...] | None = None
-        best_cost = math.inf
-        for cand in combinations(range(n), k):
-            c = _cost(dist, cand)
-            if c < best_cost:
-                best_cost, best_set = c, cand
-        medoids = list(best_set)
-    else:
-        centrality = dist.sum(axis=0)
-        medoids = list(np.argsort(centrality, kind="stable")[:k])
-        current = _cost(dist, medoids)
-        for _ in range(MAX_SWAP_ITERATIONS):
-            best_swap = None
-            best_swap_cost = current
-            non_medoids = [i for i in range(n) if i not in medoids]
-            for mi in range(k):
-                for cand in non_medoids:
-                    trial = list(medoids)
-                    trial[mi] = cand
-                    c = _cost(dist, trial)
-                    if c < best_swap_cost:
-                        best_swap_cost, best_swap = c, (mi, cand)
-            if best_swap is None:
-                break
-            medoids[best_swap[0]] = best_swap[1]
-            current = best_swap_cost
-
+    medoids = min(combinations(range(n), k), key=lambda cand: _cost(dist, cand))
     # every medoid belongs to its own cluster: distance zero to itself
     return _assign(dist, medoids), tuple(int(m) for m in medoids)
 
@@ -171,14 +138,14 @@ def select_optimal(
 
 
 def cluster_methods(
-    indices: Sequence[PerformanceIndex], seed: int = 0, standardize: bool = True
+    indices: Sequence[PerformanceIndex], standardize: bool = True
 ) -> ClusterResult:
     """Full clustering stage: standardize, partition, rank, pick the optimum."""
     methods = [pi.method for pi in indices]
     if len(set(methods)) != len(methods):
         raise ValueError(f"duplicate method ids in cluster input: {methods}")
     scores = standardize_scores(indices, standardize=standardize)
-    assignments, medoid_idx = k_medoid([s.z_features for s in scores], k=3, seed=seed)
+    assignments, medoid_idx = k_medoid([s.z_features for s in scores], k=3)
     label_of_cluster = rank_clusters(assignments, scores)
     labels = {
         s.method: label_of_cluster[int(a)] for s, a in zip(scores, assignments)

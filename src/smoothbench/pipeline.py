@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 
 from . import __version__
-from .calibration import GaConfig, calibrate
+from .calibration import DESK_BUDGET, OBJECTIVES, GaConfig, calibrate
 from .clustering import ClusterResult, cluster_methods
 from .errors import (
     EvaluationFailure,
@@ -53,8 +53,8 @@ class PipelineConfig:
     """Settings of one benchmark run (desk-scale GA budget by default)."""
 
     master_seed: int = 42
-    ga_population: int = 30
-    ga_iterations: int = 100
+    ga_population: int = DESK_BUDGET[0]
+    ga_iterations: int = DESK_BUDGET[1]
     mutation_rate: float = 0.1
     crossover_rate: float = 0.8
     elitism_fraction: float = 0.05
@@ -75,9 +75,10 @@ class PipelineConfig:
             self.ga_config(self.master_seed)
         except ValueError as exc:
             raise InputError(f"invalid GA budget: {exc}") from exc
-
-    def with_paper_fidelity(self) -> "PipelineConfig":
-        return replace(self, ga_population=100, ga_iterations=1000)
+        if self.objective not in OBJECTIVES:
+            raise InputError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+        if not 0.0 < self.band_level < 1.0:
+            raise InputError(f"band_level must be in (0, 1), got {self.band_level}")
 
     def ga_config(self, seed: int) -> GaConfig:
         return GaConfig(
@@ -242,9 +243,7 @@ def run_benchmark(
             f"only {len(succeeded)} methods succeeded; need at least 3 to cluster"
         )
     cluster = cluster_methods(
-        [o.index for o in succeeded],
-        seed=config.master_seed,
-        standardize=config.standardize,
+        [o.index for o in succeeded], standardize=config.standardize
     )
     optimal = cluster.optimal
     optimal_outcome = next(o for o in succeeded if o.method is optimal)

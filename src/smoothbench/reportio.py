@@ -259,7 +259,3 @@ def write_reports(reports: list[BenchmarkReport], outdir: str) -> list[str]:
         return paths
     except OSError as exc:
         raise IoError(f"cannot write report files: {exc}") from exc
-
-
-def write_report(report: BenchmarkReport, outdir: str) -> list[str]:
-    return write_reports([report], outdir)

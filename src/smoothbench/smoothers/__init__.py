@@ -6,7 +6,7 @@ import numpy as np
 from ..errors import InsufficientData, SeriesTooShort
 from ..timeseries import TimeSeries
 from .autoregressive import ar_smoother
-from .basic import repeated_running_median, simple_moving_average, sma_operator, tukey_3r
+from .basic import repeated_running_median, simple_moving_average, tukey_3r
 from .catalog import (
     DEFAULT_PARAMS,
     K_PARAMS,
@@ -23,11 +23,11 @@ from .catalog import (
 )
 from .fourier import fourier_lowpass
 from .gam import gam_matrix_operator, gam_smoother
-from .kalman import fit_kalman_local_level as _kalman_fit
+from .kalman import fit_kalman_local_level
 from .kernel import kernel_operator, kernel_regression
 from .localpoly import local_quadratic, local_quadratic_operator
 from .savgol import adaptive_degree_filter, savgol_operator, savitzky_golay
-from .spline import smoothing_spline, spline_operator
+from .spline import smoothing_spline
 from .supsmu import super_smoother
 
 __all__ = [
@@ -42,18 +42,18 @@ __all__ = [
     "apply_smoother",
     "apply_to_values",
     "default_spec",
-    "fit_kalman_local_level",
     "linear_operator",
     "make_spec",
     "required_length",
-    "smooth_tukey_3r",
     "validate_spec",
 ]
 
 
 # methods whose smoother takes a (B, T) stack in one call; the others are
 # applied row by row
-_STACKED_METHODS = frozenset({MethodId.RRM, MethodId.TUK, MethodId.ADP, MethodId.SUP})
+_STACKED_METHODS = frozenset(
+    {MethodId.SMA, MethodId.SPL, MethodId.RRM, MethodId.TUK, MethodId.ADP, MethodId.SUP}
+)
 
 
 def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
@@ -89,7 +89,7 @@ def _smooth(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
     if method is MethodId.TUK:
         return tukey_3r(y)
     if method is MethodId.KAL:
-        return _kalman_fit(y)[0]
+        return fit_kalman_local_level(y)[0]
     if method is MethodId.FFT:
         return fourier_lowpass(y)
     if method is MethodId.SPL:
@@ -117,6 +117,11 @@ def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
     Several catalog methods are linear maps of the input for a fixed spec;
     their LOOCV matrices then follow from rank-one updates of a single
     application.  Returns None for the data-adaptive (nonlinear) methods.
+
+    SMA and SPL are their smoother applied to the identity.  SGF, POL and GAM
+    keep hand-built operators, which their smoother on unit vectors misses by
+    up to 6.3e-14, 3.5e-16 and 7.0e-15, enough to change reported indices;
+    KER keeps one because a row-exact derivation is ~4x slower at T=365.
     """
     if n < required_length(spec):
         raise SeriesTooShort(
@@ -125,12 +130,12 @@ def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
         )
     p = spec.params
     method = spec.method
-    if method is MethodId.SMA:
-        return sma_operator(n, int(p[0]))
+    if method in (MethodId.SMA, MethodId.SPL):
+        # row j is S applied to e_j, a column of S; C order keeps the
+        # summation order of the LOOCV indices
+        return np.ascontiguousarray(apply_to_values(spec, np.eye(n)).T)
     if method is MethodId.KER:
         return kernel_operator(n, p[0])
-    if method is MethodId.SPL:
-        return spline_operator(n, p[0])
     if method is MethodId.SGF:
         return savgol_operator(n, int(p[0]), int(p[1]))
     if method is MethodId.POL:
@@ -145,18 +150,3 @@ def apply_smoother(spec: SmootherSpec, series: TimeSeries) -> TimeSeries:
     if not series.is_gap_free():
         raise InsufficientData("series contains missing values; impute before smoothing")
     return series.with_values(apply_to_values(spec, series.values()))
-
-
-def smooth_tukey_3r(series: TimeSeries) -> TimeSeries:
-    """Tukey 3R on a series (allows length 3-4, unlike the generic gate)."""
-    if not series.is_gap_free():
-        raise InsufficientData("series contains missing values; impute before smoothing")
-    return series.with_values(tukey_3r(series.values()))
-
-
-def fit_kalman_local_level(series: TimeSeries) -> tuple[TimeSeries, float, float]:
-    """Maximum-likelihood local-level smoother; returns (smoothed, q, r)."""
-    if not series.is_gap_free():
-        raise InsufficientData("series contains missing values; impute before smoothing")
-    smoothed, q, r = _kalman_fit(series.values())
-    return series.with_values(smoothed), q, r

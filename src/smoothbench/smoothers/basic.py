@@ -13,20 +13,14 @@ RRM_MAX_PASSES = 50
 
 
 def simple_moving_average(y: np.ndarray, window: int) -> np.ndarray:
-    """Centered mean over a window truncated at the series boundaries."""
-    n = len(y)
-    lo, hi = clipped_bounds(n, window)
-    csum = np.concatenate(([0.0], np.cumsum(y)))
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    """Centered mean over a window truncated at the series boundaries.
 
-
-def sma_operator(n: int, window: int) -> np.ndarray:
-    """Dense smoother matrix of the truncated-window moving average."""
-    lo, hi = clipped_bounds(n, window)
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i, lo[i] : hi[i]] = 1.0 / (hi[i] - lo[i])
-    return out
+    ``y`` is one series (T,) or a stack (B, T) of series smoothed independently.
+    """
+    lo, hi = clipped_bounds(y.shape[-1], window)
+    zero = np.zeros(y.shape[:-1] + (1,))
+    csum = np.concatenate((zero, np.cumsum(y, axis=-1)), axis=-1)
+    return (np.take(csum, hi, axis=-1) - np.take(csum, lo, axis=-1)) / (hi - lo)
 
 
 def _running_median(y: np.ndarray, window: int) -> np.ndarray:

@@ -4,17 +4,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def kernel_operator(n: int, bandwidth: float) -> np.ndarray:
-    """Row-normalized Gaussian weight matrix."""
+def _gaussian_weights(n: int, bandwidth: float) -> np.ndarray:
     idx = np.arange(n, dtype=float)
     u = (idx[:, None] - idx[None, :]) / bandwidth
-    k = np.exp(-0.5 * u * u)
+    return np.exp(-0.5 * u * u)
+
+
+def kernel_operator(n: int, bandwidth: float) -> np.ndarray:
+    """Row-normalized Gaussian weight matrix."""
+    k = _gaussian_weights(n, bandwidth)
     return k / k.sum(axis=1, keepdims=True)
 
 
 def kernel_regression(y: np.ndarray, bandwidth: float) -> np.ndarray:
-    n = len(y)
-    idx = np.arange(n, dtype=float)
-    u = (idx[:, None] - idx[None, :]) / bandwidth
-    k = np.exp(-0.5 * u * u)
+    k = _gaussian_weights(len(y), bandwidth)
     return (k @ y) / k.sum(axis=1)

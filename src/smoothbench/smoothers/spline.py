@@ -25,30 +25,17 @@ def _banded_system(n: int, lam: float) -> np.ndarray:
 
 
 def _apply_q(gamma: np.ndarray) -> np.ndarray:
-    # (Q gamma)_k = gamma_{k-2} - 2 gamma_{k-1} + gamma_k, out-of-range = 0
-    if gamma.ndim == 1:
-        padded = np.pad(gamma, (2, 2))
-    else:
-        padded = np.pad(gamma, ((2, 2), (0, 0)))
-    return padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
+    # (Q gamma)_k = gamma_{k-2} - 2 gamma_{k-1} + gamma_k along the last axis,
+    # out-of-range = 0
+    padded = np.pad(gamma, [(0, 0)] * (gamma.ndim - 1) + [(2, 2)])
+    return padded[..., 2:] - 2.0 * padded[..., 1:-1] + padded[..., :-2]
 
 
 def smoothing_spline(y: np.ndarray, log10_penalty: float) -> np.ndarray:
-    n = len(y)
+    """Fitted values; ``y`` is one series (T,) or a stack (B, T) of series."""
+    n = y.shape[-1]
     lam = 10.0**log10_penalty
     # second differences of y (Q'y for unit spacing)
-    qty = y[:-2] - 2.0 * y[1:-1] + y[2:]
-    gamma = solveh_banded(_banded_system(n, lam), qty)
+    qty = y[..., :-2] - 2.0 * y[..., 1:-1] + y[..., 2:]
+    gamma = solveh_banded(_banded_system(n, lam), qty.T).T
     return y - lam * _apply_q(gamma)
-
-
-def spline_operator(n: int, log10_penalty: float) -> np.ndarray:
-    """Dense smoother matrix: I - lam * Q (R + lam*Q'Q)^-1 Q'."""
-    lam = 10.0**log10_penalty
-    qt = np.zeros((n - 2, n))
-    idx = np.arange(n - 2)
-    qt[idx, idx] = 1.0
-    qt[idx, idx + 1] = -2.0
-    qt[idx, idx + 2] = 1.0
-    gamma = solveh_banded(_banded_system(n, lam), qt)
-    return np.eye(n) - lam * _apply_q(gamma)

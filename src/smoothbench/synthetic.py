@@ -122,7 +122,3 @@ def catchment_suite(
             noise_draw=shared_eps,
         )
     return out
-
-
-def catchment_populations() -> dict[str, int]:
-    return {site: pop for site, (pop, _s, _a, _b) in _CATCHMENTS.items()}

@@ -249,7 +249,7 @@ def test_c06_k_medoid_exactness(capsys):
     for _ in range(50):
         n = int(gen.integers(4, 14))
         points = gen.normal(size=(n, 3))
-        assignments, medoids = k_medoid(points, k=3, seed=0)
+        assignments, medoids = k_medoid(points, k=3)
         got = sum(
             math.dist(points[i], points[medoids[a]]) for i, a in enumerate(assignments)
         )
@@ -261,7 +261,7 @@ def test_c06_k_medoid_exactness(capsys):
 
     centers = np.array([[0.0, 0, 0], [50.0, 0, 0], [0.0, 50, 0]])
     blob_points = np.vstack([c + gen.normal(scale=0.5, size=(4, 3)) for c in centers])
-    assignments, _ = k_medoid(blob_points, k=3, seed=0)
+    assignments, _ = k_medoid(blob_points, k=3)
     blobs_ok = all(len(set(assignments[i : i + 4])) == 1 for i in (0, 4, 8))
 
     ok = worst <= 1e-12 and blobs_ok

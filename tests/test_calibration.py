@@ -9,9 +9,7 @@ from smoothbench.calibration import (
     Individual,
     RouletteWheel,
     calibrate,
-    desk_config,
     repair_genome,
-    roulette_select,
     search_bounds,
     two_point_crossover,
 )
@@ -37,10 +35,6 @@ class TestGaConfig:
             0.1, 0.8, 0.05,
         )
 
-    def test_desk_budget(self):
-        cfg = desk_config()
-        assert (cfg.population_size, cfg.iterations) == (30, 100)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GaConfig(population_size=1)
@@ -53,12 +47,12 @@ class TestGaConfig:
 class TestRouletteSelect:
     def test_singleton(self):
         pop = [Individual((1.0,), fitness=5.0)]
-        assert roulette_select(pop, np.random.default_rng(0)) is pop[0]
+        assert RouletteWheel(pop).pick(np.random.default_rng(0)) is pop[0]
 
     def test_best_dominates_at_small_epsilon(self):
         pop = [Individual((0.0,), fitness=0.0), Individual((1.0,), fitness=100.0)]
         gen = np.random.default_rng(1)
-        picks = sum(roulette_select(pop, gen) is pop[0] for _ in range(2000))
+        picks = sum(RouletteWheel(pop).pick(gen) is pop[0] for _ in range(2000))
         assert picks > 1990  # weight ratio (100+eps):eps
 
     def test_uniform_when_all_equal(self):
@@ -67,7 +61,7 @@ class TestRouletteSelect:
         counts = np.zeros(4)
         draws = 10000
         for _ in range(draws):
-            idx = pop.index(roulette_select(pop, gen))
+            idx = pop.index(RouletteWheel(pop).pick(gen))
             counts[idx] += 1
         expected = draws / 4
         # three-sigma band of a binomial with p = 1/4
@@ -77,7 +71,7 @@ class TestRouletteSelect:
     def test_infinite_fitness_never_selected(self):
         pop = [Individual((0.0,), fitness=1.0), Individual((1.0,), fitness=math.inf)]
         gen = np.random.default_rng(3)
-        assert all(roulette_select(pop, gen) is pop[0] for _ in range(200))
+        assert all(RouletteWheel(pop).pick(gen) is pop[0] for _ in range(200))
 
     def test_wheel_draws_like_repeated_selection(self):
         fits = [3.0, math.inf, -math.inf, 0.5, 3.0, 12.0]
@@ -85,13 +79,13 @@ class TestRouletteSelect:
         wheel = RouletteWheel(pop)
         once, each = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(300):
-            assert wheel.pick(once) is roulette_select(pop, each)
+            assert wheel.pick(once) is RouletteWheel(pop).pick(each)
         assert once.random() == each.random()
 
     def test_all_infinite_falls_back_to_uniform(self):
         pop = [Individual((float(i),), fitness=math.inf) for i in range(3)]
         gen = np.random.default_rng(4)
-        seen = {pop.index(roulette_select(pop, gen)) for _ in range(100)}
+        seen = {pop.index(RouletteWheel(pop).pick(gen)) for _ in range(100)}
         assert seen == {0, 1, 2}
 
 

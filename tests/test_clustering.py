@@ -46,22 +46,22 @@ class TestKMedoid:
     def test_three_blob_recovery(self, rng):
         centers = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
         points = np.vstack([c + rng.normal(scale=1.0, size=(4, 3)) for c in centers])
-        assignments, medoids = k_medoid(points, k=3, seed=0)
+        assignments, medoids = k_medoid(points, k=3)
         blocks = [set(assignments[i : i + 4]) for i in (0, 4, 8)]
         assert all(len(b) == 1 for b in blocks)
         assert {next(iter(b)) for b in blocks} == {0, 1, 2}
 
     def test_identical_points_degenerate(self):
         points = np.ones((6, 3))
-        assignments, medoids = k_medoid(points, k=3, seed=1)
+        assignments, medoids = k_medoid(points, k=3)
         assert achieved_cost(points, assignments, medoids) == 0.0
-        again, medoids2 = k_medoid(points, k=3, seed=1)
+        again, medoids2 = k_medoid(points, k=3)
         np.testing.assert_array_equal(assignments, again)
         assert medoids == medoids2
 
     def test_exactly_k_points(self):
         points = [[0.0], [5.0], [9.0]]
-        assignments, medoids = k_medoid(points, k=3, seed=0)
+        assignments, medoids = k_medoid(points, k=3)
         assert sorted(medoids) == [0, 1, 2]
         assert achieved_cost(points, assignments, medoids) == 0.0
 
@@ -73,40 +73,26 @@ class TestKMedoid:
         for _ in range(50):
             n = int(rng.integers(4, 14))
             points = rng.normal(size=(n, 3))
-            assignments, medoids = k_medoid(points, k=3, seed=0)
+            assignments, medoids = k_medoid(points, k=3)
             got = achieved_cost(points, assignments, medoids)
             assert got == pytest.approx(brute_force_cost(points), rel=1e-12)
 
     def test_medoids_are_members_assigned_to_themselves(self, rng):
         points = rng.normal(size=(10, 3))
-        assignments, medoids = k_medoid(points, k=3, seed=0)
+        assignments, medoids = k_medoid(points, k=3)
         for pos, m in enumerate(medoids):
             assert assignments[m] == pos
 
     def test_medoid_membership_holds_for_identical_points(self):
-        assignments, medoids = k_medoid(np.zeros((7, 3)), k=3, seed=0)
+        assignments, medoids = k_medoid(np.zeros((7, 3)), k=3)
         for pos, m in enumerate(medoids):
             assert assignments[m] == pos
 
-    def test_large_instance_swap_descent(self, rng):
-        # beyond the enumeration limit: the swap loop must still descend
-        points = rng.normal(size=(40, 3))
-        assignments, medoids = k_medoid(points, k=3, seed=0)
-        cost = achieved_cost(points, assignments, medoids)
-        centrality = np.linalg.norm(
-            points[:, None, :] - points[None, :, :], axis=2
-        ).sum(axis=0)
-        init = list(np.argsort(centrality, kind="stable")[:3])
-        init_cost = achieved_cost(points, np.argmin(
-            np.linalg.norm(points[:, None, :] - points[init][None, :, :], axis=2), axis=1
-        ), init)
-        assert cost <= init_cost + 1e-12
-
     def test_permutation_invariance(self, rng):
         indices = [index_for(m.value, *rng.uniform(1, 10, 3)) for m in MethodId]
-        base = cluster_methods(indices, seed=0)
+        base = cluster_methods(indices)
         perm = list(rng.permutation(len(indices)))
-        shuffled = cluster_methods([indices[i] for i in perm], seed=0)
+        shuffled = cluster_methods([indices[i] for i in perm])
         assert base.assignments == shuffled.assignments
         assert base.optimal == shuffled.optimal
 
@@ -146,7 +132,7 @@ class TestRankingAndOptimal:
             + [index_for(m.value, 1.0, 1.0, 0.0 + rng.random()) for m in list(MethodId)[4:8]]
             + [index_for(m.value, 1.0, 1.0, 10.0 + rng.random()) for m in list(MethodId)[8:]]
         )
-        result = cluster_methods(indices, seed=0)
+        result = cluster_methods(indices)
         best = [m for m, label in result.assignments.items() if label == "best"]
         assert set(best) == {m for m in list(MethodId)[:4]}
 
@@ -199,11 +185,11 @@ class TestRankingAndOptimal:
         indices = [index_for(dominator.value, 0.01, 0.01, -100.0)]
         for m in rest:
             indices.append(index_for(m.value, *rng.uniform(5, 10, 2), rng.uniform(50, 99)))
-        result = cluster_methods(indices, seed=0)
+        result = cluster_methods(indices)
         assert result.assignments[dominator] == "best"
 
     def test_duplicate_methods_rejected(self):
         indices = [index_for("sma", 1, 1, 1.0), index_for("sma", 2, 2, 2.0),
                    index_for("tuk", 3, 3, 3.0)]
         with pytest.raises(ValueError):
-            cluster_methods(indices, seed=0)
+            cluster_methods(indices)

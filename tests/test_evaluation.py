@@ -16,7 +16,7 @@ from smoothbench.evaluation import (
     mae,
     var_index,
 )
-from smoothbench.smoothers import MethodId, SmootherSpec, default_spec
+from smoothbench.smoothers import MethodId, SmootherSpec, default_spec, linear_operator
 from smoothbench.timeseries import TimeSeries
 
 from conftest import random_series
@@ -84,6 +84,16 @@ class TestBuildMatrix:
             np.testing.assert_allclose(
                 matrix, slow, rtol=1e-10, atol=1e-12, err_msg=spec.method.value
             )
+
+    def test_matrices_are_c_contiguous(self, noisy_sine):
+        # var_index sums each row in memory order: an F-ordered matrix holds
+        # the same values but changes the reported digits
+        for method in MethodId:
+            spec = default_spec(method)
+            matrix = build_loocv_matrix(spec, noisy_sine).matrix
+            assert matrix.flags.c_contiguous, method.value
+            operator = linear_operator(spec, len(noisy_sine))
+            assert operator is None or operator.flags.c_contiguous, method.value
 
     def test_deletion_imputations_match_impute_linear(self, rng):
         from smoothbench.timeseries import impute_linear

@@ -140,7 +140,7 @@ class TestRunBenchmark:
 
     def test_stage_isolation_recluster(self, raw_report):
         indices = [o.index for o in raw_report.outcomes if o.ok]
-        redo = cluster_methods(indices, seed=raw_report.provenance["master_seed"])
+        redo = cluster_methods(indices)
         assert redo == raw_report.cluster
 
     def test_failed_method_excluded_with_warning(self, bundled, monkeypatch):
@@ -209,6 +209,15 @@ class TestConfig:
             PipelineConfig(ga_population=1, elitism_fraction=1.0)
         with pytest.raises(InputError, match="mutation_rate"):
             PipelineConfig(mutation_rate=1.5)
+
+    def test_bad_settings_fail_at_construction(self):
+        for level in (1.5, 1.0, 0.0, -0.2):
+            with pytest.raises(InputError, match="band_level"):
+                PipelineConfig(band_level=level)
+        with pytest.raises(InputError, match="objective"):
+            PipelineConfig(objective="bic")
+        for objective in ("aic", "mae", "combined"):
+            assert PipelineConfig(objective=objective).objective == objective
 
     def test_desk_budget_accepted(self):
         assert PipelineConfig().ga_config(7).population_size == 30
