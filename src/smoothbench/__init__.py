@@ -30,7 +30,7 @@ def __getattr__(name):
         from . import calibration
 
         return getattr(calibration, name)
-    if name in ("run_benchmark", "run_raw_and_normalized", "PipelineConfig"):
+    if name in ("run_benchmark", "PipelineConfig"):
         from . import pipeline
 
         return getattr(pipeline, name)

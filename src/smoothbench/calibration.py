@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,26 +190,30 @@ def _quantize(genome: Sequence[float]) -> tuple[float, ...]:
 
 
 class _FitnessCache:
-    """Evaluate-once cache over quantized genomes."""
+    """Evaluate-once cache over quantized genomes.
 
-    def __init__(self, evaluate: Callable[[tuple[float, ...]], float]):
+    Each key holds its genome's evaluation result, or None when the
+    evaluation raised a SmoothbenchError; ``evaluations`` counts the misses.
+    """
+
+    def __init__(self, evaluate: Callable[[tuple[float, ...]], object]):
         self._evaluate = evaluate
-        self._store: dict[tuple[float, ...], tuple[float, bool]] = {}
+        self._store: dict[tuple[float, ...], object] = {}
         self.evaluations = 0
 
-    def __call__(self, genome: tuple[float, ...]) -> tuple[float, bool]:
+    def __call__(self, genome: tuple[float, ...]):
         key = _quantize(genome)
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
         try:
-            value = float(self._evaluate(genome))
-            failed = False
+            return self._store[key]
+        except KeyError:
+            pass
+        try:
+            result = self._evaluate(genome)
         except SmoothbenchError:
-            value, failed = math.inf, True
+            result = None
         self.evaluations += 1
-        self._store[key] = (value, failed)
-        return value, failed
+        self._store[key] = result
+        return result
 
 
 def calibrate(
@@ -231,63 +236,42 @@ def calibrate(
     rng = np.random.default_rng(config.seed)
 
     if callable(objective):
-        raw_objective = objective
+        evaluate = objective
+    elif objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES} or callable")
     else:
-        if objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES} or callable")
 
-        def index_of(genome: tuple[float, ...]) -> PerformanceIndex:
+        def evaluate(genome: tuple[float, ...]) -> PerformanceIndex:
             return evaluate_method(SmootherSpec(method, genome), series)
 
-        z_stats: list[tuple[float, float]] | None = None
-
-        def raw_objective(genome: tuple[float, ...]) -> float:
-            pi = index_of(genome)
-            if objective == "aic":
-                return pi.aic
-            if objective == "mae":
-                return pi.mae
-            assert z_stats is not None, "combined objective used before baseline set"
-            feats = (pi.mae, pi.var, pi.aic)
-            return sum(
-                ((_clamp_aic(f) if i == 2 else f) - mu) / sd
-                for i, (f, (mu, sd)) in enumerate(zip(feats, z_stats))
-            ) / 3.0
-
-    cache = _FitnessCache(raw_objective)
-
-    def evaluate_population(pop: list[Individual]) -> None:
-        failures = 0
-        for ind in pop:
-            ind.fitness, ind.failed = cache(ind.genome)
-            failures += ind.failed
-        if failures > MAX_FAILURE_FRACTION * config.population_size:
-            raise EvaluationFailure(
-                f"{failures}/{len(pop)} evaluations failed for {method.value}; "
-                "population is not viable"
-            )
+    cache = _FitnessCache(evaluate)
 
     population = [
         Individual(repair_genome(method, bounds, _random_genome(bounds, rng)))
         for _ in range(config.population_size)
     ]
 
-    if not callable(objective) and objective == "combined":
-        # freeze the z-score baseline on the initial population so the
-        # scalarization stays a fixed function for the rest of the run
-        triples = []
-        for ind in population:
-            try:
-                pi = index_of(ind.genome)
-                triples.append((pi.mae, pi.var, _clamp_aic(pi.aic)))
-            except SmoothbenchError:
-                continue
-        if not triples:
-            raise EvaluationFailure(f"no viable individual to baseline {method.value}")
-        arr = np.asarray(triples)
-        z_stats = [
-            (float(arr[:, i].mean()), float(arr[:, i].std()) or 1.0) for i in range(3)
-        ]
+    if callable(objective):
+        fitness_of = float
+    elif objective == "combined":
+        fitness_of = _combined_fitness(method, [cache(ind.genome) for ind in population])
+    else:
+        fitness_of = attrgetter(objective)
+
+    def evaluate_population(pop: list[Individual]) -> None:
+        failures = 0
+        for ind in pop:
+            result = cache(ind.genome)
+            if result is None:
+                ind.fitness, ind.failed = math.inf, True
+                failures += 1
+            else:
+                ind.fitness = fitness_of(result)
+        if failures > MAX_FAILURE_FRACTION * config.population_size:
+            raise EvaluationFailure(
+                f"{failures}/{len(pop)} evaluations failed for {method.value}; "
+                "population is not viable"
+            )
 
     evaluate_population(population)
     best = min(population, key=lambda ind: ind.fitness)
@@ -329,6 +313,27 @@ def calibrate(
         history=tuple(history),
         evaluations=cache.evaluations,
     )
+
+
+def _combined_fitness(
+    method: MethodId, baseline: Sequence["PerformanceIndex | None"]
+) -> Callable[[PerformanceIndex], float]:
+    """Mean z-score of (MAE, VAR, AIC) against the initial population.
+
+    The baseline is frozen once, so the scalarization stays a fixed function
+    for the rest of the run; failed evaluations (None) are left out of it.
+    """
+    triples = [(pi.mae, pi.var, _clamp_aic(pi.aic)) for pi in baseline if pi is not None]
+    if not triples:
+        raise EvaluationFailure(f"no viable individual to baseline {method.value}")
+    arr = np.asarray(triples)
+    z_stats = [(float(arr[:, i].mean()), float(arr[:, i].std()) or 1.0) for i in range(3)]
+
+    def fitness(pi: PerformanceIndex) -> float:
+        feats = (pi.mae, pi.var, _clamp_aic(pi.aic))
+        return sum((f - mu) / sd for f, (mu, sd) in zip(feats, z_stats)) / 3.0
+
+    return fitness
 
 
 def _clamp_aic(aic: float) -> float:

@@ -76,7 +76,6 @@ def _add_common(parser: argparse.ArgumentParser, units: bool = False) -> None:
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ga-seed", type=int, default=None, help="override the GA seed")
     parser.add_argument(
         "--ga-pop", type=int, default=None, help=f"GA population size (default {DESK_BUDGET[0]})"
     )
@@ -149,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=sorted(_FIELD_MAP), default="virus")
     p.add_argument("--site", default=None)
     p.add_argument("--out", default="-")
+    p.add_argument("--ga-seed", type=int, default=None, help="override the GA seed")
     _add_ga_flags(p)
     _add_common(p, units=True)
 
@@ -245,10 +245,9 @@ class _Settings:
         )
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _sink(path: str):
+    """Where a table goes: stdout for "-", else the path."""
+    return sys.stdout if path == "-" else path
 
 
 def _load_records(settings: _Settings, path: str, site: str | None):
@@ -341,12 +340,7 @@ def _ga_budget(settings: _Settings) -> tuple[int, int]:
 def cmd_ingest(args) -> int:
     settings = _Settings(args)
     records = read_surveillance_csv(args.input, settings.units())
-    sink, close = _open_out(args.out)
-    try:
-        write_surveillance_csv(records, sink, settings.units())
-    finally:
-        if close:
-            sink.close()
+    write_surveillance_csv(records, _sink(args.out), settings.units())
     print(f"ingested {len(records)} rows from {args.input}", file=sys.stderr)
     return 0
 
@@ -360,17 +354,12 @@ def cmd_normalize(args) -> int:
     nh4 = build_series(records, "c_nh4")
     normalized = normalize_series(virus, nh4, f_nh4)
     rows = [[s.timestamp.isoformat(), fmt(s.value)] for s in normalized]
-    sink, close = _open_out(args.out)
-    try:
-        write_table(
-            sink,
-            ["date", "value"],
-            rows,
-            comment=f"normalized load (copies/person/day) site={site} f_nh4={f_nh4:g}",
-        )
-    finally:
-        if close:
-            sink.close()
+    write_table(
+        _sink(args.out),
+        ["date", "value"],
+        rows,
+        comment=f"normalized load (copies/person/day) site={site} f_nh4={f_nh4:g}",
+    )
     return 0
 
 
@@ -386,17 +375,12 @@ def cmd_smooth(args) -> int:
         [s.timestamp.isoformat(), fmt(orig.value), fmt(s.value)]
         for orig, s in zip(series, smoothed)
     ]
-    sink, close = _open_out(args.out)
-    try:
-        write_table(
-            sink,
-            ["date", "original", "smoothed"],
-            rows,
-            comment=f"method={method.value} params={params_text} input={args.input}",
-        )
-    finally:
-        if close:
-            sink.close()
+    write_table(
+        _sink(args.out),
+        ["date", "original", "smoothed"],
+        rows,
+        comment=f"method={method.value} params={params_text} input={args.input}",
+    )
     return 0
 
 
@@ -510,6 +494,8 @@ def cmd_regress(args) -> int:
             master_seed=settings.seed(),
             ga_population=population,
             ga_iterations=iterations,
+            objective=settings.get("objective", "aic"),
+            patience=settings.get("patience", None, int),
             methods=_method_filter(settings),
             f_nh4=f_nh4,
         )
@@ -522,17 +508,12 @@ def cmd_regress(args) -> int:
     pairs = join_load_incidence(loads, incidence, site=site)
     fit = fit_linear(pairs)
     rows = [[site, fmt(fit.slope), fmt(fit.intercept), fmt(fit.r_squared), str(fit.n)]]
-    sink, close = _open_out(args.out)
-    try:
-        write_table(
-            sink,
-            ["site", "slope", "intercept", "r2", "n"],
-            rows,
-            comment=f"loads from {source} seed={settings.seed()}",
-        )
-    finally:
-        if close:
-            sink.close()
+    write_table(
+        _sink(args.out),
+        ["site", "slope", "intercept", "r2", "n"],
+        rows,
+        comment=f"loads from {source} seed={settings.seed()}",
+    )
     return 0
 
 

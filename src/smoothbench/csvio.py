@@ -75,18 +75,12 @@ def _parse_float(cell: str, column: str, line: int) -> float | None:
 
 
 def read_surveillance_csv(
-    source: "str | io.TextIOBase", units: UnitConfig | None = None
+    path: str, units: UnitConfig | None = None
 ) -> list[SurveillanceRecord]:
     """Read the surveillance schema; rows come back in file order."""
     units = units or UnitConfig()
     f_virus, f_flow, f_nh4 = units.factors
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with open(path, newline="") as handle:
         reader = csv.DictReader(_skip_comments(handle))
         if reader.fieldnames is None:
             raise SchemaError("empty file: header row required")
@@ -137,9 +131,6 @@ def read_surveillance_csv(
         if not records:
             raise SchemaError("no data rows found")
         return records
-    finally:
-        if close:
-            handle.close()
 
 
 def write_surveillance_csv(
@@ -163,18 +154,12 @@ def write_surveillance_csv(
                 fmt(r.incidence_7d),
             ]
         )
-    _write_rows(sink, list(SURVEILLANCE_COLUMNS) + list(OPTIONAL_COLUMNS), rows)
+    write_table(sink, list(SURVEILLANCE_COLUMNS) + list(OPTIONAL_COLUMNS), rows)
 
 
-def read_biomarker_table(source: "str | io.TextIOBase") -> dict[str, BiomarkerLoad]:
+def read_biomarker_table(path: str) -> dict[str, BiomarkerLoad]:
     """Load-table schema: site,f_bm_g_per_cap_d,p025,p975 (f_bm is the median)."""
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with open(path, newline="") as handle:
         reader = csv.DictReader(_skip_comments(handle))
         required = ("site", "f_bm_g_per_cap_d", "p025", "p975")
         if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
@@ -194,9 +179,6 @@ def read_biomarker_table(source: "str | io.TextIOBase") -> dict[str, BiomarkerLo
         if not table:
             raise SchemaError("load table has no rows")
         return table
-    finally:
-        if close:
-            handle.close()
 
 
 def write_biomarker_table(
@@ -206,18 +188,12 @@ def write_biomarker_table(
         [site, fmt(load.f_bm), fmt(load.p_low), fmt(load.p_high)]
         for site, load in table.items()
     ]
-    _write_rows(sink, ["site", "f_bm_g_per_cap_d", "p025", "p975"], rows)
+    write_table(sink, ["site", "f_bm_g_per_cap_d", "p025", "p975"], rows)
 
 
-def read_series_csv(source: "str | io.TextIOBase") -> TimeSeries:
+def read_series_csv(path: str) -> TimeSeries:
     """Two-column `date,value` series; empty value cells are missing."""
-    close = False
-    if isinstance(source, (str, bytes)):
-        handle = open(source, newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with open(path, newline="") as handle:
         reader = csv.DictReader(_skip_comments(handle))
         if reader.fieldnames is None or not {"date", "value"} <= set(reader.fieldnames):
             raise SchemaError("series file needs columns: date,value")
@@ -234,35 +210,22 @@ def read_series_csv(source: "str | io.TextIOBase") -> TimeSeries:
         if not pairs:
             raise SchemaError("series file has no rows")
         return TimeSeries.from_pairs(pairs)
-    finally:
-        if close:
-            handle.close()
 
 
 def _skip_comments(handle: Iterable[str]) -> Iterable[str]:
     return (line for line in handle if not line.startswith("#"))
 
 
-def _write_rows(sink: "str | io.TextIOBase", header: list[str], rows, comment: str | None = None):
-    close = False
-    if isinstance(sink, (str, bytes)):
-        handle = open(sink, "w", newline="")
-        close = True
-    else:
-        handle = sink
-    try:
-        if comment:
-            handle.write(f"# {comment}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            handle.close()
-
-
 def write_table(
     sink: "str | io.TextIOBase", header: list[str], rows, comment: str | None = None
 ) -> None:
-    """Public thin wrapper used by the report writer and CLI outputs."""
-    _write_rows(sink, header, rows, comment=comment)
+    """Write a header and rows to a path, or to an open handle left open."""
+    if isinstance(sink, (str, bytes)):
+        with open(sink, "w", newline="") as handle:
+            write_table(handle, header, rows, comment)
+        return
+    if comment:
+        sink.write(f"# {comment}\n")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)

@@ -145,11 +145,10 @@ def confidence_band(
     return loocv.source.with_values(lower), loocv.source.with_values(upper)
 
 
-def evaluate_method(
-    spec: SmootherSpec, series: TimeSeries, standard_aic_sign: bool = False
+def performance_index(
+    spec: SmootherSpec, loocv: LoocvMatrix, standard_aic_sign: bool = False
 ) -> PerformanceIndex:
-    """LOOCV build plus all three indices, k taken from the method catalog."""
-    loocv = build_loocv_matrix(spec, series)
+    """All three indices of one LOOCV matrix, k taken from the method catalog."""
     aic_value = aic(loocv, spec.k, standard_sign=standard_aic_sign)
     return PerformanceIndex(
         method=spec.method.value,
@@ -157,5 +156,12 @@ def evaluate_method(
         mae=mae(loocv),
         var=var_index(loocv),
         aic=aic_value,
-        zero_residual=not math.isfinite(aic_value),
+        zero_residual=aic_value == -math.inf,
     )
+
+
+def evaluate_method(
+    spec: SmootherSpec, series: TimeSeries, standard_aic_sign: bool = False
+) -> PerformanceIndex:
+    """LOOCV build plus all three indices."""
+    return performance_index(spec, build_loocv_matrix(spec, series), standard_aic_sign)

@@ -9,16 +9,14 @@ pipeline uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
-    EmptyInput,
     MisalignedSeries,
     NonPositiveBiomarkerLoad,
     NonPositivePopulation,
     ZeroBiomarkerConcentration,
 )
-from .timeseries import Sample, TimeSeries, percentile
+from .timeseries import Sample, TimeSeries
 
 
 @dataclass(frozen=True)
@@ -89,13 +87,3 @@ def normalize_series(
             )
         out.append(Sample(sv.timestamp, sv.value * f_nh4 / sb.value))
     return TimeSeries(tuple(out))
-
-
-def derive_biomarker_load(daily_loads: Sequence[float]) -> BiomarkerLoad:
-    """Summarize measured per-capita loads; the median becomes ``f_bm``."""
-    if len(daily_loads) == 0:
-        raise EmptyInput("no daily load measurements")
-    p_low = percentile(daily_loads, 0.025)
-    p_med = percentile(daily_loads, 0.5)
-    p_high = percentile(daily_loads, 0.975)
-    return BiomarkerLoad(f_bm=p_med, p_low=p_low, p_med=p_med, p_high=p_high)

@@ -28,11 +28,9 @@ from .errors import (
 from .evaluation import (
     LoocvMatrix,
     PerformanceIndex,
-    aic,
     build_loocv_matrix,
     confidence_band,
-    mae,
-    var_index,
+    performance_index,
 )
 from .normalization import REFERENCE_NH4_LOADS, normalize_series
 from .regression import LinearFit, fit_linear, join_load_incidence
@@ -206,15 +204,7 @@ def run_benchmark(
             else:
                 spec = default_spec(m)
             loocv = build_loocv_matrix(spec, imputed)
-            aic_value = aic(loocv, spec.k, standard_sign=config.standard_aic_sign)
-            index = PerformanceIndex(
-                method=m.value,
-                k=spec.k,
-                mae=mae(loocv),
-                var=var_index(loocv),
-                aic=aic_value,
-                zero_residual=aic_value == float("-inf"),
-            )
+            index = performance_index(spec, loocv, config.standard_aic_sign)
         except SmoothbenchError as exc:
             warnings.warn(f"method {m.value} failed and is excluded: {exc}")
             outcomes.append(
@@ -311,13 +301,3 @@ def _regression_fit(records, smoothed: TimeSeries) -> LinearFit | None:
         return fit_linear(pairs)
     except SmoothbenchError:
         return None
-
-
-def run_raw_and_normalized(
-    records: list[SurveillanceRecord], config: PipelineConfig | None = None
-) -> tuple[BenchmarkReport, BenchmarkReport]:
-    """Benchmark the raw signal, then repeat on the NH4-normalized signal."""
-    config = config or PipelineConfig()
-    raw = run_benchmark(records, "raw", config)
-    normalized = run_benchmark(records, "normalized", config)
-    return raw, normalized

@@ -59,10 +59,6 @@ def fit_linear(pairs: Sequence[LoadIncidencePair]) -> LinearFit:
     return LinearFit(slope=slope, intercept=intercept, r_squared=min(max(r2, 0.0), 1.0), n=len(pairs))
 
 
-def incidence_at_load(fit: LinearFit, load: float) -> float:
-    return fit.slope * load + fit.intercept
-
-
 def join_load_incidence(
     loads: TimeSeries, incidence: TimeSeries, site: str = ""
 ) -> list[LoadIncidencePair]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothbench.calibration as cal
 from smoothbench.calibration import (
     CalibrationResult,
     GaConfig,
@@ -248,3 +249,21 @@ class TestCalibrate:
         )
         assert isinstance(result, CalibrationResult)
         assert math.isfinite(result.fitness)
+
+    def test_combined_objective_builds_each_genome_once(self, rng, monkeypatch):
+        # the z-score baseline reads the initial population through the
+        # fitness cache, so every LOOCV build is a cache miss
+        calls = []
+        real = cal.evaluate_method
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cal, "evaluate_method", counting)
+        series = random_series(rng, 25)
+        result = calibrate(
+            MethodId.KER, series, small_config(iterations=5), objective="combined"
+        )
+        assert result.evaluations > 0
+        assert len(calls) == result.evaluations

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import smoothbench.cli as cli
 from smoothbench.cli import main
 from smoothbench.csvio import (
     UnitConfig,
@@ -229,6 +230,13 @@ class TestBenchmarkCommand:
         assert r1["reports"][0]["provenance"]["master_seed"] == 5
         assert r2["reports"][0]["provenance"]["master_seed"] == 6
 
+    def test_ga_seed_is_calibrate_only(self, surveillance_csv, tmp_path, capsys):
+        # benchmark derives every GA seed from --seed, so it takes no --ga-seed
+        rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                   "--out", str(tmp_path / "bench"), "--ga-seed", "1"])
+        assert rc == 1
+        assert "--ga-seed" in capsys.readouterr().err
+
 
 class TestRegressCommand:
     def test_raw_loads(self, surveillance_csv, tmp_path):
@@ -248,6 +256,23 @@ class TestRegressCommand:
         assert rc == 0
         (row,) = read_csv_rows(out)
         assert float(row["r2"]) > 0.8
+
+    def test_ga_flags_reach_pipeline_config(self, surveillance_csv, tmp_path, monkeypatch):
+        configs = []
+        real = cli.run_benchmark
+
+        def capture(records, kind, config):
+            configs.append(config)
+            return real(records, kind, config)
+
+        monkeypatch.setattr(cli, "run_benchmark", capture)
+        rc = main(["regress", "--input", surveillance_csv, "--f-nh4", "10.71",
+                   "--methods", "tuk,fft,sma", "--ga-pop", "20", "--ga-iters", "2",
+                   "--objective", "mae", "--patience", "3",
+                   "--out", str(tmp_path / "fit.csv")])
+        assert rc == 0
+        (config,) = configs
+        assert (config.objective, config.patience) == ("mae", 3)
 
     def test_from_stored_report(self, surveillance_csv, tmp_path):
         bench = tmp_path / "bench"

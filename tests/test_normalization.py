@@ -1,11 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from smoothbench.csvio import read_biomarker_table, write_biomarker_table
 from smoothbench.errors import (
-    EmptyInput,
     MisalignedSeries,
     NonPositiveBiomarkerLoad,
     NonPositivePopulation,
@@ -14,7 +11,6 @@ from smoothbench.errors import (
 from smoothbench.normalization import (
     REFERENCE_NH4_LOADS,
     BiomarkerLoad,
-    derive_biomarker_load,
     estimate_population,
     flow_population_load,
     normalize_series,
@@ -111,27 +107,6 @@ class TestNormalizeSeries:
             assert via_population == pytest.approx(direct, rel=1e-12)
 
 
-class TestDeriveBiomarkerLoad:
-    def test_constant(self):
-        load = derive_biomarker_load([8.0, 8.0, 8.0])
-        assert (load.f_bm, load.p_low, load.p_med, load.p_high) == (8.0, 8.0, 8.0, 8.0)
-
-    def test_two_point_median(self):
-        assert derive_biomarker_load([5.0, 15.0]).f_bm == 10.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            derive_biomarker_load([])
-
-    def test_reference_constants_recoverable(self):
-        # a sample whose percentiles reproduce the published city A values
-        data = [9.77, 9.77, 10.2, 10.71, 10.71, 11.4, 12.17, 12.17]
-        load = derive_biomarker_load(data)
-        assert load.p_low == pytest.approx(9.77, abs=0.01)
-        assert load.f_bm == pytest.approx(10.71, abs=0.01)
-        assert load.p_high == pytest.approx(12.17, abs=0.01)
-
-
 class TestReferenceTable:
     def test_four_sites_with_ordered_percentiles(self):
         assert sorted(REFERENCE_NH4_LOADS) == ["A", "B", "C", "D"]
@@ -146,11 +121,10 @@ class TestReferenceTable:
         assert REFERENCE_NH4_LOADS["A"].p_low == 9.77
         assert REFERENCE_NH4_LOADS["A"].p_high == 12.17
 
-    def test_round_trips_through_load_table_csv(self):
-        buf = io.StringIO()
-        write_biomarker_table(REFERENCE_NH4_LOADS, buf)
-        parsed = read_biomarker_table(io.StringIO(buf.getvalue()))
-        assert parsed == REFERENCE_NH4_LOADS
+    def test_round_trips_through_load_table_csv(self, tmp_path):
+        path = str(tmp_path / "loads.csv")
+        write_biomarker_table(REFERENCE_NH4_LOADS, path)
+        assert read_biomarker_table(path) == REFERENCE_NH4_LOADS
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):

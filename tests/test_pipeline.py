@@ -7,21 +7,17 @@ import pytest
 import smoothbench.pipeline as pl
 from smoothbench.errors import InputError, MissingBiomarker, SeriesTooShort
 from smoothbench.clustering import cluster_methods
-from smoothbench.pipeline import (
-    PipelineConfig,
-    method_seed,
-    run_benchmark,
-    run_raw_and_normalized,
-)
+from smoothbench.evaluation import evaluate_method
+from smoothbench.pipeline import PipelineConfig, method_seed, run_benchmark
 from smoothbench.reportio import (
     parse_reports_json,
     read_reports,
     reports_json,
     write_reports,
 )
-from smoothbench.smoothers import MethodId
+from smoothbench.smoothers import MethodId, SmootherSpec
 from smoothbench.synthetic import DEFAULT_F_NH4, bundled_records, catchment_suite
-from smoothbench.timeseries import SurveillanceRecord
+from smoothbench.timeseries import SurveillanceRecord, build_series, impute_linear
 
 TINY = dict(ga_population=8, ga_iterations=3, elitism_fraction=0.15)
 
@@ -95,6 +91,21 @@ class TestRunBenchmark:
     def test_regression_attached_when_incidence_present(self, raw_report):
         assert raw_report.regression is not None
         assert raw_report.regression.n > 10
+
+    @pytest.mark.parametrize("standard_aic_sign", [False, True])
+    def test_indices_match_evaluate_method(self, bundled, standard_aic_sign):
+        config = tiny_config(
+            methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL),
+            standard_aic_sign=standard_aic_sign,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_benchmark(bundled, "raw", config)
+        imputed = impute_linear(build_series(bundled, "c_virus"))
+        assert imputed.values().tolist() == list(report.imputed)
+        for o in report.outcomes:
+            spec = SmootherSpec(o.method, o.params)
+            assert o.index == evaluate_method(spec, imputed, standard_aic_sign)
 
     def test_determinism(self, bundled, raw_report):
         with warnings.catch_warnings():
@@ -177,7 +188,7 @@ class TestRawAndNormalized:
         config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            raw, norm = run_raw_and_normalized(bundled, config)
+            raw, norm = [run_benchmark(bundled, kind, config) for kind in ("raw", "normalized")]
         assert (raw.signal_kind, norm.signal_kind) == ("raw", "normalized")
         assert raw.original != norm.original
 
@@ -195,7 +206,7 @@ class TestRawAndNormalized:
         subset = (MethodId.SMA, MethodId.RRM, MethodId.TUK, MethodId.SPL,
                   MethodId.KER, MethodId.POL, MethodId.SGF, MethodId.FFT)
         config = tiny_config(methods=subset)
-        raw, norm = run_raw_and_normalized(records, config)
+        raw, norm = [run_benchmark(records, kind, config) for kind in ("raw", "normalized")]
         assert raw.optimal_method == norm.optimal_method
         assert raw.cluster.assignments == norm.cluster.assignments
 

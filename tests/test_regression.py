@@ -3,10 +3,8 @@ import pytest
 
 from smoothbench.errors import DegenerateDesign, InsufficientData
 from smoothbench.regression import (
-    LinearFit,
     LoadIncidencePair,
     fit_linear,
-    incidence_at_load,
     join_load_incidence,
 )
 from smoothbench.timeseries import TimeSeries
@@ -81,14 +79,6 @@ class TestFitLinear:
 
 
 class TestIncidenceAtLoad:
-    def test_intercept_readout(self):
-        fit = LinearFit(slope=2.0, intercept=1.0, r_squared=1.0, n=5)
-        assert incidence_at_load(fit, 0.0) == 1.0
-
-    def test_arithmetic(self):
-        fit = LinearFit(slope=2.0, intercept=1.0, r_squared=1.0, n=5)
-        assert incidence_at_load(fit, 10.0) == 21.0
-
     def test_catchment_size_ordering_recovered(self, rng):
         # four sites built so smaller catchments carry larger slope and
         # intercept; the fits must recover that ordering
@@ -128,7 +118,7 @@ class TestBundledCatchments:
             fit = fit_linear(pairs)
             fits[site] = fit
             median_load = float(np.median([p.load for p in pairs]))
-            readouts[site] = incidence_at_load(fit, median_load)
+            readouts[site] = fit.slope * median_load + fit.intercept
         slopes = [fits[s].slope for s in "ABCD"]
         intercepts = [fits[s].intercept for s in "ABCD"]
         assert slopes == sorted(slopes)
