@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationFailure, NonParametricMethod, SmoothbenchError
+from .errors import EvaluationFailure, InputError, NonParametricMethod, SmoothbenchError
 from .evaluation import PerformanceIndex, evaluate_method
 from .smoothers import PARAM_SPECS, MethodId, ParamSpec, SmootherSpec
 from .timeseries import TimeSeries
@@ -31,33 +31,29 @@ MAX_FAILURE_FRACTION = 0.1
 # budget, and the reduced desk budget that the CLI and the pipeline default to
 PAPER_BUDGET = (100, 1000)
 DESK_BUDGET = (30, 100)
+# the operator rates of the classic configuration, fixed for every run
+MUTATION_RATE = 0.1
+CROSSOVER_RATE = 0.8
+ELITISM_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
 class GaConfig:
-    """GA hyperparameters; the defaults are the full-fidelity configuration."""
+    """GA budget, seed and stopping rule; the defaults are the full-fidelity budget."""
 
     population_size: int = PAPER_BUDGET[0]
     iterations: int = PAPER_BUDGET[1]
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.8
-    elitism_fraction: float = 0.05
     seed: int = 42
     patience: int | None = None
 
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        for name in ("mutation_rate", "crossover_rate", "elitism_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.elitism_fraction * self.population_size < 1.0:
-            raise ValueError("elitism must amount to at least one individual")
 
     @property
     def elite_count(self) -> int:
-        return max(1, int(round(self.elitism_fraction * self.population_size)))
+        """Individuals copied unchanged into the next generation, at least one."""
+        return max(1, int(round(ELITISM_FRACTION * self.population_size)))
 
 
 @dataclass
@@ -238,7 +234,7 @@ def calibrate(
     if callable(objective):
         evaluate = objective
     elif objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES} or callable")
+        raise InputError(f"objective must be one of {OBJECTIVES} or callable")
     else:
 
         def evaluate(genome: tuple[float, ...]) -> PerformanceIndex:
@@ -279,21 +275,23 @@ def calibrate(
     history = [best_fitness]
     last_improvement = 0
 
+    elite_count = config.elite_count
+    child_count = config.population_size - elite_count
     for gen in range(config.iterations):
-        elite = sorted(population, key=lambda ind: ind.fitness)[: config.elite_count]
+        elite = sorted(population, key=lambda ind: ind.fitness)[:elite_count]
         wheel = RouletteWheel(population)
         children: list[Individual] = []
-        while len(children) < config.population_size - config.elite_count:
+        while len(children) < child_count:
             pa = wheel.pick(rng)
             pb = wheel.pick(rng)
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 ga, gb = two_point_crossover(pa.genome, pb.genome, rng)
             else:
                 ga, gb = pa.genome, pb.genome
             for genome in (ga, gb):
-                if len(children) >= config.population_size - config.elite_count:
+                if len(children) >= child_count:
                     break
-                mutated = _mutate(genome, bounds, config.mutation_rate, rng)
+                mutated = _mutate(genome, bounds, MUTATION_RATE, rng)
                 children.append(Individual(repair_genome(method, bounds, mutated)))
         evaluate_population(children)
         population = [Individual(e.genome, e.fitness, e.failed) for e in elite] + children

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ingest, normalize, smooth, calibrate, benchmark, regress,
-report.  Exit codes: 0 success, 1 input/usage error, 2 internal failure.
+report.  Exit codes: 0 success, 1 input/usage error (including an input file
+that cannot be read), 2 any other failure.
 
 Option resolution order is explicit flag > config file (--config, JSON with
 keys equal to long flag names) > environment (SMOOTHBENCH_SEED for the seed)
@@ -20,13 +21,14 @@ from .calibration import DESK_BUDGET, PAPER_BUDGET, GaConfig, calibrate
 from .csvio import (
     UnitConfig,
     fmt,
+    open_input,
     read_biomarker_table,
     read_series_csv,
     read_surveillance_csv,
     write_surveillance_csv,
     write_table,
 )
-from .errors import InputError, NonParametricMethod, SmoothbenchError
+from .errors import InputError, NonParametricMethod
 from .normalization import REFERENCE_NH4_LOADS, normalize_series
 from .pipeline import PipelineConfig, run_benchmark
 from .regression import fit_linear, join_load_incidence
@@ -66,16 +68,15 @@ def _method_help() -> str:
     return "\n".join(lines)
 
 
-def _add_common(parser: argparse.ArgumentParser, units: bool = False) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file (keys = flag names)")
-    if units:
-        parser.add_argument("--virus-unit", choices=("copies_per_ml", "copies_per_l"), default=None)
-        parser.add_argument("--flow-unit", choices=("m3_per_d", "l_per_d"), default=None)
-        parser.add_argument("--nh4-unit", choices=("mg_per_l", "g_per_l"), default=None)
+    parser.add_argument("--virus-unit", choices=("copies_per_ml", "copies_per_l"), default=None)
+    parser.add_argument("--flow-unit", choices=("m3_per_d", "l_per_d"), default=None)
+    parser.add_argument("--nh4-unit", choices=("mg_per_l", "g_per_l"), default=None)
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=None, help="master random seed")
     parser.add_argument(
         "--ga-pop", type=int, default=None, help=f"GA population size (default {DESK_BUDGET[0]})"
     )
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate a surveillance CSV and echo it canonically")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default="-")
-    _add_common(p, units=True)
+    _add_common(p)
 
     p = sub.add_parser("normalize", help="emit the NH4-normalized per-capita load series")
     p.add_argument("--input", required=True)
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-nh4", type=float, default=None, help="specific NH4 load in g/person/day")
     p.add_argument("--load-table", default=None, help="biomarker load table CSV")
     p.add_argument("--out", default="-")
-    _add_common(p, units=True)
+    _add_common(p)
 
     p = sub.add_parser(
         "smooth",
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=sorted(_FIELD_MAP), default="virus")
     p.add_argument("--site", default=None)
     p.add_argument("--out", default="-")
-    _add_common(p, units=True)
+    _add_common(p)
 
     p = sub.add_parser(
         "calibrate",
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--ga-seed", type=int, default=None, help="override the GA seed")
     _add_ga_flags(p)
-    _add_common(p, units=True)
+    _add_common(p)
 
     p = sub.add_parser("benchmark", help="run the full raw/normalized benchmark workflow")
     p.add_argument("--input", required=True)
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--include-loocv", action="store_true")
     _add_ga_flags(p)
-    _add_common(p, units=True)
+    _add_common(p)
 
     p = sub.add_parser("regress", help="linear fits of smoothed load against 7-day incidence")
     p.add_argument("--input", required=True)
@@ -186,12 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=None, help="method filter for the internal benchmark")
     p.add_argument("--out", default="-")
     _add_ga_flags(p)
-    _add_common(p, units=True)
+    _add_common(p)
 
     p = sub.add_parser("report", help="re-render a stored report to its CSV payloads")
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     return parser
 
@@ -222,7 +222,10 @@ class _Settings:
             elif value is None:
                 value = default
         if value is not None and cast is not None:
-            value = cast(value)
+            try:
+                value = cast(value)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{flag}: {value!r} is not a valid {cast.__name__}") from exc
         return value
 
     def seed(self) -> int:
@@ -285,7 +288,7 @@ def _resolve_f_nh4(settings: _Settings, site: str) -> float:
 
 def _input_series(settings: _Settings, path: str, field: str, site: str | None):
     """Accept either a bare date,value series or the surveillance schema."""
-    with open(path, newline="") as handle:
+    with open_input(path) as handle:
         header = ""
         for line in handle:
             if not line.startswith("#"):
@@ -392,12 +395,15 @@ def cmd_calibrate(args) -> int:
     series = _input_series(settings, args.input, args.field, args.site)
     gap_free = impute_linear(series)
     population, iterations = _ga_budget(settings)
-    config = GaConfig(
-        population_size=population,
-        iterations=iterations,
-        seed=settings.get("ga-seed", settings.seed(), int),
-        patience=settings.get("patience", None, int),
-    )
+    try:
+        config = GaConfig(
+            population_size=population,
+            iterations=iterations,
+            seed=settings.get("ga-seed", settings.seed(), int),
+            patience=settings.get("patience", None, int),
+        )
+    except ValueError as exc:
+        raise InputError(f"invalid GA budget: {exc}") from exc
     objective = settings.get("objective", "aic")
     result = calibrate(method, gap_free, config, objective=objective)
     payload = {
@@ -547,10 +553,10 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             return _HANDLERS[args.command](args)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SmoothbenchError as exc:
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

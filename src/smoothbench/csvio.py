@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
 
-from .errors import ParseError, SchemaError
+from .errors import InputError, ParseError, SchemaError
 from .normalization import BiomarkerLoad
 from .timeseries import SurveillanceRecord, TimeSeries
 
@@ -69,9 +70,20 @@ def _parse_float(cell: str, column: str, line: int) -> float | None:
     if cell == "":
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(f"line {line}: cannot parse {column}={cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {line}: {column}={cell!r} is not a finite number")
+    return value
+
+
+def open_input(path: str):
+    """Open a user-named file for reading; failing that is an input error."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def read_surveillance_csv(
@@ -80,7 +92,7 @@ def read_surveillance_csv(
     """Read the surveillance schema; rows come back in file order."""
     units = units or UnitConfig()
     f_virus, f_flow, f_nh4 = units.factors
-    with open(path, newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(_skip_comments(handle))
         if reader.fieldnames is None:
             raise SchemaError("empty file: header row required")
@@ -159,7 +171,7 @@ def write_surveillance_csv(
 
 def read_biomarker_table(path: str) -> dict[str, BiomarkerLoad]:
     """Load-table schema: site,f_bm_g_per_cap_d,p025,p975 (f_bm is the median)."""
-    with open(path, newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(_skip_comments(handle))
         required = ("site", "f_bm_g_per_cap_d", "p025", "p975")
         if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
@@ -193,7 +205,7 @@ def write_biomarker_table(
 
 def read_series_csv(path: str) -> TimeSeries:
     """Two-column `date,value` series; empty value cells are missing."""
-    with open(path, newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(_skip_comments(handle))
         if reader.fieldnames is None or not {"date", "value"} <= set(reader.fieldnames):
             raise SchemaError("series file needs columns: date,value")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, SeriesTooShort
+from .errors import InsufficientData
 from .smoothers import SmootherSpec, apply_to_values, linear_operator
 from .timeseries import TimeSeries, percentile
 
@@ -92,11 +92,9 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
     if not series.is_gap_free():
         raise InsufficientData("LOOCV input must be gap-free; impute first")
     n = len(series)
-    if n < 5:
-        raise SeriesTooShort(f"LOOCV needs at least 5 samples, got {n}")
+    operator = linear_operator(spec, n)  # raises SeriesTooShort first
     y = series.values()
     imp = deletion_imputations(y, series.day_index())
-    operator = linear_operator(spec, n)
     if operator is not None:
         # the direct algorithm gives the base application (bit-faithful for
         # e.g. constants); the operator supplies the per-deletion correction

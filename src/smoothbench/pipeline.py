@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from datetime import date
 
 from . import __version__
-from .calibration import DESK_BUDGET, OBJECTIVES, GaConfig, calibrate
+from .calibration import (
+    CROSSOVER_RATE,
+    DESK_BUDGET,
+    ELITISM_FRACTION,
+    MUTATION_RATE,
+    OBJECTIVES,
+    GaConfig,
+    calibrate,
+)
 from .clustering import ClusterResult, cluster_methods
 from .errors import (
     EvaluationFailure,
@@ -53,9 +61,6 @@ class PipelineConfig:
     master_seed: int = 42
     ga_population: int = DESK_BUDGET[0]
     ga_iterations: int = DESK_BUDGET[1]
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.8
-    elitism_fraction: float = 0.05
     objective: str = "aic"
     patience: int | None = None
     standardize: bool = True
@@ -68,7 +73,7 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(MethodId(m) for m in self.methods))
         if len(self.methods) < 3:
-            raise ValueError("the benchmark needs at least 3 methods to cluster")
+            raise InputError("the benchmark needs at least 3 methods to cluster")
         try:
             self.ga_config(self.master_seed)
         except ValueError as exc:
@@ -82,9 +87,6 @@ class PipelineConfig:
         return GaConfig(
             population_size=self.ga_population,
             iterations=self.ga_iterations,
-            mutation_rate=self.mutation_rate,
-            crossover_rate=self.crossover_rate,
-            elitism_fraction=self.elitism_fraction,
             seed=seed,
             patience=self.patience,
         )
@@ -94,9 +96,9 @@ class PipelineConfig:
             "master_seed": self.master_seed,
             "ga_population": self.ga_population,
             "ga_iterations": self.ga_iterations,
-            "mutation_rate": self.mutation_rate,
-            "crossover_rate": self.crossover_rate,
-            "elitism_fraction": self.elitism_fraction,
+            "mutation_rate": MUTATION_RATE,
+            "crossover_rate": CROSSOVER_RATE,
+            "elitism_fraction": ELITISM_FRACTION,
             "objective": self.objective,
             "patience": self.patience,
             "standardize": self.standardize,
@@ -160,7 +162,7 @@ def _signal_series(
     if signal_kind == "raw":
         return build_series(records, "c_virus")
     if signal_kind != "normalized":
-        raise ValueError(f"signal_kind must be one of {SIGNAL_KINDS}, got {signal_kind!r}")
+        raise InputError(f"signal_kind must be one of {SIGNAL_KINDS}, got {signal_kind!r}")
     if all(r.c_nh4 is None for r in records):
         raise MissingBiomarker("normalized run requested but no NH4 values are present")
     virus = build_series(records, "c_virus")

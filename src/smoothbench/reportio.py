@@ -15,7 +15,7 @@ import os
 from datetime import date
 
 from .clustering import ClusterResult
-from .csvio import fmt, write_table
+from .csvio import fmt, open_input, write_table
 from .errors import IoError, SchemaError
 from .evaluation import PerformanceIndex
 from .pipeline import BenchmarkReport, MethodOutcome
@@ -159,19 +159,20 @@ def reports_json(reports: list[BenchmarkReport]) -> str:
 
 
 def parse_reports_json(text: str) -> list[BenchmarkReport]:
-    payload = json.loads(text)
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported report schema version: {version!r}")
-    return [report_from_dict(d) for d in payload["reports"]]
+    try:
+        payload = json.loads(text)
+        version = payload.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported report schema version: {version!r}")
+        return [report_from_dict(d) for d in payload["reports"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # what malformed JSON, or JSON of the wrong shape, raises on the way in
+        raise SchemaError(f"malformed report: {type(exc).__name__}: {exc}") from exc
 
 
 def read_reports(path: str) -> list[BenchmarkReport]:
-    try:
-        with open(path) as handle:
-            return parse_reports_json(handle.read())
-    except OSError as exc:
-        raise IoError(f"cannot read report: {exc}") from exc
+    with open_input(path) as handle:
+        return parse_reports_json(handle.read())
 
 
 def _clusters_rows(report: BenchmarkReport, with_signal: bool) -> list[list[str]]:

@@ -1,6 +1,8 @@
 """The thirteen-method smoothing catalog and its dispatch front door."""
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from ..errors import InsufficientData, SeriesTooShort
@@ -49,11 +51,49 @@ __all__ = [
 ]
 
 
-# methods whose smoother takes a (B, T) stack in one call; the others are
-# applied row by row
-_STACKED_METHODS = frozenset(
-    {MethodId.SMA, MethodId.SPL, MethodId.RRM, MethodId.TUK, MethodId.ADP, MethodId.SUP}
-)
+class _Row(NamedTuple):
+    """How one method is run: ``smoother(y, *params)``, ``operator(n, *params)``."""
+
+    smoother: Callable[..., np.ndarray]
+    stacked: bool  # the smoother takes a (B, T) stack in one call
+    operator: "Callable[..., np.ndarray | None] | None" = None  # None: nonlinear
+
+
+def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    # row j of smoother(I) is S applied to e_j, a column of S; C order keeps
+    # the summation order of the LOOCV indices
+    return lambda n, *params: np.ascontiguousarray(smoother(np.eye(n), *params).T)
+
+
+# One row per method.  SGF, POL and GAM keep hand-built operators, which their
+# smoother on unit vectors misses by up to 6.3e-14, 3.5e-16 and 7.0e-15, enough
+# to change reported indices; KER keeps one because a row-exact derivation is
+# ~4x slower at T=365.
+_METHODS: dict[MethodId, _Row] = {
+    MethodId.TUK: _Row(tukey_3r, True),
+    MethodId.KAL: _Row(lambda y: fit_kalman_local_level(y)[0], False),
+    MethodId.FFT: _Row(fourier_lowpass, False),
+    MethodId.SPL: _Row(smoothing_spline, True, _on_identity(smoothing_spline)),
+    MethodId.KER: _Row(kernel_regression, False, kernel_operator),
+    MethodId.SMA: _Row(simple_moving_average, True, _on_identity(simple_moving_average)),
+    MethodId.RRM: _Row(repeated_running_median, True),
+    MethodId.SUP: _Row(super_smoother, True),
+    MethodId.POL: _Row(local_quadratic, False, local_quadratic_operator),
+    MethodId.SGF: _Row(savitzky_golay, False, savgol_operator),
+    MethodId.ARI: _Row(ar_smoother, False),
+    MethodId.ADP: _Row(adaptive_degree_filter, True),
+    MethodId.GAM: _Row(gam_smoother, False, gam_matrix_operator),
+}
+
+
+def _checked_params(spec: SmootherSpec, n: int) -> tuple:
+    """The spec's parameters (int where the ParamSpec is integer), once n is long enough."""
+    req = required_length(spec)
+    if n < req:
+        raise SeriesTooShort(
+            f"{spec.method.value} with these parameters needs at least {req} points, got {n}"
+        )
+    return tuple(int(p) if b.integer else p for b, p in zip(spec.bounds, spec.params))
 
 
 def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
@@ -65,50 +105,14 @@ def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected values of shape (T,) or (B, T), got {y.shape}")
-    n = y.shape[-1]
-    req = required_length(spec)
-    if n < req:
-        raise SeriesTooShort(
-            f"{spec.method.value} with these parameters needs at least {req} points, got {n}"
-        )
-    if y.ndim == 1 or spec.method in _STACKED_METHODS:
-        return _smooth(spec, y)
+    params = _checked_params(spec, y.shape[-1])
+    row = _METHODS[spec.method]
+    if y.ndim == 1 or row.stacked:
+        return row.smoother(y, *params)
     out = np.empty_like(y)
-    for b, row in enumerate(y):
-        out[b] = _smooth(spec, row)
+    for b, values in enumerate(y):
+        out[b] = row.smoother(values, *params)
     return out
-
-
-def _smooth(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
-    p = spec.params
-    method = spec.method
-    if method is MethodId.SMA:
-        return simple_moving_average(y, int(p[0]))
-    if method is MethodId.RRM:
-        return repeated_running_median(y, int(p[0]))
-    if method is MethodId.TUK:
-        return tukey_3r(y)
-    if method is MethodId.KAL:
-        return fit_kalman_local_level(y)[0]
-    if method is MethodId.FFT:
-        return fourier_lowpass(y)
-    if method is MethodId.SPL:
-        return smoothing_spline(y, p[0])
-    if method is MethodId.KER:
-        return kernel_regression(y, p[0])
-    if method is MethodId.SUP:
-        return super_smoother(y, p[0])
-    if method is MethodId.POL:
-        return local_quadratic(y, p[0])
-    if method is MethodId.SGF:
-        return savitzky_golay(y, int(p[0]), int(p[1]))
-    if method is MethodId.ARI:
-        return ar_smoother(y, int(p[0]), int(p[1]))
-    if method is MethodId.ADP:
-        return adaptive_degree_filter(y, int(p[0]), int(p[1]), int(p[2]))
-    if method is MethodId.GAM:
-        return gam_smoother(y, int(p[0]), p[1], int(p[2]), int(p[3]))
-    raise AssertionError(f"unhandled method {method}")  # pragma: no cover
 
 
 def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
@@ -117,32 +121,10 @@ def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
     Several catalog methods are linear maps of the input for a fixed spec;
     their LOOCV matrices then follow from rank-one updates of a single
     application.  Returns None for the data-adaptive (nonlinear) methods.
-
-    SMA and SPL are their smoother applied to the identity.  SGF, POL and GAM
-    keep hand-built operators, which their smoother on unit vectors misses by
-    up to 6.3e-14, 3.5e-16 and 7.0e-15, enough to change reported indices;
-    KER keeps one because a row-exact derivation is ~4x slower at T=365.
     """
-    if n < required_length(spec):
-        raise SeriesTooShort(
-            f"{spec.method.value} with these parameters needs at least "
-            f"{required_length(spec)} points, got {n}"
-        )
-    p = spec.params
-    method = spec.method
-    if method in (MethodId.SMA, MethodId.SPL):
-        # row j is S applied to e_j, a column of S; C order keeps the
-        # summation order of the LOOCV indices
-        return np.ascontiguousarray(apply_to_values(spec, np.eye(n)).T)
-    if method is MethodId.KER:
-        return kernel_operator(n, p[0])
-    if method is MethodId.SGF:
-        return savgol_operator(n, int(p[0]), int(p[1]))
-    if method is MethodId.POL:
-        return local_quadratic_operator(n, p[0])
-    if method is MethodId.GAM and int(p[3]) == 0 and int(p[0]) <= n:
-        return gam_matrix_operator(n, int(p[0]), p[1])
-    return None
+    params = _checked_params(spec, n)
+    build = _METHODS[spec.method].operator
+    return None if build is None else build(n, *params)
 
 
 def apply_smoother(spec: SmootherSpec, series: TimeSeries) -> TimeSeries:

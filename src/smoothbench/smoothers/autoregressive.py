@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SeriesTooShort
-
 
 def _ar_fitted(z: np.ndarray, order: int) -> np.ndarray:
     """One-step fitted values of an AR(order)+intercept fit; NaN before t=order."""
     m = len(z)
-    rows = m - order
-    if rows < 1:
-        raise SeriesTooShort(
-            f"AR({order}) needs more than {order} observations, got {m}"
-        )
-    design = np.empty((rows, order + 1))
+    design = np.empty((m - order, order + 1))
     design[:, 0] = 1.0
     for lag in range(1, order + 1):
         design[:, lag] = z[order - lag : m - lag]
@@ -48,10 +41,6 @@ def _forward_fitted(x: np.ndarray, order: int, differences: int) -> np.ndarray:
 def ar_smoother(x: np.ndarray, order: int, differences: int) -> np.ndarray:
     n = len(x)
     head = order + differences
-    if n < 2 * head + 1:
-        raise SeriesTooShort(
-            f"ARI(p={order}, d={differences}) needs at least {2 * head + 1} points, got {n}"
-        )
     out = _forward_fitted(x, order, differences)
     backward = _forward_fitted(x[::-1], order, differences)
     for t in range(head):

@@ -6,7 +6,6 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import SeriesTooShort
 from .windows import clipped_bounds
 
 RRM_MAX_PASSES = 50
@@ -79,8 +78,5 @@ def tukey_3r(y: np.ndarray) -> np.ndarray:
 
     ``y`` is one series (T,) or a stack (B, T) of series smoothed independently.
     """
-    n = np.shape(y)[-1]
-    if n < 3:
-        raise SeriesTooShort(f"Tukey 3R needs at least 3 points, got {n}")
     # medians of 3 reach a fixpoint in at most ~n passes; cap defensively
-    return _iterate_to_fixpoint(_median_of_three, y, max(n, 8))
+    return _iterate_to_fixpoint(_median_of_three, y, max(np.shape(y)[-1], 8))

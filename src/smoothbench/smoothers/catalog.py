@@ -189,12 +189,14 @@ def validate_spec(spec: SmootherSpec) -> None:
 
 
 def required_length(spec: SmootherSpec) -> int:
-    """Minimum series length the spec can be applied to."""
+    """Minimum series length the spec can be applied to (the only length rule)."""
     named = spec.named_params()
     if spec.method in (MethodId.SMA, MethodId.RRM, MethodId.SGF, MethodId.ADP):
         return max(5, int(named["window"]))
     if spec.method is MethodId.ARI:
         return max(5, 2 * int(named["order"] + named["differences"]) + 1)
+    if spec.method is MethodId.GAM:
+        return max(5, int(named["basis_dim"]))
     return 5
 
 

@@ -19,8 +19,6 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
 
-from ..errors import SeriesTooShort
-
 GCV_LOG10_RANGE = (-4.0, 4.0)
 
 
@@ -97,32 +95,29 @@ def _gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim) -> float:
 
 
 def gam_smoother(
-    y: np.ndarray,
-    basis_dim: int,
-    log10_penalty: float,
-    family: int = 0,
-    auto_penalty: int = 0,
+    y: np.ndarray, basis_dim: int, log10_penalty: float, family: int, auto_penalty: int
 ) -> np.ndarray:
     n = len(y)
-    kb = int(basis_dim)
-    if kb > n:
-        raise SeriesTooShort(f"basis dimension {kb} exceeds series length {n}")
-    design, gram, penalty = _gam_operators(n, kb)
+    design, gram, penalty = _gam_operators(n, basis_dim)
     rhs = design.T @ y
-    if int(auto_penalty):
-        lam = _gcv_penalty(y, design, gram, penalty, rhs, n, kb)
+    if auto_penalty:
+        lam = _gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim)
     else:
         lam = 10.0**log10_penalty
     beta = np.linalg.solve(gram + lam * penalty, rhs)
     return design @ beta
 
 
-def gam_matrix_operator(n: int, basis_dim: int, log10_penalty: float) -> np.ndarray:
-    """Dense smoother matrix B (B'B + lam P)^-1 B' for a fixed penalty."""
-    kb = int(basis_dim)
-    if kb > n:
-        raise SeriesTooShort(f"basis dimension {kb} exceeds series length {n}")
-    design, gram, penalty = _gam_operators(n, kb)
+def gam_matrix_operator(
+    n: int, basis_dim: int, log10_penalty: float, family: int, auto_penalty: int
+) -> "np.ndarray | None":
+    """Dense smoother matrix B (B'B + lam P)^-1 B' for a fixed penalty.
+
+    None with ``auto_penalty`` set: the GCV-chosen penalty depends on the data.
+    """
+    if auto_penalty:
+        return None
+    design, gram, penalty = _gam_operators(n, basis_dim)
     lam = 10.0**log10_penalty
     inner = np.linalg.solve(gram + lam * penalty, design.T)
     return design @ inner

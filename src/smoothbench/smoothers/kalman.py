@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateLikelihood, SeriesTooShort
+from ..errors import DegenerateLikelihood
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 VARIANCE_FLOOR_FACTOR = 1e-9
@@ -59,9 +59,6 @@ def _rts_smooth(y: np.ndarray, q: float, r: float) -> np.ndarray:
 
 def fit_kalman_local_level(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Fit (q, r) by maximum likelihood and return (smoothed, q, r)."""
-    n = len(y)
-    if n < 5:
-        raise SeriesTooShort(f"Kalman fitting needs at least 5 points, got {n}")
     sample_var = float(np.var(y))
     if sample_var <= 0.0:
         floor = 1e-30

@@ -23,7 +23,7 @@ from conftest import random_series
 
 
 def small_config(**kw):
-    base = dict(population_size=12, iterations=10, elitism_fraction=0.1, seed=3)
+    base = dict(population_size=12, iterations=10, seed=3)
     base.update(kw)
     return GaConfig(**base)
 
@@ -32,17 +32,10 @@ class TestGaConfig:
     def test_table_defaults(self):
         cfg = GaConfig()
         assert (cfg.population_size, cfg.iterations) == (100, 1000)
-        assert (cfg.mutation_rate, cfg.crossover_rate, cfg.elitism_fraction) == (
-            0.1, 0.8, 0.05,
-        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
             GaConfig(population_size=1)
-        with pytest.raises(ValueError):
-            GaConfig(mutation_rate=1.5)
-        with pytest.raises(ValueError):
-            GaConfig(population_size=10, elitism_fraction=0.05)
 
 
 class TestRouletteSelect:

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import smoothbench.cli as cli
+import smoothbench.pipeline as pipeline
 from smoothbench.cli import main
 from smoothbench.csvio import (
     UnitConfig,
@@ -302,6 +304,78 @@ class TestExitCodes:
         bad.write_text('{"schema_version": 99, "reports": []}')
         rc = main(["report", "--report", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    def test_unexpected_exception_exits_2_with_its_type(
+        self, surveillance_csv, tmp_path, monkeypatch, capsys
+    ):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(pipeline, "build_loocv_matrix", singular)
+        rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                   "--out", str(tmp_path / "bench"), "--ga-pop", "8",
+                   "--ga-iters", "1", "--methods", "tuk,fft,sma"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "internal error" in err and "LinAlgError" in err
+
+    def test_unreadable_input_files_exit_1(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.csv")
+        for argv in (
+            ["ingest", "--input", missing],
+            ["smooth", "--method", "tuk", "--input", missing],
+            ["report", "--report", missing, "--out", str(tmp_path / "out")],
+        ):
+            assert main(argv) == 1, argv
+            assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, cell", [
+        ("virus_copies_per_ml", "nan"),
+        ("flow_m3_per_d", "inf"),
+        ("incidence_7d_per_100k", "-3"),
+    ])
+    def test_bad_cells_exit_1(self, surveillance_csv, tmp_path, column, cell, capsys):
+        with open(surveillance_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        rows[5][column] = cell
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        rc = main(["benchmark", "--input", str(bad), "--signal", "raw",
+                   "--out", str(tmp_path / "bench"), "--ga-pop", "8",
+                   "--ga-iters", "1", "--methods", "tuk,fft,sma"])
+        assert rc == 1
+        assert "line 7" in capsys.readouterr().err
+
+    def test_bad_config_value_exits_1(self, surveillance_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ga-pop": "x"}))
+        rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                   "--out", str(tmp_path / "bench"), "--config", str(cfg)])
+        assert rc == 1
+        assert "ga-pop" in capsys.readouterr().err
+
+    def test_malformed_report_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        for text in ('{"schema_version": 1}', "{not json", "[]",
+                     '{"schema_version": 1, "reports": [{"site": "A"}]}'):
+            bad.write_text(text)
+            rc = main(["report", "--report", str(bad), "--out", str(tmp_path / "out")])
+            assert rc == 1, text
+            assert "malformed report" in capsys.readouterr().err
+
+
+class TestFlags:
+    def test_flags_only_where_they_are_read(self, series_csv, tmp_path, capsys):
+        for flag, argv in (
+            ("--seed", ["smooth", "--method", "sma", "--input", series_csv, "--seed", "1"]),
+            ("--config", ["report", "--report", "r.json", "--out", str(tmp_path),
+                          "--config", "c.json"]),
+        ):
+            assert main(argv) == 1, flag
+            assert flag in capsys.readouterr().err
 
 
 class TestHelp:

@@ -19,7 +19,7 @@ from smoothbench.smoothers import MethodId, SmootherSpec
 from smoothbench.synthetic import DEFAULT_F_NH4, bundled_records, catchment_suite
 from smoothbench.timeseries import SurveillanceRecord, build_series, impute_linear
 
-TINY = dict(ga_population=8, ga_iterations=3, elitism_fraction=0.15)
+TINY = dict(ga_population=8, ga_iterations=3)
 
 
 def tiny_config(**kw):
@@ -213,13 +213,10 @@ class TestRawAndNormalized:
 
 class TestConfig:
     def test_bad_ga_budget_fails_at_construction(self):
-        # 5% elitism of 10 individuals rounds to no elite at all
-        with pytest.raises(InputError, match="elitism"):
-            PipelineConfig(ga_population=10)
         with pytest.raises(InputError, match="population_size"):
-            PipelineConfig(ga_population=1, elitism_fraction=1.0)
-        with pytest.raises(InputError, match="mutation_rate"):
-            PipelineConfig(mutation_rate=1.5)
+            PipelineConfig(ga_population=1)
+        # 5% elitism of 10 individuals rounds to none; the elite floors at one
+        assert PipelineConfig(ga_population=10).ga_config(1).elite_count == 1
 
     def test_bad_settings_fail_at_construction(self):
         for level in (1.5, 1.0, 0.0, -0.2):

@@ -123,8 +123,6 @@ class TestHandExamples:
         np.testing.assert_array_equal(tukey_3r(x), x)
 
     def test_tukey_short_series(self):
-        with pytest.raises(SeriesTooShort):
-            tukey_3r(np.array([1.0, 2.0]))
         out = tukey_3r(np.array([1.0, 9.0, 2.0]))
         assert list(out) == [1.0, 2.0, 2.0]
 
@@ -217,15 +215,29 @@ class TestInvariants:
             apply_smoother(default_spec(MethodId.SMA), gappy)
 
     def test_series_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            apply_to_values(SmootherSpec(MethodId.SMA, (9,)), np.arange(7.0))
-        with pytest.raises(SeriesTooShort):
-            apply_to_values(default_spec(MethodId.TUK), np.arange(4.0))
+        # one length rule, at both front doors, for a series and for a stack
+        cases = [
+            (SmootherSpec(MethodId.SMA, (9,)), 7),
+            (default_spec(MethodId.TUK), 4),
+            (default_spec(MethodId.TUK), 2),
+            (default_spec(MethodId.KAL), 4),
+            (SmootherSpec(MethodId.ARI, (5, 1)), 12),
+            (SmootherSpec(MethodId.GAM, (12, 0.0, 0, 0)), 10),
+        ]
+        for spec, n in cases:
+            with pytest.raises(SeriesTooShort):
+                apply_to_values(spec, np.arange(float(n)))
+            with pytest.raises(SeriesTooShort):
+                apply_to_values(spec, np.ones((3, n)))
+            with pytest.raises(SeriesTooShort):
+                linear_operator(spec, n)
 
     def test_required_length_rules(self):
         assert required_length(SmootherSpec(MethodId.SMA, (9,))) == 9
         assert required_length(SmootherSpec(MethodId.ARI, (5, 1))) == 13
         assert required_length(default_spec(MethodId.TUK)) == 5
+        assert required_length(SmootherSpec(MethodId.GAM, (12, 0.0, 0, 0))) == 12
+        assert required_length(SmootherSpec(MethodId.GAM, (4, 0.0, 0, 1))) == 5
 
 
 class TestLinearOperators:
@@ -290,10 +302,6 @@ class TestKalman:
         noise = 10.0 + gen.normal(size=150)
         smoothed, _, _ = fit_kalman_local_level(noise)
         assert np.var(smoothed) < np.var(noise)
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            fit_kalman_local_level(np.array([1.0, 2.0, 3.0, 4.0]))
 
 
 class TestFourier:
