@@ -303,6 +303,13 @@ class TestKalman:
         smoothed, _, _ = fit_kalman_local_level(noise)
         assert np.var(smoothed) < np.var(noise)
 
+    def test_too_short(self):
+        # the length rule lives in required_length, checked at the front door
+        spec = default_spec(MethodId.KAL)
+        assert required_length(spec) > 4
+        with pytest.raises(SeriesTooShort):
+            apply_to_values(spec, np.array([1.0, 2.0, 3.0, 4.0]))
+
 
 class TestFourier:
     def test_energy_rule_keeps_dominant_harmonic(self):
