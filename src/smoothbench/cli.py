@@ -4,9 +4,12 @@ Subcommands: ingest, normalize, smooth, calibrate, benchmark, regress,
 report.  Exit codes: 0 success, 1 input/usage error (including an input file
 that cannot be read), 2 any other failure.
 
-Option resolution order is explicit flag > config file (--config, JSON with
-keys equal to long flag names) > environment (SMOOTHBENCH_SEED for the seed)
-> built-in default.
+Every option gets its value, type and default from argparse.  The keys of a
+--config JSON file (long flag names) become flag tokens parsed before the
+explicit ones, so the order is explicit flag > config file > environment
+(SMOOTHBENCH_SEED is --seed's default) > built-in default, and a config value
+is checked exactly like the flag it names.  The NH4 load resolves as --f-nh4 >
+--load-table > the reference table.
 """
 from __future__ import annotations
 
@@ -17,8 +20,11 @@ import sys
 import warnings
 
 from . import __version__
-from .calibration import DESK_BUDGET, PAPER_BUDGET, GaConfig, calibrate
+from .calibration import DESK_BUDGET, OBJECTIVES, PAPER_BUDGET, GaConfig, calibrate
 from .csvio import (
+    FLOW_UNIT_FACTORS,
+    NH4_UNIT_FACTORS,
+    VIRUS_UNIT_FACTORS,
     UnitConfig,
     fmt,
     open_input,
@@ -29,7 +35,7 @@ from .csvio import (
     write_table,
 )
 from .errors import InputError, NonParametricMethod
-from .normalization import REFERENCE_NH4_LOADS, normalize_series
+from .normalization import normalize_series, reference_nh4_load
 from .pipeline import PipelineConfig, run_benchmark
 from .regression import fit_linear, join_load_incidence
 from .reportio import read_reports, write_reports
@@ -68,31 +74,63 @@ def _method_help() -> str:
     return "\n".join(lines)
 
 
+def _method_id(code: str) -> MethodId:
+    try:
+        return MethodId(code.strip().lower())
+    except ValueError:
+        codes = ", ".join(m.value for m in MethodId)
+        raise argparse.ArgumentTypeError(
+            f"unknown method {code!r}; expected one of: {codes}"
+        ) from None
+
+
+def _method_list(text: str) -> tuple[MethodId, ...]:
+    return tuple(_method_id(code) for code in text.split(",") if code.strip())
+
+
+def _param(item: str) -> tuple[str, float]:
+    name, _, value = item.partition("=")
+    try:
+        return name.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {item!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="JSON config file (keys = flag names)")
-    parser.add_argument("--virus-unit", choices=("copies_per_ml", "copies_per_l"), default=None)
-    parser.add_argument("--flow-unit", choices=("m3_per_d", "l_per_d"), default=None)
-    parser.add_argument("--nh4-unit", choices=("mg_per_l", "g_per_l"), default=None)
+    parser.add_argument("--config", help="JSON config file (keys = flag names)")
+    for unit, factors in (("virus", VIRUS_UNIT_FACTORS), ("flow", FLOW_UNIT_FACTORS),
+                          ("nh4", NH4_UNIT_FACTORS)):
+        parser.add_argument(f"--{unit}-unit", choices=tuple(factors),
+                            default=getattr(UnitConfig, unit), help="(default: %(default)s)")
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
     parser.add_argument(
-        "--ga-pop", type=int, default=None, help=f"GA population size (default {DESK_BUDGET[0]})"
+        "--seed",
+        type=int,
+        default=os.environ.get("SMOOTHBENCH_SEED", DEFAULT_SEED),
+        help=f"master random seed (default: $SMOOTHBENCH_SEED, else {DEFAULT_SEED})",
     )
     parser.add_argument(
-        "--ga-iters", type=int, default=None, help=f"GA generations (default {DESK_BUDGET[1]})"
+        "--ga-pop", type=int, help=f"GA population size (default {DESK_BUDGET[0]})"
     )
     parser.add_argument(
-        "--objective", choices=("aic", "mae", "combined"), default=None, help="GA objective"
+        "--ga-iters", type=int, help=f"GA generations (default {DESK_BUDGET[1]})"
     )
-    parser.add_argument("--patience", type=int, default=None, help="stop after N stagnant generations")
+    parser.add_argument("--objective", choices=OBJECTIVES, default=PipelineConfig.objective,
+                        help="GA objective (default: %(default)s)")
+    parser.add_argument("--patience", type=int, help="stop after N stagnant generations")
     parser.add_argument(
         "--paper-fidelity",
         action="store_true",
         help="use the full-fidelity GA budget "
         f"(population {PAPER_BUDGET[0]}, {PAPER_BUDGET[1]} iterations)",
     )
+
+
+def _add_nh4_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--f-nh4", type=float, help="specific NH4 load in g/person/day")
+    parser.add_argument("--load-table", help="biomarker load table CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,9 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="emit the NH4-normalized per-capita load series")
     p.add_argument("--input", required=True)
-    p.add_argument("--site", default=None)
-    p.add_argument("--f-nh4", type=float, default=None, help="specific NH4 load in g/person/day")
-    p.add_argument("--load-table", default=None, help="biomarker load table CSV")
+    p.add_argument("--site")
+    _add_nh4_flags(p)
     p.add_argument("--out", default="-")
     _add_common(p)
 
@@ -124,9 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_method_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--method", required=True, help="method code (see below)")
+    p.add_argument("--method", type=_method_id, required=True, help="method code (see below)")
     p.add_argument(
         "--param",
+        type=_param,
         action="append",
         default=[],
         metavar="NAME=VALUE",
@@ -134,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True, help="series CSV (date,value) or surveillance CSV")
     p.add_argument("--field", choices=sorted(_FIELD_MAP), default="virus")
-    p.add_argument("--site", default=None)
+    p.add_argument("--site")
     p.add_argument("--out", default="-")
     _add_common(p)
 
@@ -144,31 +182,32 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_method_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", type=_method_id, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--field", choices=sorted(_FIELD_MAP), default="virus")
-    p.add_argument("--site", default=None)
+    p.add_argument("--site")
     p.add_argument("--out", default="-")
-    p.add_argument("--ga-seed", type=int, default=None, help="override the GA seed")
     _add_ga_flags(p)
     _add_common(p)
 
     p = sub.add_parser("benchmark", help="run the full raw/normalized benchmark workflow")
     p.add_argument("--input", required=True)
-    p.add_argument("--signal", choices=("raw", "normalized", "both"), default=None)
-    p.add_argument("--site", default=None)
+    p.add_argument("--signal", choices=("raw", "normalized", "both"), default="both",
+                   help="(default: %(default)s)")
+    p.add_argument("--site")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--f-nh4", type=float, default=None)
-    p.add_argument("--load-table", default=None)
-    p.add_argument("--methods", default=None, help="comma-separated method filter")
-    p.add_argument("--band-level", type=float, default=None)
+    _add_nh4_flags(p)
+    p.add_argument("--methods", type=_method_list, default=PipelineConfig.methods,
+                   help="comma-separated method filter (default: all)")
+    p.add_argument("--band-level", type=float, default=PipelineConfig.band_level,
+                   help="(default: %(default)s)")
     p.add_argument("--no-standardize", action="store_true", help="cluster on raw features")
     p.add_argument(
         "--aic-sign",
         choices=("paper", "standard"),
-        default=None,
+        default="paper",
         help="information-criterion penalty convention: 'paper' subtracts 2k, "
-        "'standard' adds it",
+        "'standard' adds it (default: %(default)s)",
     )
     p.add_argument("--include-loocv", action="store_true")
     _add_ga_flags(p)
@@ -176,15 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="linear fits of smoothed load against 7-day incidence")
     p.add_argument("--input", required=True)
-    p.add_argument("--site", default=None)
-    p.add_argument("--f-nh4", type=float, default=None)
-    p.add_argument("--load-table", default=None)
-    p.add_argument("--report", default=None, help="reuse the smoothed series of a stored report")
-    p.add_argument("--signal", choices=("raw", "normalized"), default=None)
+    p.add_argument("--site")
+    _add_nh4_flags(p)
+    p.add_argument("--report", help="reuse the smoothed series of a stored report")
+    p.add_argument("--signal", choices=("raw", "normalized"), default="normalized",
+                   help="(default: %(default)s)")
     p.add_argument(
         "--raw-loads", action="store_true", help="regress on unsmoothed normalized loads"
     )
-    p.add_argument("--methods", default=None, help="method filter for the internal benchmark")
+    p.add_argument("--methods", type=_method_list, default=PipelineConfig.methods,
+                   help="method filter for the internal benchmark (default: all)")
     p.add_argument("--out", default="-")
     _add_ga_flags(p)
     _add_common(p)
@@ -196,56 +236,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Settings:
-    """Flag > config-file > environment > default resolution."""
+def _config_argv(path: str) -> list[str]:
+    """The keys of a JSON config file as the flag tokens they stand for."""
+    try:
+        with open(path) as handle:
+            config = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read config file: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError("config file must hold a JSON object")
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(str(v) for v in value)}")
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file: dict = {}
-        if getattr(args, "config", None):
-            try:
-                with open(args.config) as handle:
-                    self.file = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise InputError(f"cannot read config file: {exc}") from exc
-            if not isinstance(self.file, dict):
-                raise InputError("config file must hold a JSON object")
 
-    def get(self, flag: str, default=None, cast=None):
-        dest = flag.replace("-", "_")
-        value = getattr(self.args, dest, None)
-        if value is None or value is False:
-            if flag in self.file:
-                value = self.file[flag]
-            elif dest in self.file:
-                value = self.file[dest]
-            elif value is None:
-                value = default
-        if value is not None and cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{flag}: {value!r} is not a valid {cast.__name__}") from exc
-        return value
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse once; with --config, parse again with the file's tokens first.
 
-    def seed(self) -> int:
-        explicit = self.get("seed")
-        if explicit is not None:
-            return int(explicit)
-        env = os.environ.get("SMOOTHBENCH_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError as exc:
-                raise InputError(f"SMOOTHBENCH_SEED is not an integer: {env!r}") from exc
-        return DEFAULT_SEED
+    The config tokens go right after the subcommand name, so an explicit flag,
+    parsed later, wins over them; the flags' defaults (SMOOTHBENCH_SEED for
+    --seed) fill in the rest.
+    """
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_argv(args.config) + argv[at:])
+    return args
 
-    def units(self) -> UnitConfig:
-        return UnitConfig(
-            virus=self.get("virus-unit", "copies_per_ml"),
-            flow=self.get("flow-unit", "m3_per_d"),
-            nh4=self.get("nh4-unit", "mg_per_l"),
-        )
+
+def _units(args) -> UnitConfig:
+    return UnitConfig(virus=args.virus_unit, flow=args.flow_unit, nh4=args.nh4_unit)
 
 
 def _sink(path: str):
@@ -253,42 +281,33 @@ def _sink(path: str):
     return sys.stdout if path == "-" else path
 
 
-def _load_records(settings: _Settings, path: str, site: str | None):
-    records = read_surveillance_csv(path, settings.units())
+def _load_records(args):
+    records = read_surveillance_csv(args.input, _units(args))
     sites = sorted({r.site for r in records})
-    if site is not None:
-        records = [r for r in records if r.site == site]
+    if args.site is not None:
+        records = [r for r in records if r.site == args.site]
         if not records:
-            raise InputError(f"no rows for site {site!r}; file has {sites}")
+            raise InputError(f"no rows for site {args.site!r}; file has {sites}")
     elif len(sites) > 1:
         raise InputError(f"file contains several sites {sites}; pick one with --site")
     return records
 
 
-def _resolve_f_nh4(settings: _Settings, site: str) -> float:
-    explicit = settings.get("f-nh4", cast=float)
-    if explicit is not None:
-        if explicit <= 0:
-            raise InputError(f"f_nh4 must be positive, got {explicit}")
-        return explicit
-    table_path = settings.get("load-table")
-    if table_path:
-        table = read_biomarker_table(table_path)
+def _f_nh4(args, site: str) -> float:
+    """--f-nh4, else the site's row of --load-table, else the reference table."""
+    if args.f_nh4 is not None:
+        return args.f_nh4
+    if args.load_table:
+        table = read_biomarker_table(args.load_table)
         if site not in table:
-            raise InputError(f"site {site!r} not found in load table {table_path}")
+            raise InputError(f"site {site!r} not found in load table {args.load_table}")
         return table[site].f_bm
-    ref = REFERENCE_NH4_LOADS.get(site)
-    if ref is not None:
-        return ref.f_bm
-    raise InputError(
-        f"no NH4 load for site {site!r}: pass --f-nh4 or --load-table "
-        f"(reference data covers sites {sorted(REFERENCE_NH4_LOADS)})"
-    )
+    return reference_nh4_load(site)
 
 
-def _input_series(settings: _Settings, path: str, field: str, site: str | None):
+def _input_series(args):
     """Accept either a bare date,value series or the surveillance schema."""
-    with open_input(path) as handle:
+    with open_input(args.input) as handle:
         header = ""
         for line in handle:
             if not line.startswith("#"):
@@ -296,63 +315,44 @@ def _input_series(settings: _Settings, path: str, field: str, site: str | None):
                 break
     columns = [c.strip() for c in header.strip().split(",")]
     if "value" in columns:
-        return read_series_csv(path)
-    records = _load_records(settings, path, site)
-    return build_series(records, _FIELD_MAP[field])
+        return read_series_csv(args.input)
+    return build_series(_load_records(args), _FIELD_MAP[args.field])
 
 
-def _parse_params(raw: list[str]) -> dict[str, float]:
-    out = {}
-    for item in raw:
-        if "=" not in item:
-            raise InputError(f"--param expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        try:
-            out[name.strip()] = float(value)
-        except ValueError as exc:
-            raise InputError(f"parameter {name!r} has non-numeric value {value!r}") from exc
-    return out
-
-
-def _method_id(code: str) -> MethodId:
-    try:
-        return MethodId(code.lower())
-    except ValueError as exc:
-        codes = ", ".join(m.value for m in MethodId)
-        raise InputError(f"unknown method {code!r}; expected one of: {codes}") from exc
-
-
-def _method_filter(settings: _Settings) -> tuple[MethodId, ...]:
-    methods = settings.get("methods")
-    if not methods:
-        return tuple(MethodId)
-    if isinstance(methods, str):
-        methods = [m.strip() for m in methods.split(",") if m.strip()]
-    return tuple(_method_id(m) for m in methods)
-
-
-def _ga_budget(settings: _Settings) -> tuple[int, int]:
+def _ga_budget(args) -> tuple[int, int]:
     """(population size, generations): the flags over the selected budget."""
-    pop, iters = PAPER_BUDGET if settings.get("paper-fidelity", False) else DESK_BUDGET
-    return settings.get("ga-pop", pop, int), settings.get("ga-iters", iters, int)
+    pop, iters = PAPER_BUDGET if args.paper_fidelity else DESK_BUDGET
+    return (pop if args.ga_pop is None else args.ga_pop,
+            iters if args.ga_iters is None else args.ga_iters)
+
+
+def _pipeline_config(args, **settings) -> PipelineConfig:
+    population, iterations = _ga_budget(args)
+    return PipelineConfig(
+        master_seed=args.seed,
+        ga_population=population,
+        ga_iterations=iterations,
+        objective=args.objective,
+        patience=args.patience,
+        methods=args.methods,
+        **settings,
+    )
 
 
 # -- subcommand bodies -------------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
-    settings = _Settings(args)
-    records = read_surveillance_csv(args.input, settings.units())
-    write_surveillance_csv(records, _sink(args.out), settings.units())
+    records = read_surveillance_csv(args.input, _units(args))
+    write_surveillance_csv(records, _sink(args.out), _units(args))
     print(f"ingested {len(records)} rows from {args.input}", file=sys.stderr)
     return 0
 
 
 def cmd_normalize(args) -> int:
-    settings = _Settings(args)
-    records = _load_records(settings, args.input, args.site)
+    records = _load_records(args)
     site = records[0].site
-    f_nh4 = _resolve_f_nh4(settings, site)
+    f_nh4 = _f_nh4(args, site)
     virus = build_series(records, "c_virus")
     nh4 = build_series(records, "c_nh4")
     normalized = normalize_series(virus, nh4, f_nh4)
@@ -367,10 +367,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    settings = _Settings(args)
-    method = _method_id(args.method)
-    spec = make_spec(method, _parse_params(args.param))
-    series = _input_series(settings, args.input, args.field, args.site)
+    spec = make_spec(args.method, dict(args.param))
+    series = _input_series(args)
     gap_free = impute_linear(series)
     smoothed = apply_smoother(spec, gap_free)
     params_text = ",".join(f"{k}={v:g}" for k, v in spec.named_params().items()) or "none"
@@ -382,34 +380,31 @@ def cmd_smooth(args) -> int:
         _sink(args.out),
         ["date", "original", "smoothed"],
         rows,
-        comment=f"method={method.value} params={params_text} input={args.input}",
+        comment=f"method={args.method.value} params={params_text} input={args.input}",
     )
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    settings = _Settings(args)
-    method = _method_id(args.method)
+    method = args.method
     if method not in PARAMETRIC_METHODS:
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
-    series = _input_series(settings, args.input, args.field, args.site)
-    gap_free = impute_linear(series)
-    population, iterations = _ga_budget(settings)
+    gap_free = impute_linear(_input_series(args))
+    population, iterations = _ga_budget(args)
     try:
         config = GaConfig(
             population_size=population,
             iterations=iterations,
-            seed=settings.get("ga-seed", settings.seed(), int),
-            patience=settings.get("patience", None, int),
+            seed=args.seed,
+            patience=args.patience,
         )
     except ValueError as exc:
         raise InputError(f"invalid GA budget: {exc}") from exc
-    objective = settings.get("objective", "aic")
-    result = calibrate(method, gap_free, config, objective=objective)
+    result = calibrate(method, gap_free, config, objective=args.objective)
     payload = {
         "method": method.value,
         "params": result.spec.named_params(),
-        "objective": objective,
+        "objective": args.objective,
         "fitness": result.fitness,
         "evaluations": result.evaluations,
         "generations": len(result.history) - 1,
@@ -426,40 +421,25 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    settings = _Settings(args)
-    records = _load_records(settings, args.input, args.site)
-    site = records[0].site
-    seed = settings.seed()
-    signal = settings.get("signal", "both")
-    method_ids = _method_filter(settings)
-
-    f_nh4 = None
-    if signal in ("normalized", "both"):
-        f_nh4 = _resolve_f_nh4(settings, site)
-
-    population, iterations = _ga_budget(settings)
-    config = PipelineConfig(
-        master_seed=seed,
-        ga_population=population,
-        ga_iterations=iterations,
-        objective=settings.get("objective", "aic"),
-        patience=settings.get("patience", None, int),
-        standardize=not settings.get("no-standardize", False),
-        standard_aic_sign=settings.get("aic-sign", "paper") == "standard",
-        band_level=settings.get("band-level", 0.95, float),
-        methods=method_ids,
-        f_nh4=f_nh4,
-        include_loocv=settings.get("include-loocv", False),
+    records = _load_records(args)
+    normalized = args.signal in ("normalized", "both")
+    config = _pipeline_config(
+        args,
+        standardize=not args.no_standardize,
+        standard_aic_sign=args.aic_sign == "standard",
+        band_level=args.band_level,
+        f_nh4=_f_nh4(args, records[0].site) if normalized else None,
+        include_loocv=args.include_loocv,
     )
 
-    kinds = ("raw", "normalized") if signal == "both" else (signal,)
+    kinds = ("raw", "normalized") if args.signal == "both" else (args.signal,)
     reports = []
     for kind in kinds:
         report = run_benchmark(records, kind, config)
         reports.append(report)
         print(
             f"{kind}: optimal={report.optimal_method.value} "
-            f"params={report.optimal_params} seed={seed}",
+            f"params={report.optimal_params} seed={args.seed}",
             file=sys.stderr,
         )
     paths = write_reports(reports, args.out)
@@ -469,18 +449,16 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_regress(args) -> int:
-    settings = _Settings(args)
-    records = _load_records(settings, args.input, args.site)
+    records = _load_records(args)
     site = records[0].site
     incidence = build_series(records, "incidence_7d")
-    signal = settings.get("signal", "normalized")
 
     if args.report:
         reports = read_reports(args.report)
-        matching = [r for r in reports if r.site == site and r.signal_kind == signal]
+        matching = [r for r in reports if r.site == site and r.signal_kind == args.signal]
         if not matching:
             raise InputError(
-                f"report {args.report} has no {signal} run for site {site!r}"
+                f"report {args.report} has no {args.signal} run for site {site!r}"
             )
         rep = matching[0]
         loads = TimeSeries(
@@ -488,24 +466,14 @@ def cmd_regress(args) -> int:
         )
         source = f"report:{args.report}"
     elif args.raw_loads:
-        f_nh4 = _resolve_f_nh4(settings, site)
         loads = normalize_series(
-            build_series(records, "c_virus"), build_series(records, "c_nh4"), f_nh4
+            build_series(records, "c_virus"), build_series(records, "c_nh4"),
+            _f_nh4(args, site),
         )
         source = "raw normalized loads"
     else:
-        f_nh4 = _resolve_f_nh4(settings, site)
-        population, iterations = _ga_budget(settings)
-        config = PipelineConfig(
-            master_seed=settings.seed(),
-            ga_population=population,
-            ga_iterations=iterations,
-            objective=settings.get("objective", "aic"),
-            patience=settings.get("patience", None, int),
-            methods=_method_filter(settings),
-            f_nh4=f_nh4,
-        )
-        report = run_benchmark(records, signal, config)
+        config = _pipeline_config(args, f_nh4=_f_nh4(args, site))
+        report = run_benchmark(records, args.signal, config)
         loads = TimeSeries(
             tuple(Sample(t, v) for t, v in zip(report.timestamps, report.smoothed))
         )
@@ -518,7 +486,7 @@ def cmd_regress(args) -> int:
         _sink(args.out),
         ["site", "slope", "intercept", "r2", "n"],
         rows,
-        comment=f"loads from {source} seed={settings.seed()}",
+        comment=f"loads from {source} seed={args.seed}",
     )
     return 0
 
@@ -543,16 +511,14 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses status 2 for usage problems; those are input errors here
-        return 1 if exc.code == 2 else int(exc.code or 0)
-    try:
+        args = _parse_args(build_parser(), argv)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             return _HANDLERS[args.command](args)
+    except SystemExit as exc:
+        # argparse uses status 2 for usage problems; those are input errors here
+        return 1 if exc.code == 2 else int(exc.code or 0)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

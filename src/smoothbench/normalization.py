@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    InputError,
     MisalignedSeries,
     NonPositiveBiomarkerLoad,
     NonPositivePopulation,
@@ -45,6 +46,17 @@ REFERENCE_NH4_LOADS: dict[str, BiomarkerLoad] = {
     "C": BiomarkerLoad(f_bm=8.99, p_low=8.02, p_med=8.99, p_high=9.73),
     "D": BiomarkerLoad(f_bm=6.80, p_low=5.94, p_med=6.80, p_high=9.32),
 }
+
+
+def reference_nh4_load(site: str) -> float:
+    """The study's NH4 load of ``site``, for runs that configure none."""
+    ref = REFERENCE_NH4_LOADS.get(site)
+    if ref is None:
+        raise InputError(
+            f"no NH4 load for site {site!r}: pass --f-nh4 or --load-table "
+            f"(reference data covers sites {sorted(REFERENCE_NH4_LOADS)})"
+        )
+    return ref.f_bm
 
 
 def flow_population_load(c_virus: float, q_flow: float, population: float) -> float:

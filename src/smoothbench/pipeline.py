@@ -40,7 +40,7 @@ from .evaluation import (
     confidence_band,
     performance_index,
 )
-from .normalization import REFERENCE_NH4_LOADS, normalize_series
+from .normalization import normalize_series, reference_nh4_load
 from .regression import LinearFit, fit_linear, join_load_incidence
 from .smoothers import (
     PARAM_SPECS,
@@ -82,6 +82,8 @@ class PipelineConfig:
             raise InputError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if not 0.0 < self.band_level < 1.0:
             raise InputError(f"band_level must be in (0, 1), got {self.band_level}")
+        if self.f_nh4 is not None and not self.f_nh4 > 0:
+            raise InputError(f"f_nh4 must be positive, got {self.f_nh4}")
 
     def ga_config(self, seed: int) -> GaConfig:
         return GaConfig(
@@ -169,12 +171,7 @@ def _signal_series(
     nh4 = build_series(records, "c_nh4")
     f_nh4 = config.f_nh4
     if f_nh4 is None:
-        ref = REFERENCE_NH4_LOADS.get(records[0].site)
-        if ref is None:
-            raise InputError(
-                "f_nh4 not configured and site has no reference biomarker load"
-            )
-        f_nh4 = ref.f_bm
+        f_nh4 = reference_nh4_load(records[0].site)
     return normalize_series(virus, nh4, f_nh4)
 
 

@@ -164,10 +164,18 @@ def parse_reports_json(text: str) -> list[BenchmarkReport]:
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema version: {version!r}")
-        return [report_from_dict(d) for d in payload["reports"]]
+        reports = [report_from_dict(d) for d in payload["reports"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         # what malformed JSON, or JSON of the wrong shape, raises on the way in
         raise SchemaError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+    _check_kinds(reports, SchemaError)
+    return reports
+
+
+def _check_kinds(reports: list[BenchmarkReport], error: type[Exception]) -> None:
+    kinds = [r.signal_kind for r in reports]
+    if len(set(kinds)) != len(kinds):
+        raise error(f"duplicate signal kinds in one report set: {kinds}")
 
 
 def read_reports(path: str) -> list[BenchmarkReport]:
@@ -198,6 +206,7 @@ def _clusters_rows(report: BenchmarkReport, with_signal: bool) -> list[list[str]
 
 def write_reports(reports: list[BenchmarkReport], outdir: str) -> list[str]:
     """Write report.json plus the smoothed/cluster/regression CSV payloads."""
+    _check_kinds(reports, IoError)
     try:
         os.makedirs(outdir, exist_ok=True)
         paths = []
@@ -207,9 +216,6 @@ def write_reports(reports: list[BenchmarkReport], outdir: str) -> list[str]:
             handle.write(reports_json(reports))
         paths.append(path)
 
-        kinds = [r.signal_kind for r in reports]
-        if len(set(kinds)) != len(kinds):
-            raise IoError(f"duplicate signal kinds in one report set: {kinds}")
         for report in reports:
             suffix = "raw" if report.signal_kind == "raw" else "norm"
             path = os.path.join(outdir, f"smoothed_{suffix}.csv")

@@ -14,6 +14,7 @@ from smoothbench.csvio import (
     write_surveillance_csv,
 )
 from smoothbench.errors import ParseError, SchemaError
+from smoothbench.smoothers import MethodId
 from smoothbench.synthetic import bundled_records
 
 
@@ -156,6 +157,10 @@ class TestIngestAndNormalize:
         assert main(["normalize", "--input", surveillance_csv]) == 1
         assert "f-nh4" in capsys.readouterr().err
 
+    def test_missing_nh4_load_lists_the_reference_sites(self, surveillance_csv, capsys):
+        assert main(["normalize", "--input", surveillance_csv]) == 1
+        assert "['A', 'B', 'C', 'D']" in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
     def test_json_payload(self, surveillance_csv, tmp_path, capsys):
@@ -238,6 +243,33 @@ class TestBenchmarkCommand:
                    "--out", str(tmp_path / "bench"), "--ga-seed", "1"])
         assert rc == 1
         assert "--ga-seed" in capsys.readouterr().err
+
+    def test_config_values_reach_pipeline_config(self, surveillance_csv, tmp_path, monkeypatch):
+        configs = []
+        real = cli.run_benchmark
+
+        def capture(records, kind, config):
+            configs.append(config)
+            return real(records, kind, config)
+
+        monkeypatch.setattr(cli, "run_benchmark", capture)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ga_pop": 20, "methods": ["tuk", "fft", "sma"]}))
+        rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                   "--ga-iters", "2", "--out", str(tmp_path / "bench"),
+                   "--config", str(cfg)])
+        assert rc == 0
+        (config,) = configs
+        assert config.ga_population == 20
+        assert config.methods == (MethodId.TUK, MethodId.FFT, MethodId.SMA)
+
+    def test_bad_seed_in_environment_exits_1(self, surveillance_csv, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv("SMOOTHBENCH_SEED", "abc")
+        rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                   "--out", str(tmp_path / "bench")])
+        assert rc == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestRegressCommand:
@@ -349,13 +381,23 @@ class TestExitCodes:
         assert rc == 1
         assert "line 7" in capsys.readouterr().err
 
-    def test_bad_config_value_exits_1(self, surveillance_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("ga-pop", "x"),
+        ("methods", 5),
+        ("methods", ["tuk", 3, "sma"]),
+        ("seed", "abc"),
+        ("seed", 1.7),
+        ("aic-sign", "bogus"),
+        ("no-standardize", "false"),
+        ("bogus-key", 1),
+    ])
+    def test_bad_config_value_exits_1(self, surveillance_csv, tmp_path, key, value, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"ga-pop": "x"}))
+        cfg.write_text(json.dumps({key: value}))
         rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
                    "--out", str(tmp_path / "bench"), "--config", str(cfg)])
         assert rc == 1
-        assert "ga-pop" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_malformed_report_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "report.json"
@@ -366,6 +408,20 @@ class TestExitCodes:
             assert rc == 1, text
             assert "malformed report" in capsys.readouterr().err
 
+    def test_repeated_signal_kind_report_exits_1(self, surveillance_csv, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        assert main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                     "--out", str(bench), "--ga-pop", "8", "--ga-iters", "1",
+                     "--methods", "tuk,fft,sma"]) == 0
+        payload = json.loads((bench / "report.json").read_text())
+        payload["reports"] *= 2
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["report", "--report", str(dup), "--out", str(out)]) == 1
+        assert "duplicate signal kinds" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestFlags:
     def test_flags_only_where_they_are_read(self, series_csv, tmp_path, capsys):
@@ -373,6 +429,8 @@ class TestFlags:
             ("--seed", ["smooth", "--method", "sma", "--input", series_csv, "--seed", "1"]),
             ("--config", ["report", "--report", "r.json", "--out", str(tmp_path),
                           "--config", "c.json"]),
+            ("--ga-seed", ["calibrate", "--method", "sma", "--input", series_csv,
+                           "--ga-seed", "1"]),
         ):
             assert main(argv) == 1, flag
             assert flag in capsys.readouterr().err

@@ -184,6 +184,11 @@ class TestRawAndNormalized:
         with pytest.raises(MissingBiomarker):
             run_benchmark(records, "normalized", tiny_config())
 
+    def test_unknown_site_without_f_nh4_lists_reference_sites(self, bundled):
+        config = PipelineConfig(**TINY, methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA))
+        with pytest.raises(InputError, match=r"\['A', 'B', 'C', 'D'\]"):
+            run_benchmark(bundled, "normalized", config)
+
     def test_pair_runs_tagged(self, bundled):
         config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL))
         with warnings.catch_warnings():
@@ -226,6 +231,11 @@ class TestConfig:
             PipelineConfig(objective="bic")
         for objective in ("aic", "mae", "combined"):
             assert PipelineConfig(objective=objective).objective == objective
+
+    def test_nonpositive_f_nh4_fails_at_construction(self):
+        for f_nh4 in (0.0, -1.0, float("nan")):
+            with pytest.raises(InputError, match="f_nh4"):
+                PipelineConfig(f_nh4=f_nh4)
 
     def test_desk_budget_accepted(self):
         assert PipelineConfig().ga_config(7).population_size == 30
