@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EvaluationFailure, InputError, NonParametricMethod, SmoothbenchError
 from .evaluation import PerformanceIndex, evaluate_method
-from .smoothers import PARAM_SPECS, MethodId, ParamSpec, SmootherSpec
+from .smoothers import PARAM_SPECS, MethodId, ParamSpec, SmootherSpec, effective_params
 from .timeseries import TimeSeries
 
 OBJECTIVES = ("aic", "mae", "combined")
@@ -190,11 +190,19 @@ class _FitnessCache:
 
     Each key holds its genome's evaluation result, or None when the
     evaluation raised a SmoothbenchError; ``evaluations`` counts the misses.
+    A miss first looks up ``shared_key(genome)``: genomes with the same
+    shared key define the same smoother, so they share one evaluation.
     """
 
-    def __init__(self, evaluate: Callable[[tuple[float, ...]], object]):
+    def __init__(
+        self,
+        evaluate: Callable[[tuple[float, ...]], object],
+        shared_key: Callable[[tuple[float, ...]], tuple] = _quantize,
+    ):
         self._evaluate = evaluate
+        self._shared_key = shared_key
         self._store: dict[tuple[float, ...], object] = {}
+        self._shared: dict[tuple, object] = {}
         self.evaluations = 0
 
     def __call__(self, genome: tuple[float, ...]):
@@ -203,11 +211,16 @@ class _FitnessCache:
             return self._store[key]
         except KeyError:
             pass
-        try:
-            result = self._evaluate(genome)
-        except SmoothbenchError:
-            result = None
         self.evaluations += 1
+        shared = self._shared_key(genome)
+        try:
+            result = self._shared[shared]
+        except KeyError:
+            try:
+                result = self._evaluate(genome)
+            except SmoothbenchError:
+                result = None
+            self._shared[shared] = result
         self._store[key] = result
         return result
 
@@ -232,7 +245,8 @@ def calibrate(
     rng = np.random.default_rng(config.seed)
 
     if callable(objective):
-        evaluate = objective
+        # a callable may read every gene, so genomes share nothing
+        cache = _FitnessCache(objective)
     elif objective not in OBJECTIVES:
         raise InputError(f"objective must be one of {OBJECTIVES} or callable")
     else:
@@ -240,7 +254,10 @@ def calibrate(
         def evaluate(genome: tuple[float, ...]) -> PerformanceIndex:
             return evaluate_method(SmootherSpec(method, genome), series)
 
-    cache = _FitnessCache(evaluate)
+        def smoother_key(genome: tuple[float, ...]) -> tuple[float, ...]:
+            return _quantize(effective_params(SmootherSpec(method, genome)))
+
+        cache = _FitnessCache(evaluate, smoother_key)
 
     population = [
         Individual(repair_genome(method, bounds, _random_genome(bounds, rng)))

@@ -96,6 +96,15 @@ def _param(item: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {item!r}") from None
 
 
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r} (from the flag or $SMOOTHBENCH_SEED)"
+        ) from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (keys = flag names)")
     for unit, factors in (("virus", VIRUS_UNIT_FACTORS), ("flow", FLOW_UNIT_FACTORS),
@@ -107,7 +116,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=os.environ.get("SMOOTHBENCH_SEED", DEFAULT_SEED),
         help=f"master random seed (default: $SMOOTHBENCH_SEED, else {DEFAULT_SEED})",
     )
@@ -236,8 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(path: str) -> list[str]:
-    """The keys of a JSON config file as the flag tokens they stand for."""
+def _config_argv(path: str, repeatable: set[str]) -> list[str]:
+    """The keys of a JSON config file as the flag tokens they stand for.
+
+    A list becomes one token per element for a ``repeatable`` flag and one
+    comma-joined token for any other.
+    """
     try:
         with open(path) as handle:
             config = json.load(handle)
@@ -250,6 +263,8 @@ def _config_argv(path: str) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)
+        elif isinstance(value, list) and flag in repeatable:
+            tokens.extend(f"{flag}={v}" for v in value)
         elif isinstance(value, list):
             tokens.append(f"{flag}={','.join(str(v) for v in value)}")
         elif value is not False and value is not None:
@@ -268,8 +283,20 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     if getattr(args, "config", None):
         argv = sys.argv[1:] if argv is None else list(argv)
         at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + _config_argv(args.config) + argv[at:])
+        tokens = _config_argv(args.config, _append_flags(parser, args.command))
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
     return args
+
+
+def _append_flags(parser: argparse.ArgumentParser, command: str) -> set[str]:
+    """The option strings of the subcommand's repeatable (append) flags."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        flag
+        for action in commands.choices[command]._actions
+        if isinstance(action, argparse._AppendAction)
+        for flag in action.option_strings
+    }
 
 
 def _units(args) -> UnitConfig:

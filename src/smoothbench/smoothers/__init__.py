@@ -19,6 +19,7 @@ from .catalog import (
     ParamSpec,
     SmootherSpec,
     default_spec,
+    effective_params,
     make_spec,
     required_length,
     validate_spec,
@@ -44,6 +45,7 @@ __all__ = [
     "apply_smoother",
     "apply_to_values",
     "default_spec",
+    "effective_params",
     "linear_operator",
     "make_spec",
     "required_length",
@@ -71,7 +73,7 @@ def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarra
 # ~4x slower at T=365.
 _METHODS: dict[MethodId, _Row] = {
     MethodId.TUK: _Row(tukey_3r, True),
-    MethodId.KAL: _Row(lambda y: fit_kalman_local_level(y)[0], False),
+    MethodId.KAL: _Row(lambda y: fit_kalman_local_level(y)[0], True),
     MethodId.FFT: _Row(fourier_lowpass, False),
     MethodId.SPL: _Row(smoothing_spline, True, _on_identity(smoothing_spline)),
     MethodId.KER: _Row(kernel_regression, False, kernel_operator),
@@ -82,7 +84,7 @@ _METHODS: dict[MethodId, _Row] = {
     MethodId.SGF: _Row(savitzky_golay, False, savgol_operator),
     MethodId.ARI: _Row(ar_smoother, False),
     MethodId.ADP: _Row(adaptive_degree_filter, True),
-    MethodId.GAM: _Row(gam_smoother, False, gam_matrix_operator),
+    MethodId.GAM: _Row(gam_smoother, True, gam_matrix_operator),
 }
 
 

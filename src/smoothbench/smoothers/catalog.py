@@ -188,6 +188,19 @@ def validate_spec(spec: SmootherSpec) -> None:
             )
 
 
+def effective_params(spec: SmootherSpec) -> tuple[float, ...]:
+    """The parameters the smoother reads: specs equal here smooth identically.
+
+    GAM with ``auto_penalty`` set picks its penalty by GCV and ignores
+    ``log10_penalty``, which comes back as its default; every other spec
+    comes back unchanged.
+    """
+    if spec.method is MethodId.GAM and spec.named_params()["auto_penalty"]:
+        basis_dim, _, family, auto = spec.params
+        return (basis_dim, DEFAULT_PARAMS[MethodId.GAM][1], family, auto)
+    return spec.params
+
+
 def required_length(spec: SmootherSpec) -> int:
     """Minimum series length the spec can be applied to (the only length rule)."""
     named = spec.named_params()

@@ -7,13 +7,19 @@ penalty weight is chosen by generalized cross-validation on a log10 grid,
 which removes the remaining user tuning and makes the method effectively
 non-parametric.
 
-GCV scoring uses a cached generalized eigendecomposition, so scanning the
-penalty grid costs O(basis_dim) per candidate after a one-off O(basis_dim^3)
-factorization per (length, basis_dim) pair.
+The smoother takes one series (T,) or a stack (B, T) and fits each row on its
+own.  GCV scoring uses a cached generalized eigendecomposition: after a
+one-off O(basis_dim^3) factorization per (length, basis_dim) pair, each row
+costs a few O(basis_dim^2) products, and the scores of all rows x candidates
+of a grid round are computed as one (B, C, basis_dim) array.  Every score is
+bit for bit the one a row-by-row scan would compute: the per-candidate dot
+products are BLAS dots on each (row, candidate) pair, and the scalar powers
+stay scalar (numpy's vectorized ``**`` rounds differently).
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -50,62 +56,85 @@ def _gcv_factorization(n: int, basis_dim: int):
     return chol, np.clip(eigvals, 0.0, None), eigvecs
 
 
-def _gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim) -> float:
-    fact = _gcv_factorization(n, basis_dim)
-    if fact is not None:
-        chol, eigvals, eigvecs = fact
-        b_tilde = solve_triangular(chol, rhs, lower=True)
-        d = eigvecs.T @ b_tilde
-        d2 = d * d
-        yty = float(y @ y)
+def _gcv_log10_penalties(scores: Callable[[np.ndarray], np.ndarray], rows: int) -> np.ndarray:
+    """Per-row GCV grid search: 17 log10 candidates, then two 9-point refinements.
 
-        def score(log_lam: float) -> float:
-            shrink = 1.0 / (1.0 + 10.0**log_lam * eigvals)
-            rss = yty - 2.0 * float(d2 @ shrink) + float(d2 @ (shrink * shrink))
-            trace_hat = float(shrink.sum())
-            denom = n - trace_hat
-            if denom < 1e-8:
-                return np.inf
-            return n * max(rss, 0.0) / denom**2
-
-    else:
-
-        def score(log_lam: float) -> float:
-            lam = 10.0**log_lam
-            system = gram + lam * penalty
-            beta = np.linalg.solve(system, rhs)
-            resid = y - design @ beta
-            trace_hat = float(np.trace(np.linalg.solve(system, gram)))
-            denom = n - trace_hat
-            if denom < 1e-8:
-                return np.inf
-            return n * float(resid @ resid) / denom**2
-
+    ``scores`` maps a (rows, C) array of candidates to their (rows, C) GCV
+    scores; each row keeps the first candidate of least score.
+    """
     lo, hi = GCV_LOG10_RANGE
-    cands = np.linspace(lo, hi, 17)
-    scores = [score(c) for c in cands]
-    best = float(cands[int(np.argmin(scores))])
+    every = np.arange(rows)
+    cands = np.tile(np.linspace(lo, hi, 17), (rows, 1))
+    best = cands[every, np.argmin(scores(cands), axis=1)]
     half_width = (hi - lo) / 16.0
     for _ in range(2):
-        cands = np.clip(best + np.linspace(-half_width, half_width, 9), lo, hi)
-        scores = [score(c) for c in cands]
-        best = float(cands[int(np.argmin(scores))])
+        cands = np.clip(best[:, None] + np.linspace(-half_width, half_width, 9), lo, hi)
+        best = cands[every, np.argmin(scores(cands), axis=1)]
         half_width /= 4.0
-    return 10.0**best
+    return best
+
+
+def _eigen_scores(rows, rhs, fact, n):
+    """GCV scorer over the eigenbasis: shrinkage 1 / (1 + lam * eigval) per component."""
+    chol, eigvals, eigvecs = fact
+    d = np.array([eigvecs.T @ solve_triangular(chol, b, lower=True) for b in rhs])
+    d2 = (d * d)[:, None, :, None]
+    yty = np.array([float(y @ y) for y in rows])[:, None]
+
+    def scores(cands: np.ndarray) -> np.ndarray:
+        lam = np.array([10.0**c for c in cands.flat]).reshape(cands.shape)
+        shrink = 1.0 / (1.0 + lam[..., None] * eigvals)
+        # (1, k) @ (k, 1) per (row, candidate) is one BLAS dot, as d2 @ shrink
+        fit = np.matmul(shrink[..., None, :], d2)[..., 0, 0]
+        fit2 = np.matmul((shrink * shrink)[..., None, :], d2)[..., 0, 0]
+        rss = yty - 2.0 * fit + fit2
+        denom = n - shrink.sum(axis=-1)
+        denom_sq = np.array([x**2 for x in denom.ravel().tolist()]).reshape(denom.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = n * np.maximum(rss, 0.0) / denom_sq
+        return np.where(denom < 1e-8, np.inf, score)
+
+    return scores
+
+
+def _direct_scores(rows, rhs, design, gram, penalty, n):
+    """GCV scorer by direct solves, one (row, candidate) at a time.
+
+    Only reached when the Gram matrix has no Cholesky factor.
+    """
+
+    def scores(cands: np.ndarray) -> np.ndarray:
+        out = np.empty(cands.shape)
+        for b, row in enumerate(cands):
+            for j, log_lam in enumerate(row):
+                system = gram + 10.0**log_lam * penalty
+                resid = rows[b] - design @ np.linalg.solve(system, rhs[b])
+                denom = n - float(np.trace(np.linalg.solve(system, gram)))
+                out[b, j] = np.inf if denom < 1e-8 else n * float(resid @ resid) / denom**2
+        return out
+
+    return scores
 
 
 def gam_smoother(
     y: np.ndarray, basis_dim: int, log10_penalty: float, family: int, auto_penalty: int
 ) -> np.ndarray:
-    n = len(y)
+    """Penalized-spline smooth of one series (T,) or of each row of a stack (B, T)."""
+    rows = np.atleast_2d(y)
+    n = rows.shape[1]
     design, gram, penalty = _gam_operators(n, basis_dim)
-    rhs = design.T @ y
+    rhs = [design.T @ row for row in rows]
     if auto_penalty:
-        lam = _gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim)
+        fact = _gcv_factorization(n, basis_dim)
+        if fact is None:
+            scores = _direct_scores(rows, rhs, design, gram, penalty, n)
+        else:
+            scores = _eigen_scores(rows, rhs, fact, n)
+        lams = [10.0**best for best in _gcv_log10_penalties(scores, len(rows)).tolist()]
     else:
-        lam = 10.0**log10_penalty
-    beta = np.linalg.solve(gram + lam * penalty, rhs)
-    return design @ beta
+        lams = [10.0**log10_penalty] * len(rows)
+    out = np.array([design @ np.linalg.solve(gram + lam * penalty, b) for lam, b in zip(lams, rhs)])
+    return out.reshape(np.shape(y))
 
 
 def gam_matrix_operator(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothbench.calibration as cal
 from smoothbench.calibration import (
@@ -16,7 +18,13 @@ from smoothbench.calibration import (
 )
 from smoothbench.errors import EvaluationFailure, InvalidParams, NonParametricMethod
 from smoothbench.evaluation import evaluate_method
-from smoothbench.smoothers import PARAM_SPECS, MethodId, SmootherSpec
+from smoothbench.smoothers import (
+    PARAM_SPECS,
+    MethodId,
+    SmootherSpec,
+    apply_to_values,
+    effective_params,
+)
 from smoothbench.timeseries import TimeSeries
 
 from conftest import random_series
@@ -260,3 +268,75 @@ class TestCalibrate:
         )
         assert result.evaluations > 0
         assert len(calls) == result.evaluations
+
+
+def _counting_evaluate_method(monkeypatch) -> list:
+    """Record the spec of every evaluate_method call the GA makes."""
+    calls = []
+    real = cal.evaluate_method
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cal, "evaluate_method", counting)
+    return calls
+
+
+class TestSharedEvaluations:
+    """Genomes that define the same smoother share one LOOCV evaluation."""
+
+    @pytest.fixture
+    def series(self):
+        return random_series(np.random.default_rng(8), 24)
+
+    def test_matches_unshared_run_with_one_build_per_smoother(self, series, monkeypatch):
+        # a callable objective keys on every gene, so it evaluates each
+        # genome on its own: the same run without the shared evaluations
+        config = small_config(population_size=16, iterations=6)
+        scored = []
+
+        def unshared(genome):
+            scored.append(genome)
+            return evaluate_method(SmootherSpec(MethodId.GAM, genome), series).aic
+
+        plain = calibrate(MethodId.GAM, series, config, unshared)
+        calls = _counting_evaluate_method(monkeypatch)
+        shared = calibrate(MethodId.GAM, series, config, "aic")
+        assert shared.spec == plain.spec
+        assert shared.fitness == plain.fitness
+        assert shared.history == plain.history
+        assert shared.evaluations == plain.evaluations == len(scored)
+        smoothers = {
+            cal._quantize(effective_params(SmootherSpec(MethodId.GAM, g))) for g in scored
+        }
+        assert len(calls) == len(smoothers) < shared.evaluations
+
+    def test_failed_evaluation_is_shared(self, series, monkeypatch):
+        calls = _counting_evaluate_method(monkeypatch)
+        cache = cal._FitnessCache(
+            lambda g: cal.evaluate_method(SmootherSpec(MethodId.GAM, g), series),
+            lambda g: cal._quantize(effective_params(SmootherSpec(MethodId.GAM, g))),
+        )
+        # basis_dim 40 needs 40 points: the evaluation raises SeriesTooShort
+        assert cache((40.0, 1.5, 0.0, 1.0)) is None
+        assert cache((40.0, -2.5, 0.0, 1.0)) is None
+        assert (cache.evaluations, len(calls)) == (2, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    method=st.sampled_from(list(MethodId)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_effective_params_smooth_identically(method, fractions, seed):
+    n = 30
+    bounds = search_bounds(method, n)
+    raw = [b.lo + f * (b.hi - b.lo) for b, f in zip(bounds, fractions)]
+    spec = SmootherSpec(method, repair_genome(method, bounds, raw))
+    y = random_series(np.random.default_rng(seed), n).values()
+    same = SmootherSpec(method, effective_params(spec))
+    np.testing.assert_array_equal(
+        apply_to_values(same, y).view(np.int64), apply_to_values(spec, y).view(np.int64)
+    )

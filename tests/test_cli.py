@@ -106,6 +106,17 @@ class TestSmoothCommand:
         rows = read_csv_rows(out)
         assert [float(r["smoothed"]) for r in rows] == [1.5, 2.0, 3.0, 4.0, 4.5]
 
+    def test_config_list_repeats_append_flag(self, surveillance_csv, tmp_path):
+        # a list for the repeatable --param is one token per element
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"param": ["window=5", "degree=2"]}))
+        by_config, by_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+        assert main(["smooth", "--method", "sgf", "--input", surveillance_csv,
+                     "--config", str(cfg), "--out", str(by_config)]) == 0
+        assert main(["smooth", "--method", "sgf", "--param", "window=5", "--param", "degree=2",
+                     "--input", surveillance_csv, "--out", str(by_flags)]) == 0
+        assert by_config.read_text() == by_flags.read_text()
+
     def test_invalid_params_exit_1(self, series_csv, capsys):
         rc = main(["smooth", "--method", "sgf", "--param", "window=5",
                    "--param", "degree=5", "--input", series_csv])
@@ -269,7 +280,9 @@ class TestBenchmarkCommand:
         rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
                    "--out", str(tmp_path / "bench")])
         assert rc == 1
-        assert "--seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "SMOOTHBENCH_SEED" in err
 
 
 class TestRegressCommand:

@@ -4,16 +4,25 @@ The LOOCV engine smooths all deletion series of a nonlinear method in one
 stacked call, so a report stays byte-identical only if every row of the stack
 comes out bit for bit as the 1-D call on that row.  Results are compared as
 int64 bit patterns, which also tells -0.0 from 0.0 and NaN payloads apart.
+
+GAM's GCV search and KAL's likelihood fit run the same stacked code for a
+stack and for one series, so they are also checked against reference copies
+of the earlier row-by-row scans, kept below as the slow path.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+import smoothbench.smoothers.gam as gam
 from smoothbench.calibration import repair_genome, search_bounds
-from smoothbench.errors import SmoothbenchError
+from smoothbench.errors import DegenerateLikelihood, SmoothbenchError
 from smoothbench.evaluation import deletion_imputations
 from smoothbench.smoothers import MethodId, SmootherSpec, apply_to_values
+from smoothbench.smoothers.kalman import VARIANCE_FLOOR_FACTOR, fit_kalman_local_level
 from smoothbench.timeseries import TimeSeries, impute_linear
 
 
@@ -135,3 +144,209 @@ def test_degenerate_inputs(method, name):
     y = DEGENERATE[name]
     for fractions in ((0.0,) * 4, (1.0,) * 4):
         assert_stack_matches_rows(spec_at(method, len(y), fractions), deletion_stack(y))
+
+
+# --- reference row-by-row scans (slow paths) -------------------------------
+
+
+def reference_gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim) -> float:
+    """GCV penalty of one series: every candidate scored by its own scalar call."""
+    fact = gam._gcv_factorization(n, basis_dim)
+    if fact is not None:
+        chol, eigvals, eigvecs = fact
+        b_tilde = solve_triangular(chol, rhs, lower=True)
+        d = eigvecs.T @ b_tilde
+        d2 = d * d
+        yty = float(y @ y)
+
+        def score(log_lam: float) -> float:
+            shrink = 1.0 / (1.0 + 10.0**log_lam * eigvals)
+            rss = yty - 2.0 * float(d2 @ shrink) + float(d2 @ (shrink * shrink))
+            trace_hat = float(shrink.sum())
+            denom = n - trace_hat
+            if denom < 1e-8:
+                return np.inf
+            return n * max(rss, 0.0) / denom**2
+
+    else:
+
+        def score(log_lam: float) -> float:
+            lam = 10.0**log_lam
+            system = gram + lam * penalty
+            beta = np.linalg.solve(system, rhs)
+            resid = y - design @ beta
+            trace_hat = float(np.trace(np.linalg.solve(system, gram)))
+            denom = n - trace_hat
+            if denom < 1e-8:
+                return np.inf
+            return n * float(resid @ resid) / denom**2
+
+    lo, hi = gam.GCV_LOG10_RANGE
+    cands = np.linspace(lo, hi, 17)
+    scores = [score(c) for c in cands]
+    best = float(cands[int(np.argmin(scores))])
+    half_width = (hi - lo) / 16.0
+    for _ in range(2):
+        cands = np.clip(best + np.linspace(-half_width, half_width, 9), lo, hi)
+        scores = [score(c) for c in cands]
+        best = float(cands[int(np.argmin(scores))])
+        half_width /= 4.0
+    return 10.0**best
+
+
+def reference_gam(y: np.ndarray, basis_dim: int) -> np.ndarray:
+    """Auto-penalty GAM smooth of one series."""
+    n = len(y)
+    design, gram, penalty = gam._gam_operators(n, basis_dim)
+    rhs = design.T @ y
+    lam = reference_gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim)
+    return design @ np.linalg.solve(gram + lam * penalty, rhs)
+
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _reference_loglik_grid(y, qs, rs):
+    mean = np.full_like(qs, y[0])
+    var = rs.copy()
+    ll = np.zeros_like(qs)
+    for t in range(1, len(y)):
+        pred_var = var + qs
+        s = pred_var + rs
+        innov = y[t] - mean
+        ll -= 0.5 * (_LOG_2PI + np.log(s) + innov * innov / s)
+        gain = pred_var / s
+        mean = mean + gain * innov
+        var = (1.0 - gain) * pred_var
+    return ll
+
+
+def _reference_rts_smooth(y, q, r):
+    n = len(y)
+    mf = np.empty(n)
+    pf = np.empty(n)
+    mf[0] = y[0]
+    pf[0] = r
+    for t in range(1, n):
+        pred_var = pf[t - 1] + q
+        s = pred_var + r
+        gain = pred_var / s
+        mf[t] = mf[t - 1] + gain * (y[t] - mf[t - 1])
+        pf[t] = (1.0 - gain) * pred_var
+    xs = np.empty(n)
+    xs[n - 1] = mf[n - 1]
+    for t in range(n - 2, -1, -1):
+        pred_var = pf[t] + q
+        c = pf[t] / pred_var
+        xs[t] = mf[t] + c * (xs[t + 1] - mf[t])
+    return xs
+
+
+def reference_kalman(y: np.ndarray):
+    """(smoothed, q, r) of one series, its likelihood grids one series wide."""
+    sample_var = float(np.var(y))
+    if sample_var <= 0.0:
+        return np.asarray(y, dtype=float).copy(), 1e-30, 1e-30
+    floor = VARIANCE_FLOOR_FACTOR * sample_var
+    base = np.log10(sample_var)
+    lo, hi = base - 9.0, base + 3.0
+    exps = base + np.linspace(-8.0, 2.0, 11)
+    lq, lr = np.meshgrid(exps, exps, indexing="ij")
+    ll = _reference_loglik_grid(y, 10.0**lq.ravel(), 10.0**lr.ravel())
+    best = int(np.argmax(ll))
+    log_q, log_r = float(lq.ravel()[best]), float(lr.ravel()[best])
+    half_width = 1.0
+    for _ in range(3):
+        for which in (0, 1):
+            center = log_q if which == 0 else log_r
+            cand = np.clip(center + np.linspace(-half_width, half_width, 9), lo, hi)
+            if which == 0:
+                lls = _reference_loglik_grid(y, 10.0**cand, np.full_like(cand, 10.0**log_r))
+                log_q = float(cand[int(np.argmax(lls))])
+            else:
+                lls = _reference_loglik_grid(y, np.full_like(cand, 10.0**log_q), 10.0**cand)
+                log_r = float(cand[int(np.argmax(lls))])
+        half_width *= 0.4
+    q = max(10.0**log_q, floor)
+    r = max(10.0**log_r, floor)
+    smoothed = _reference_rts_smooth(y, q, r)
+    if not np.all(np.isfinite(smoothed)):
+        raise DegenerateLikelihood("Kalman smoothing produced non-finite values")
+    return smoothed, q, r
+
+
+def assert_gam_matches_reference(stack: np.ndarray, basis_dim: int) -> None:
+    got = gam.gam_smoother(stack, basis_dim, 0.0, 0, 1)
+    for b, row in enumerate(stack):
+        want = reference_gam(row.copy(), basis_dim)
+        np.testing.assert_array_equal(got[b].view(np.int64), want.view(np.int64),
+                                      err_msg=f"row {b}, basis_dim {basis_dim}")
+
+
+def assert_kalman_matches_reference(stack: np.ndarray) -> None:
+    rows = []
+    for row in stack:
+        try:
+            rows.append(reference_kalman(row.copy()))
+        except DegenerateLikelihood:
+            with pytest.raises(DegenerateLikelihood):
+                fit_kalman_local_level(stack)
+            return
+    smoothed, q, r = fit_kalman_local_level(stack)
+    for b, (want, want_q, want_r) in enumerate(rows):
+        np.testing.assert_array_equal(smoothed[b].view(np.int64), want.view(np.int64),
+                                      err_msg=f"row {b}")
+        assert (q[b], r[b]) == (want_q, want_r)
+
+
+@st.composite
+def deletion_stacks(draw):
+    """A deletion stack, with a few extra rows, at a scale from 1e-3 to 1e17."""
+    n = draw(st.integers(5, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 17))
+    y = scale * (np.cumsum(gen.normal(size=n)) + gen.standard_t(3, size=n))
+    rows = [deletion_stack(y)]
+    if draw(st.booleans()):
+        rows.append(np.full((1, n), y[0]))
+    if draw(st.booleans()):
+        rows.append(gen.permutation(y)[None, :])
+    return np.concatenate(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deletion_stacks(), st.floats(0.0, 1.0))
+def test_gam_matches_reference_scan(stack, fraction):
+    n = stack.shape[1]
+    basis_dim = 4 + int(round(fraction * (min(40, n) - 4)))
+    assert_gam_matches_reference(stack, basis_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deletion_stacks())
+def test_kalman_matches_reference_fit(stack):
+    assert_kalman_matches_reference(stack)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_inputs_match_reference(name):
+    y = DEGENERATE[name]
+    stack = deletion_stack(y)
+    for basis_dim in (4, 10, len(y)):
+        assert_gam_matches_reference(stack, basis_dim)
+    assert_kalman_matches_reference(stack)
+
+
+def test_gam_without_cholesky_matches_reference(monkeypatch, rng):
+    # the direct-solve scorer stands in when the Gram matrix has no Cholesky factor
+    monkeypatch.setattr(gam, "_gcv_factorization", lambda n, basis_dim: None)
+    y = np.cumsum(rng.normal(size=14)) + 3.0
+    assert_gam_matches_reference(deletion_stack(y), 6)
+
+
+def test_kalman_variances_are_per_row(rng):
+    y = np.cumsum(rng.normal(size=20))
+    smoothed, q, r = fit_kalman_local_level(np.stack([y, 1e3 * y, np.full(20, 2.0)]))
+    assert smoothed.shape == (3, 20) and q.shape == r.shape == (3,)
+    assert math.isclose(q[1] / q[0], 1e6, rel_tol=1e-9)
+    assert q[2] == r[2] == 1e-30
