@@ -1,4 +1,9 @@
-"""smoothbench: benchmark smoothing methods for wastewater surveillance series."""
+"""smoothbench: benchmark smoothing methods for wastewater surveillance series.
+
+Importing the package loads numpy, the series types and the smoother catalog.
+The evaluation, calibration and pipeline layers load on first attribute
+access, and scipy on the first call of a method that uses it (spl, gam, adp).
+"""
 
 __version__ = "0.1.0"
 

@@ -13,6 +13,7 @@ config, objective) the full trace is reproducible.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -104,13 +105,13 @@ class RouletteWheel:
     """Selection weights of one population, built once and drawn from many times.
 
     Each individual's weight is (worst finite - fitness + eps); infinite
-    fitness weighs nothing, and a population without positive total weight
-    is drawn from uniformly.
+    fitness weighs nothing, and a population without a positive, finite total
+    weight is drawn from uniformly.
     """
 
     def __init__(self, population: Sequence[Individual]):
         self.population = population
-        self.cumulative: "np.ndarray | None" = None
+        self.cumulative: "list[float] | None" = None
         self.total = 0.0
         fitnesses = [ind.fitness for ind in population]
         finite = [f for f in fitnesses if math.isfinite(f)]
@@ -127,14 +128,15 @@ class RouletteWheel:
                 clamped = min_f - 1.0 if f == -math.inf else f
                 weights[i] = max_f - clamped + eps
         self.total = float(weights.sum())
-        if self.total > 0.0:
-            self.cumulative = np.cumsum(weights)
+        if 0.0 < self.total < math.inf:
+            self.cumulative = np.cumsum(weights).tolist()
 
     def pick(self, rng: np.random.Generator) -> Individual:
         if self.cumulative is None:
             return self.population[int(rng.integers(len(self.population)))]
-        pick = rng.uniform(0.0, self.total)
-        idx = int(np.searchsorted(self.cumulative, pick, side="right"))
+        # the same double as rng.uniform(0.0, total), from the same single draw
+        pick = rng.random() * self.total
+        idx = bisect.bisect_right(self.cumulative, pick)
         return self.population[min(idx, len(self.population) - 1)]
 
 

@@ -22,8 +22,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import solve_triangular
 
 GCV_LOG10_RANGE = (-4.0, 4.0)
 
@@ -31,6 +29,9 @@ GCV_LOG10_RANGE = (-4.0, 4.0)
 @lru_cache(maxsize=64)
 def _gam_operators(n: int, basis_dim: int):
     """Design matrix, its Gram matrix and the coefficient penalty (cached)."""
+    # scipy loads on first use: a run without spl, gam or adp never imports it
+    from scipy.interpolate import BSpline
+
     x = np.arange(n, dtype=float)
     if basis_dim == 4:
         interior = np.empty(0)
@@ -45,6 +46,9 @@ def _gam_operators(n: int, basis_dim: int):
 @lru_cache(maxsize=64)
 def _gcv_factorization(n: int, basis_dim: int):
     """Cholesky of the Gram matrix and eigensystem of L^-1 P L^-T (or None)."""
+    # scipy loads on first use: a run without spl, gam or adp never imports it
+    from scipy.linalg import solve_triangular
+
     _, gram, penalty = _gam_operators(n, basis_dim)
     try:
         chol = np.linalg.cholesky(gram)
@@ -76,6 +80,9 @@ def _gcv_log10_penalties(scores: Callable[[np.ndarray], np.ndarray], rows: int) 
 
 def _eigen_scores(rows, rhs, fact, n):
     """GCV scorer over the eigenbasis: shrinkage 1 / (1 + lam * eigval) per component."""
+    # scipy loads on first use: a run without spl, gam or adp never imports it
+    from scipy.linalg import solve_triangular
+
     chol, eigvals, eigvecs = fact
     d = np.array([eigvecs.T @ solve_triangular(chol, b, lower=True) for b in rhs])
     d2 = (d * d)[:, None, :, None]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import f as f_dist
 
 from .windows import batched_local_polyfit, local_design, polyfit_window
 
@@ -36,7 +35,11 @@ def _sg_center_coefficients(window: int, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _f_critical(num_dof: int, dof2: int) -> float:
-    return float(f_dist.ppf(1.0 - F_TEST_ALPHA, num_dof, dof2))
+    """Upper F_TEST_ALPHA quantile of the F(num_dof, dof2) distribution."""
+    # scipy loads on first use: a run without spl, gam or adp never imports it
+    from scipy.special import fdtri
+
+    return float(fdtri(num_dof, dof2, 1.0 - F_TEST_ALPHA))
 
 
 def savitzky_golay(y: np.ndarray, window: int, degree: int) -> np.ndarray:

@@ -9,7 +9,6 @@ positive definite, solved with a banded Cholesky; the fitted values are
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 
 def _banded_system(n: int, lam: float) -> np.ndarray:
@@ -33,6 +32,9 @@ def _apply_q(gamma: np.ndarray) -> np.ndarray:
 
 def smoothing_spline(y: np.ndarray, log10_penalty: float) -> np.ndarray:
     """Fitted values; ``y`` is one series (T,) or a stack (B, T) of series."""
+    # scipy loads on first use: a run without spl, gam or adp never imports it
+    from scipy.linalg import solveh_banded
+
     n = y.shape[-1]
     lam = 10.0**log10_penalty
     # second differences of y (Q'y for unit spacing)

@@ -90,6 +90,38 @@ class TestRouletteSelect:
         seen = {pop.index(RouletteWheel(pop).pick(gen)) for _ in range(100)}
         assert seen == {0, 1, 2}
 
+    def test_overflowing_total_falls_back_to_uniform(self):
+        pop = [Individual((float(i),), fitness=f) for i, f in enumerate((-1e308, 0.0, 1e308))]
+        wheel = RouletteWheel(pop)
+        assert wheel.total == math.inf and wheel.cumulative is None
+        gen = np.random.default_rng(5)
+        assert {pop.index(wheel.pick(gen)) for _ in range(100)} == {0, 1, 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fits=st.lists(
+            st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.inf, -math.inf, 0.0, 2.5])),
+            min_size=1, max_size=30,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_picks_like_uniform_and_searchsorted(self, fits, seed):
+        """Same picks, in order, and same rng state as rng.uniform located by searchsorted."""
+
+        def reference_pick(wheel, rng):
+            if wheel.cumulative is None:
+                return wheel.population[int(rng.integers(len(wheel.population)))]
+            pick = rng.uniform(0.0, wheel.total)
+            idx = int(np.searchsorted(np.asarray(wheel.cumulative), pick, side="right"))
+            return wheel.population[min(idx, len(wheel.population) - 1)]
+
+        pop = [Individual((float(i),), fitness=f) for i, f in enumerate(fits)]
+        wheel = RouletteWheel(pop)
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert wheel.pick(new) is reference_pick(wheel, old)
+        assert new.random() == old.random()
+
 
 class TestCrossover:
     def test_identical_parents_fixed_point(self):

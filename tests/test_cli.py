@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import smoothbench
 import smoothbench.cli as cli
 import smoothbench.pipeline as pipeline
 from smoothbench.cli import main
@@ -14,7 +18,7 @@ from smoothbench.csvio import (
     write_surveillance_csv,
 )
 from smoothbench.errors import ParseError, SchemaError
-from smoothbench.smoothers import MethodId
+from smoothbench.smoothers import MethodId, apply_to_values, default_spec, make_spec
 from smoothbench.synthetic import bundled_records
 
 
@@ -458,3 +462,47 @@ class TestHelp:
                      "pol", "sgf", "ari", "adp", "gam"):
             assert code in text
         assert "window" in text and "degree" in text and "[3,21]" in text
+
+
+
+GUARD_SERIES = np.sin(np.arange(40) / 5.0) + 0.1 * np.cos(np.arange(40) * 1.7) + 2.0
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter, with ``y`` set to GUARD_SERIES; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbench.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    prelude = "import sys\nimport numpy as np\ny = np.frombuffer(bytes.fromhex(sys.argv[1]))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + code, GUARD_SERIES.tobytes().hex()],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestScipyLoadsOnFirstUse:
+    def test_no_scipy_without_spl_gam_adp(self):
+        loaded = run_fresh(
+            "import smoothbench, smoothbench.cli\n"
+            "from smoothbench.smoothers import MethodId, apply_to_values, default_spec\n"
+            "for code in 'tuk kal fft ker sma rrm sup pol sgf ari'.split():\n"
+            "    apply_to_values(default_spec(MethodId(code)), y)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert loaded == "[]"
+
+    @pytest.mark.parametrize("spec", [
+        default_spec(MethodId.SPL),
+        default_spec(MethodId.ADP),
+        default_spec(MethodId.GAM),
+        make_spec(MethodId.GAM, {"basis_dim": 10, "log10_penalty": 0.0, "family": 0,
+                                 "auto_penalty": 1}),
+    ], ids=lambda spec: f"{spec.method.value}{spec.params}")
+    def test_scipy_method_called_first(self, spec):
+        smoothed = run_fresh(
+            "from smoothbench.smoothers import MethodId, SmootherSpec, apply_to_values\n"
+            f"spec = SmootherSpec(MethodId({spec.method.value!r}), {spec.params!r})\n"
+            "print(apply_to_values(spec, y).tobytes().hex())\n"
+        )
+        assert smoothed == apply_to_values(spec, GUARD_SERIES).tobytes().hex()

@@ -392,3 +392,13 @@ class TestAdaptiveDegree:
         y = rng.normal(size=41)
         out = apply_to_values(SmootherSpec(MethodId.ADP, (11, 0, 5)), y)
         assert np.var(out) < np.var(y)
+
+    def test_f_critical_is_the_scipy_stats_quantile(self):
+        from scipy.stats import f as f_dist
+
+        from smoothbench.smoothers.savgol import F_TEST_ALPHA, _f_critical
+
+        for jump in (1, 2):
+            for dof2 in range(1, 401):
+                expected = float(f_dist.ppf(1.0 - F_TEST_ALPHA, jump, dof2))
+                assert _f_critical(jump, dof2) == expected, (jump, dof2)
