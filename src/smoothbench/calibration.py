@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,7 +92,11 @@ def repair_genome(
     method: MethodId, bounds: Sequence[ParamSpec], raw: Sequence[float]
 ) -> tuple[float, ...]:
     """Per-gene clamp/round/parity snap plus cross-parameter constraints."""
-    genes = [b.repair(x) for b, x in zip(bounds, raw)]
+    return _constrain(method, [b.repair(x) for b, x in zip(bounds, raw)])
+
+
+def _constrain(method: MethodId, genes: list[float]) -> tuple[float, ...]:
+    """The cross-parameter constraints of :func:`repair_genome`, on repaired genes."""
     if method is MethodId.SGF:
         genes[1] = min(genes[1], genes[0] - 1)
     elif method is MethodId.ADP:
@@ -176,10 +179,16 @@ def _mutate(
     rate: float,
     rng: np.random.Generator,
 ) -> list[float]:
+    """Redraw each gene with probability ``rate``, and repair the redrawn ones.
+
+    The other genes come from repaired parents, and ``ParamSpec.repair``
+    leaves a repaired gene as it is, so only the cross-parameter constraints
+    remain to be applied.
+    """
     out = list(genome)
     for i, b in enumerate(bounds):
         if rng.random() < rate:
-            out[i] = rng.uniform(b.lo, b.hi)
+            out[i] = b.repair(rng.uniform(b.lo, b.hi))
     return out
 
 
@@ -252,9 +261,12 @@ def calibrate(
     elif objective not in OBJECTIVES:
         raise InputError(f"objective must be one of {OBJECTIVES} or callable")
     else:
+        # aic and mae read only the LOOCV diagonal, so the cache holds just
+        # that number; combined z-scores all three indices
+        read = None if objective == "combined" else objective
 
-        def evaluate(genome: tuple[float, ...]) -> PerformanceIndex:
-            return evaluate_method(SmootherSpec(method, genome), series)
+        def evaluate(genome: tuple[float, ...]) -> "PerformanceIndex | float":
+            return evaluate_method(SmootherSpec(method, genome), series, objective=read)
 
         def smoother_key(genome: tuple[float, ...]) -> tuple[float, ...]:
             return _quantize(effective_params(SmootherSpec(method, genome)))
@@ -266,12 +278,10 @@ def calibrate(
         for _ in range(config.population_size)
     ]
 
-    if callable(objective):
-        fitness_of = float
-    elif objective == "combined":
+    if objective == "combined":
         fitness_of = _combined_fitness(method, [cache(ind.genome) for ind in population])
     else:
-        fitness_of = attrgetter(objective)
+        fitness_of = float
 
     def evaluate_population(pop: list[Individual]) -> None:
         failures = 0
@@ -311,7 +321,7 @@ def calibrate(
                 if len(children) >= child_count:
                     break
                 mutated = _mutate(genome, bounds, MUTATION_RATE, rng)
-                children.append(Individual(repair_genome(method, bounds, mutated)))
+                children.append(Individual(_constrain(method, mutated)))
         evaluate_population(children)
         population = [Individual(e.genome, e.fitness, e.failed) for e in elite] + children
         gen_best = min(population, key=lambda ind: ind.fitness)

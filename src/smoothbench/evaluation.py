@@ -3,43 +3,72 @@
 For a series of length T the LOOCV matrix holds one smoothed series per
 column: column t is computed from the input with entry t deleted and refilled
 by linear interpolation, so it never sees the true x_t.  Three indices are
-read off the matrix: the mean absolute error of the diagonal against the
-source, the summed per-time sample variance across columns, and an
-information criterion on the diagonal residuals penalized by the method's
-nominal parameter count (the penalty enters with a minus sign; a switch
-restores the textbook plus sign).
+read off it: the mean absolute error of the diagonal against the source, the
+summed per-time sample variance across columns, and an information criterion
+on the diagonal residuals penalized by the method's nominal parameter count
+(the penalty enters with a minus sign; a switch restores the textbook plus
+sign).
+
+The diagonal comes first.  MAE and AIC read only the diagonal, and a linear
+method or ADP computes it without the full matrix, so a GA that scores
+genomes by AIC or MAE never builds a T x T matrix.  The full matrix is built
+when the VAR index or the confidence band first reads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InsufficientData
-from .smoothers import SmootherSpec, apply_to_values, linear_operator
+from .smoothers import SmootherSpec, apply_to_values, deletion_diagonal, linear_operator
 from .timeseries import TimeSeries, percentile
 
 ZERO_RESIDUAL_SSE = 1e-300
 
 
-@dataclass(frozen=True)
 class LoocvMatrix:
-    """T x T matrix of single-deletion smooths plus the source series."""
+    """T x T matrix of single-deletion smooths, its diagonal and the source series.
 
-    matrix: np.ndarray
-    source: TimeSeries
+    ``diagonal`` is held from the start.  A matrix made by :meth:`deferred`
+    is built the first time ``matrix`` is read and then kept; its builder is
+    dropped, with whatever operator or deletion inputs the builder held.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        t = len(self.source)
+    def __init__(self, matrix, source: TimeSeries):
+        m = np.asarray(matrix, dtype=float)
+        t = len(source)
         if m.shape != (t, t):
             raise ValueError(f"matrix shape {m.shape} does not match series length {t}")
+        self.source = source
+        self.diagonal = np.diag(m)
+        self._matrix = m
+        self._build: "Callable[[], np.ndarray] | None" = None
+
+    @classmethod
+    def deferred(
+        cls, source: TimeSeries, diagonal: np.ndarray, build: Callable[[], np.ndarray]
+    ) -> "LoocvMatrix":
+        """The matrix that ``build()`` returns, whose diagonal is ``diagonal``."""
+        loocv = cls.__new__(cls)
+        loocv.source = source
+        loocv.diagonal = diagonal
+        loocv._matrix = None
+        loocv._build = build
+        return loocv
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._build is not None:
+            self._matrix = self._build()
+            self._build = None
+        return self._matrix
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.diagonal)
 
 
 @dataclass(frozen=True)
@@ -54,15 +83,19 @@ class PerformanceIndex:
     zero_residual: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.mae) and self.mae >= 0):
-            raise ValueError(f"MAE must be finite and nonnegative, got {self.mae}")
+        _check_diagonal_indices(self.mae, self.aic)
         if not (math.isfinite(self.var) and self.var >= 0):
             raise ValueError(f"VAR must be finite and nonnegative, got {self.var}")
-        if math.isnan(self.aic):
-            raise ValueError("AIC is NaN")
 
     def features(self) -> tuple[float, float, float]:
         return (self.var, self.mae, self.aic)
+
+
+def _check_diagonal_indices(mae_value: float, aic_value: float) -> None:
+    if not (math.isfinite(mae_value) and mae_value >= 0):
+        raise ValueError(f"MAE must be finite and nonnegative, got {mae_value}")
+    if math.isnan(aic_value):
+        raise ValueError("AIC is NaN")
 
 
 def deletion_imputations(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -87,7 +120,8 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
     deletion imputation.  For the linear catalog methods that is computed as
     a rank-one update of one matrix application (same map, fewer passes); the
     data-adaptive methods smooth the stack of all T deletion series in one
-    call.
+    call.  The diagonal is computed now; where it has a cheaper form than the
+    full matrix (the linear methods, ADP), the matrix waits until it is read.
     """
     if not series.is_gap_free():
         raise InsufficientData("LOOCV input must be gap-free; impute first")
@@ -97,20 +131,32 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
     imp = deletion_imputations(y, series.day_index())
     if operator is not None:
         # the direct algorithm gives the base application (bit-faithful for
-        # e.g. constants); the operator supplies the per-deletion correction
+        # e.g. constants); the operator supplies the per-deletion correction,
+        # elementwise as in the matrix
         base = apply_to_values(spec, y)
-        matrix = base[:, None] + operator * (imp - y)[None, :]
-    else:
-        deleted = np.tile(y, (n, 1))  # row i: the series with x_i deleted
-        np.fill_diagonal(deleted, imp)
-        # the copy keeps the matrix C-contiguous: var_index sums its rows in
-        # memory order, and a transposed view would change the last digits
-        matrix = np.ascontiguousarray(apply_to_values(spec, deleted).T)
-    return LoocvMatrix(matrix, series)
+        step = imp - y
+        return LoocvMatrix.deferred(
+            series,
+            base + np.diagonal(operator) * step,
+            lambda: base[:, None] + operator * step[None, :],
+        )
+    diagonal = deletion_diagonal(spec, y, imp)
+    if diagonal is not None:
+        return LoocvMatrix.deferred(series, diagonal, lambda: _deletion_smooths(spec, y, imp))
+    return LoocvMatrix(_deletion_smooths(spec, y, imp), series)
+
+
+def _deletion_smooths(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> np.ndarray:
+    """Column i: the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``."""
+    deleted = np.tile(y, (len(y), 1))  # row i: the series with x_i deleted
+    np.fill_diagonal(deleted, imp)
+    # the copy keeps the matrix C-contiguous: var_index sums its rows in
+    # memory order, and a transposed view would change the last digits
+    return np.ascontiguousarray(apply_to_values(spec, deleted).T)
 
 
 def mae(loocv: LoocvMatrix) -> float:
-    resid = np.diag(loocv.matrix) - loocv.source.values()
+    resid = loocv.diagonal - loocv.source.values()
     return float(np.mean(np.abs(resid)))
 
 
@@ -121,7 +167,7 @@ def var_index(loocv: LoocvMatrix) -> float:
 def aic(loocv: LoocvMatrix, k: int, standard_sign: bool = False) -> float:
     """T*ln(SSE/T) with the 2k penalty subtracted (added when standard_sign)."""
     n = loocv.size
-    resid = np.diag(loocv.matrix) - loocv.source.values()
+    resid = loocv.diagonal - loocv.source.values()
     sse = float(resid @ resid)
     penalty = 2.0 * k
     if sse < ZERO_RESIDUAL_SSE:
@@ -159,7 +205,20 @@ def performance_index(
 
 
 def evaluate_method(
-    spec: SmootherSpec, series: TimeSeries, standard_aic_sign: bool = False
-) -> PerformanceIndex:
-    """LOOCV build plus all three indices."""
-    return performance_index(spec, build_loocv_matrix(spec, series), standard_aic_sign)
+    spec: SmootherSpec,
+    series: TimeSeries,
+    standard_aic_sign: bool = False,
+    objective: "str | None" = None,
+) -> "PerformanceIndex | float":
+    """LOOCV build plus all three indices, or only the one ``objective`` names.
+
+    ``objective`` "aic" or "mae" returns that index alone, read off the
+    diagonal and checked as PerformanceIndex checks it; the full matrix is
+    then never built, and VAR is neither computed nor checked.
+    """
+    loocv = build_loocv_matrix(spec, series)
+    if objective is None:
+        return performance_index(spec, loocv, standard_aic_sign)
+    values = {"mae": mae(loocv), "aic": aic(loocv, spec.k, standard_sign=standard_aic_sign)}
+    _check_diagonal_indices(values["mae"], values["aic"])
+    return values[objective]

@@ -29,7 +29,12 @@ from .gam import gam_matrix_operator, gam_smoother
 from .kalman import fit_kalman_local_level
 from .kernel import kernel_operator, kernel_regression
 from .localpoly import local_quadratic, local_quadratic_operator
-from .savgol import adaptive_degree_filter, savgol_operator, savitzky_golay
+from .savgol import (
+    adaptive_degree_diagonal,
+    adaptive_degree_filter,
+    savgol_operator,
+    savitzky_golay,
+)
 from .spline import smoothing_spline
 from .supsmu import super_smoother
 
@@ -45,6 +50,7 @@ __all__ = [
     "apply_smoother",
     "apply_to_values",
     "default_spec",
+    "deletion_diagonal",
     "effective_params",
     "linear_operator",
     "make_spec",
@@ -54,11 +60,14 @@ __all__ = [
 
 
 class _Row(NamedTuple):
-    """How one method is run: ``smoother(y, *params)``, ``operator(n, *params)``."""
+    """How one method is run: ``smoother(y, *params)``, ``operator(n, *params)``
+    and ``diagonal(y, imp, *params)``."""
 
     smoother: Callable[..., np.ndarray]
     stacked: bool  # the smoother takes a (B, T) stack in one call
     operator: "Callable[..., np.ndarray | None] | None" = None  # None: nonlinear
+    # a nonlinear method whose LOOCV diagonal is cheaper than its T deletion smooths
+    diagonal: "Callable[..., np.ndarray] | None" = None
 
 
 def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
@@ -83,7 +92,7 @@ _METHODS: dict[MethodId, _Row] = {
     MethodId.POL: _Row(local_quadratic, False, local_quadratic_operator),
     MethodId.SGF: _Row(savitzky_golay, False, savgol_operator),
     MethodId.ARI: _Row(ar_smoother, False),
-    MethodId.ADP: _Row(adaptive_degree_filter, True),
+    MethodId.ADP: _Row(adaptive_degree_filter, True, diagonal=adaptive_degree_diagonal),
     MethodId.GAM: _Row(gam_smoother, True, gam_matrix_operator),
 }
 
@@ -127,6 +136,17 @@ def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
     params = _checked_params(spec, n)
     build = _METHODS[spec.method].operator
     return None if build is None else build(n, *params)
+
+
+def deletion_diagonal(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> "np.ndarray | None":
+    """Entry i of the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``, for every i.
+
+    This is the diagonal of the LOOCV matrix, bit for bit, computed without
+    the T deletion smooths.  Returns None for a method without such a form.
+    """
+    params = _checked_params(spec, len(y))
+    build = _METHODS[spec.method].diagonal
+    return None if build is None else build(y, imp, *params)
 
 
 def apply_smoother(spec: SmootherSpec, series: TimeSeries) -> TimeSeries:

@@ -29,7 +29,8 @@ def _geometry(n: int, span: float):
 
 def local_quadratic(y: np.ndarray, span: float) -> np.ndarray:
     k, starts, weights = _geometry(len(y), span)
-    return batched_local_polyfit(y, local_design(starts, k, 2, weights=weights))
+    local = local_design(starts, k, 2, weights=weights)
+    return batched_local_polyfit(y[local.cols], local)
 
 
 def local_quadratic_operator(n: int, span: float) -> np.ndarray:

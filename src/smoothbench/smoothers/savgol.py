@@ -10,7 +10,8 @@ max_degree] by a forward F-test on the residual drop of successive degrees.
 When the one-step test fails it probes two degrees ahead before stopping:
 on symmetric windows the even and odd polynomial terms decouple, so a
 single-step test alone would miss e.g. the quadratic term at a local
-extremum.
+extremum.  Its LOOCV diagonal takes one window fit per point, since deleting
+a sample moves the filter only on the windows that contain it.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .windows import batched_local_polyfit, local_design, polyfit_window
+from .windows import LocalDesign, batched_local_polyfit, local_design, polyfit_window
 
 F_TEST_ALPHA = 0.05
 _SSE_TINY = 1e-280
@@ -128,6 +129,40 @@ def _choose_degrees(sses: np.ndarray, min_degree: int, window: int) -> np.ndarra
     return chosen
 
 
+def _interior_designs(
+    interior: np.ndarray, window: int, min_degree: int, max_degree: int
+) -> list[LocalDesign]:
+    """Designs of the full windows centred on ``interior``, one per degree."""
+    half = window // 2
+    return [
+        local_design(interior - half, window, d, centers=interior)
+        for d in range(min_degree, max_degree + 1)
+    ]
+
+
+def _degree_fits(yw: np.ndarray, designs: list[LocalDesign]) -> tuple[np.ndarray, np.ndarray]:
+    """(ndeg, m) fitted values and residual SSEs of the windows ``yw`` at every degree."""
+    pairs = [batched_local_polyfit(yw, local, want_sse=True) for local in designs]
+    return np.array([fit for fit, _ in pairs]), np.array([sse for _, sse in pairs])
+
+
+def _adaptive_values(
+    fits: np.ndarray, sses: np.ndarray, min_degree: int, window: int
+) -> np.ndarray:
+    """Each window's value at the degree the forward F-test chooses; axis 0 is the degree."""
+    ndeg = len(fits)
+    chosen = _choose_degrees(sses.reshape(ndeg, -1), min_degree, window)
+    picked = np.take_along_axis(fits.reshape(ndeg, -1), chosen[None, :], axis=0)
+    return picked.reshape(fits.shape[1:])
+
+
+def _boundary_windows(n: int, half: int):
+    """(point, window start, window stop) of every truncated boundary window."""
+    for i in range(min(half, n)):
+        for j in (i, n - 1 - i):
+            yield j, max(0, j - half), min(n, j + half + 1)
+
+
 def adaptive_degree_filter(
     y: np.ndarray, window: int, min_degree: int, max_degree: int
 ) -> np.ndarray:
@@ -146,35 +181,54 @@ def adaptive_degree_filter(
 
     interior = np.arange(half, n - half)
     if interior.size:
-        ndeg = max_degree - min_degree + 1
+        designs = _interior_designs(interior, window, min_degree, max_degree)
+        ndeg = len(designs)
         fits = np.empty((ndeg, count, interior.size))
         sses = np.empty((ndeg, count, interior.size))
-        starts = interior - half
-        designs = [
-            local_design(starts, window, min_degree + di, centers=interior)
-            for di in range(ndeg)
-        ]
         for b, row in enumerate(rows):
-            for di, local in enumerate(designs):
-                fits[di, b], sses[di, b] = batched_local_polyfit(row, local, want_sse=True)
-        chosen = _choose_degrees(sses.reshape(ndeg, -1), min_degree, window)
-        picked = np.take_along_axis(fits.reshape(ndeg, -1), chosen[None, :], axis=0)
-        out[:, interior] = picked.reshape(count, interior.size)
+            fits[:, b], sses[:, b] = _degree_fits(row[designs[0].cols], designs)
+        out[:, interior] = _adaptive_values(fits, sses, min_degree, window)
 
-    for i in range(min(half, n)):
-        for j in (i, n - 1 - i):
-            lo, hi = max(0, j - half), min(n, j + half + 1)
-            offsets = np.arange(lo, hi) - j
-            by_content: dict[bytes, float] = {}
-            for b in range(count):
-                y_win = rows[b, lo:hi]
-                key = y_win.tobytes()
-                if key not in by_content:
-                    by_content[key] = _adaptive_window_value(
-                        y_win, offsets, min_degree, max_degree
-                    )
-                out[b, j] = by_content[key]
+    for j, lo, hi in _boundary_windows(n, half):
+        offsets = np.arange(lo, hi) - j
+        by_content: dict[bytes, float] = {}
+        for b in range(count):
+            y_win = rows[b, lo:hi]
+            key = y_win.tobytes()
+            if key not in by_content:
+                by_content[key] = _adaptive_window_value(
+                    y_win, offsets, min_degree, max_degree
+                )
+            out[b, j] = by_content[key]
     return out.reshape(y.shape)
+
+
+def adaptive_degree_diagonal(
+    y: np.ndarray, imp: np.ndarray, window: int, min_degree: int, max_degree: int
+) -> np.ndarray:
+    """Point i of the filter of ``y`` with ``y[i]`` replaced by ``imp[i]``, for every i.
+
+    This is the diagonal of the LOOCV matrix.  Replacing y[i] moves the
+    filter only on the windows that contain i, so point i needs one window
+    fit, on its own deletion series, where the stacked filter of all T
+    deletion series fits T windows per point.  The values are bit for bit
+    the diagonal of that stacked filter: the full windows go through the same
+    batched fits, one (m, window) array of the same shape.
+    """
+    n = len(y)
+    half = window // 2
+    out = np.empty(n)
+    interior = np.arange(half, n - half)
+    if interior.size:
+        designs = _interior_designs(interior, window, min_degree, max_degree)
+        yw = y[designs[0].cols]  # row r: the window of deletion series interior[r]
+        yw[:, half] = imp[interior]
+        out[interior] = _adaptive_values(*_degree_fits(yw, designs), min_degree, window)
+    for j, lo, hi in _boundary_windows(n, half):
+        y_win = y[lo:hi].copy()
+        y_win[j - lo] = imp[j]
+        out[j] = _adaptive_window_value(y_win, np.arange(lo, hi) - j, min_degree, max_degree)
+    return out
 
 
 def _adaptive_window_value(

@@ -85,13 +85,13 @@ def local_design(
     return LocalDesign(cols, design, w, aw, normal)
 
 
-def batched_local_polyfit(y: np.ndarray, local: LocalDesign, want_sse: bool = False):
+def batched_local_polyfit(yw: np.ndarray, local: LocalDesign, want_sse: bool = False):
     """Fit the local polynomial in every window of ``local``, evaluated at its center.
 
-    Returns the (m,) fitted values, and with ``want_sse`` also each window's
-    weighted residual sum of squares.
+    ``yw`` holds the (m, k) values in the windows, ``y[local.cols]`` for a
+    series ``y``.  Returns the (m,) fitted values, and with ``want_sse`` also
+    each window's weighted residual sum of squares.
     """
-    yw = y[local.cols]
     rhs = np.einsum("nkp,nk->np", local.weighted, yw)
     coef = np.linalg.solve(local.normal, rhs[:, :, None])[:, :, 0]
     fitted = coef[:, 0]  # polynomial evaluated at offset 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothbench.calibration as cal
+import smoothbench.evaluation as ev
 from smoothbench.calibration import (
     CalibrationResult,
     GaConfig,
@@ -17,9 +18,10 @@ from smoothbench.calibration import (
     two_point_crossover,
 )
 from smoothbench.errors import EvaluationFailure, InvalidParams, NonParametricMethod
-from smoothbench.evaluation import evaluate_method
+from smoothbench.evaluation import ZERO_RESIDUAL_SSE, build_loocv_matrix, evaluate_method
 from smoothbench.smoothers import (
     PARAM_SPECS,
+    PARAMETRIC_METHODS,
     MethodId,
     SmootherSpec,
     apply_to_values,
@@ -186,6 +188,51 @@ class TestRepair:
         assert gam[0].hi == 20
         ari = search_bounds(MethodId.ARI, 9)
         assert ari[0].hi == 3
+
+
+class _ScriptedRng:
+    """Stands in for the generator in ``_mutate``: one scripted draw per gene.
+
+    A draw of None keeps the gene; a fraction f redraws it as lo + f * (hi - lo).
+    """
+
+    def __init__(self, draws):
+        self._draws = list(draws)
+        self._current = None
+
+    def random(self):
+        self._current = self._draws.pop(0)
+        return 1.0 if self._current is None else 0.0
+
+    def uniform(self, lo, hi):
+        return lo + self._current * (hi - lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    method=st.sampled_from(PARAMETRIC_METHODS),
+    n=st.integers(5, 60),
+    parents=st.lists(
+        st.lists(st.floats(-0.5, 1.5), min_size=4, max_size=4), min_size=2, max_size=2
+    ),
+    take_b=st.lists(st.booleans(), min_size=4, max_size=4),
+    draws=st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)), min_size=4, max_size=4),
+)
+def test_mutation_repairs_like_full_repair(method, n, parents, take_b, draws):
+    """Repairing only the redrawn genes, then constraining, is the full repair_genome."""
+    bounds = search_bounds(method, n)
+    a, b = (
+        repair_genome(method, bounds, [g.lo + f * (g.hi - g.lo) for g, f in zip(bounds, p)])
+        for p in parents
+    )
+    child = [gb if pick else ga for ga, gb, pick in zip(a, b, take_b)]
+    draws = draws[: len(bounds)]
+    raw = [
+        gene if f is None else g.lo + f * (g.hi - g.lo)
+        for g, f, gene in zip(bounds, draws, child)
+    ]
+    got = cal._constrain(method, cal._mutate(child, bounds, 0.5, _ScriptedRng(draws)))
+    assert got == repair_genome(method, bounds, raw)
 
 
 class TestCalibrate:
@@ -372,3 +419,93 @@ def test_effective_params_smooth_identically(method, fractions, seed):
     np.testing.assert_array_equal(
         apply_to_values(same, y).view(np.int64), apply_to_values(spec, y).view(np.int64)
     )
+
+
+def _diagonal_from_full_matrix(method: MethodId, series: TimeSeries, objective: str):
+    """Callable objective: AIC or MAE read off np.diag of the full LOOCV matrix."""
+    y = series.values()
+    n = len(y)
+
+    def score(genome):
+        spec = SmootherSpec(method, genome)
+        resid = np.diag(build_loocv_matrix(spec, series).matrix) - y
+        if objective == "mae":
+            return float(np.mean(np.abs(resid)))
+        sse = float(resid @ resid)
+        if sse < ZERO_RESIDUAL_SSE:
+            return -math.inf
+        return n * math.log(sse / n) - 2.0 * spec.k
+
+    return score
+
+
+class TestDiagonalObjectives:
+    """aic and mae are scored from the LOOCV diagonal, without the full matrix."""
+
+    @pytest.fixture
+    def series(self):
+        return random_series(np.random.default_rng(31), 24)
+
+    @pytest.mark.parametrize("objective", ["aic", "mae"])
+    @pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
+    def test_matches_full_matrix_objective(self, method, objective, series):
+        config = small_config(population_size=10, iterations=4)
+        full = _diagonal_from_full_matrix(method, series, objective)
+        brute = calibrate(method, series, config, full)
+        fast = calibrate(method, series, config, objective)
+        assert fast.spec == brute.spec
+        assert fast.fitness == brute.fitness
+        assert fast.history == brute.history
+        assert fast.evaluations == brute.evaluations
+
+    @pytest.mark.parametrize("method", [MethodId.ADP, MethodId.SGF], ids=lambda m: m.value)
+    def test_ga_builds_no_full_matrix(self, method, series, monkeypatch):
+        built = []
+        real = ev.build_loocv_matrix
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ev, "build_loocv_matrix", recording)
+        calibrate(method, series, small_config(iterations=4), "aic")
+        assert built
+        assert all(loocv._matrix is None for loocv in built)
+
+    def test_matrix_is_built_once(self, series, monkeypatch):
+        builds = []
+        real = ev._deletion_smooths
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ev, "_deletion_smooths", counting)
+        loocv = build_loocv_matrix(SmootherSpec(MethodId.ADP, (7.0, 0.0, 4.0)), series)
+        assert builds == []
+        first = loocv.matrix
+        assert loocv.matrix is first
+        assert len(builds) == 1
+
+    def test_search_skips_the_var_check(self, series, monkeypatch):
+        # non-finite entries off the diagonal make VAR inf: the full index
+        # raises, the diagonal objectives do not look at them
+        real = ev.build_loocv_matrix
+
+        def off_diagonal_inf(spec, s):
+            loocv = real(spec, s)
+            matrix = np.full((len(s), len(s)), np.inf)
+            np.fill_diagonal(matrix, loocv.diagonal)
+            return ev.LoocvMatrix(matrix, s)
+
+        monkeypatch.setattr(ev, "build_loocv_matrix", off_diagonal_inf)
+        spec = SmootherSpec(MethodId.SMA, (5.0,))
+        config = small_config(iterations=2)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="VAR"):
+                evaluate_method(spec, series)
+            with pytest.raises(ValueError, match="VAR"):
+                calibrate(MethodId.SMA, series, config, "combined")
+        for objective in ("aic", "mae"):
+            assert math.isfinite(evaluate_method(spec, series, objective=objective))
+            assert math.isfinite(calibrate(MethodId.SMA, series, config, objective).fitness)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import smoothbench.evaluation as ev
+from smoothbench.calibration import repair_genome, search_bounds
 from smoothbench.errors import SeriesTooShort
 from smoothbench.evaluation import (
     LoocvMatrix,
@@ -16,7 +17,13 @@ from smoothbench.evaluation import (
     mae,
     var_index,
 )
-from smoothbench.smoothers import MethodId, SmootherSpec, default_spec, linear_operator
+from smoothbench.smoothers import (
+    MethodId,
+    SmootherSpec,
+    apply_to_values,
+    default_spec,
+    linear_operator,
+)
 from smoothbench.timeseries import TimeSeries
 
 from conftest import random_series
@@ -94,6 +101,30 @@ class TestBuildMatrix:
             assert matrix.flags.c_contiguous, method.value
             operator = linear_operator(spec, len(noisy_sine))
             assert operator is None or operator.flags.c_contiguous, method.value
+
+    @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+    def test_deferred_matrix_matches_eager_build(self, method, rng):
+        # the eager build: the whole matrix at once, the diagonal read off it
+        series = random_series(rng, 33)
+        bounds = search_bounds(method, len(series))
+        for f in (0.0, 0.5, 1.0):
+            raw = [b.lo + f * (b.hi - b.lo) for b in bounds]
+            spec = SmootherSpec(method, repair_genome(method, bounds, raw))
+            y = series.values()
+            imp = deletion_imputations(y, series.day_index())
+            operator = linear_operator(spec, len(y))
+            if operator is not None:
+                eager = apply_to_values(spec, y)[:, None] + operator * (imp - y)[None, :]
+            else:
+                deleted = np.tile(y, (len(y), 1))
+                np.fill_diagonal(deleted, imp)
+                eager = np.ascontiguousarray(apply_to_values(spec, deleted).T)
+            loocv = build_loocv_matrix(spec, series)
+            diagonal = loocv.diagonal.copy()
+            matrix = loocv.matrix
+            assert matrix.flags.c_contiguous, spec
+            np.testing.assert_array_equal(matrix.view(np.int64), eager.view(np.int64))
+            np.testing.assert_array_equal(diagonal.view(np.int64), np.diag(eager).view(np.int64))
 
     def test_deletion_imputations_match_impute_linear(self, rng):
         from smoothbench.timeseries import impute_linear

@@ -8,8 +8,12 @@ int64 bit patterns, which also tells -0.0 from 0.0 and NaN payloads apart.
 GAM's GCV search and KAL's likelihood fit run the same stacked code for a
 stack and for one series, so they are also checked against reference copies
 of the earlier row-by-row scans, kept below as the slow path.
+
+ADP's LOOCV diagonal, one window fit per point, is checked against the
+diagonal of the stacked filter of all T deletion series.
 """
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from scipy.linalg import solve_triangular
 import smoothbench.smoothers.gam as gam
 from smoothbench.calibration import repair_genome, search_bounds
 from smoothbench.errors import DegenerateLikelihood, SmoothbenchError
-from smoothbench.evaluation import deletion_imputations
+from smoothbench.evaluation import build_loocv_matrix, deletion_imputations
 from smoothbench.smoothers import MethodId, SmootherSpec, apply_to_values
 from smoothbench.smoothers.kalman import VARIANCE_FLOOR_FACTOR, fit_kalman_local_level
 from smoothbench.timeseries import TimeSeries, impute_linear
@@ -350,3 +354,46 @@ def test_kalman_variances_are_per_row(rng):
     assert smoothed.shape == (3, 20) and q.shape == r.shape == (3,)
     assert math.isclose(q[1] / q[0], 1e6, rel_tol=1e-9)
     assert q[2] == r[2] == 1e-30
+
+
+# --- ADP's LOOCV diagonal against the stacked build ------------------------
+
+
+def assert_adp_diagonal_matches_stack(series: TimeSeries, fractions) -> None:
+    spec = spec_at(MethodId.ADP, len(series), fractions)
+    loocv = build_loocv_matrix(spec, series)
+    diagonal = loocv.diagonal.copy()  # computed before the matrix is built
+    np.testing.assert_array_equal(
+        diagonal.view(np.int64), np.diag(loocv.matrix).view(np.int64), err_msg=str(spec)
+    )
+
+
+@st.composite
+def adp_series(draw):
+    """A series of 5 to 80 points, at a scale from 1e-3 to 1e17, some with uneven spacing."""
+    n = draw(st.integers(5, 80))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 17))
+    y = scale * (np.cumsum(gen.normal(size=n)) + gen.standard_t(3, size=n))
+    if draw(st.booleans()):
+        return TimeSeries.from_values(y)
+    days = np.cumsum(gen.integers(1, 8, size=n))
+    return TimeSeries.from_pairs(
+        (date(2020, 1, 1) + timedelta(days=int(d)), float(v)) for d, v in zip(days, y)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(adp_series(), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_adp_diagonal_matches_stacked_build(series, fractions):
+    # the fractions place window, min_degree and max_degree in their search box
+    assert_adp_diagonal_matches_stack(series, fractions)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_adp_diagonal_on_degenerate_inputs(name):
+    series = TimeSeries.from_values(DEGENERATE[name])
+    for window in (0.0, 0.5, 1.0):
+        for low in (0.0, 1.0):
+            for high in (0.0, 0.5, 1.0):
+                assert_adp_diagonal_matches_stack(series, (window, low, high))
