@@ -20,17 +20,28 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationFailure, InputError, NonParametricMethod, SmoothbenchError
+from .errors import (
+    EvaluationFailure,
+    InputError,
+    NonParametricMethod,
+    SeriesTooShort,
+    SmoothbenchError,
+)
 from .evaluation import PerformanceIndex, evaluate_method
-from .smoothers import PARAM_SPECS, MethodId, ParamSpec, SmootherSpec, effective_params
+from .smoothers import (
+    PARAM_SPECS,
+    MethodId,
+    ParamSpec,
+    SmootherSpec,
+    effective_params,
+    required_length,
+)
 from .timeseries import TimeSeries
 
 OBJECTIVES = ("aic", "mae", "combined")
 MAX_FAILURE_FRACTION = 0.1
-# GA budgets as (population size, generations): the paper's full-fidelity
-# budget, and the reduced desk budget that the CLI and the pipeline default to
+# the paper's full-fidelity GA budget as (population size, generations)
 PAPER_BUDGET = (100, 1000)
-DESK_BUDGET = (30, 100)
 # the operator rates of the classic configuration, fixed for every run
 MUTATION_RATE = 0.1
 CROSSOVER_RATE = 0.8
@@ -39,16 +50,20 @@ ELITISM_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class GaConfig:
-    """GA budget, seed and stopping rule; the defaults are the full-fidelity budget."""
+    """GA budget, seed and stopping rule; the defaults are the reduced desk budget."""
 
-    population_size: int = PAPER_BUDGET[0]
-    iterations: int = PAPER_BUDGET[1]
+    population_size: int = 30
+    iterations: int = 100
     seed: int = 42
     patience: int | None = None
 
     def __post_init__(self):
         if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
+            raise InputError(f"population_size must be at least 2, got {self.population_size}")
+        if self.iterations < 0:
+            raise InputError(f"iterations must be nonnegative, got {self.iterations}")
+        if self.patience is not None and self.patience < 1:
+            raise InputError(f"patience must be at least 1, got {self.patience}")
 
     @property
     def elite_count(self) -> int:
@@ -253,6 +268,13 @@ def calibrate(
     bounds = search_bounds(method, len(series))
     if not bounds:
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
+    # no genome needs fewer points than the catalog's lowest corner
+    catalog = PARAM_SPECS[method]
+    need = required_length(
+        SmootherSpec(method, repair_genome(method, catalog, [b.lo for b in catalog]))
+    )
+    if need > len(series):
+        raise SeriesTooShort(f"{method.value} needs at least {need} points, got {len(series)}")
     rng = np.random.default_rng(config.seed)
 
     if callable(objective):

@@ -20,7 +20,7 @@ import sys
 import warnings
 
 from . import __version__
-from .calibration import DESK_BUDGET, OBJECTIVES, PAPER_BUDGET, GaConfig, calibrate
+from .calibration import OBJECTIVES, PAPER_BUDGET, GaConfig, calibrate
 from .csvio import (
     FLOW_UNIT_FACTORS,
     NH4_UNIT_FACTORS,
@@ -48,7 +48,6 @@ from .smoothers import (
 )
 from .timeseries import Sample, TimeSeries, build_series, impute_linear
 
-DEFAULT_SEED = 42
 _FIELD_MAP = {
     "virus": "c_virus",
     "nh4": "c_nh4",
@@ -117,14 +116,14 @@ def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
         type=_seed,
-        default=os.environ.get("SMOOTHBENCH_SEED", DEFAULT_SEED),
-        help=f"master random seed (default: $SMOOTHBENCH_SEED, else {DEFAULT_SEED})",
+        default=os.environ.get("SMOOTHBENCH_SEED", GaConfig.seed),
+        help=f"master random seed (default: $SMOOTHBENCH_SEED, else {GaConfig.seed})",
     )
     parser.add_argument(
-        "--ga-pop", type=int, help=f"GA population size (default {DESK_BUDGET[0]})"
+        "--ga-pop", type=int, help=f"GA population size (default {GaConfig.population_size})"
     )
     parser.add_argument(
-        "--ga-iters", type=int, help=f"GA generations (default {DESK_BUDGET[1]})"
+        "--ga-iters", type=int, help=f"GA generations (default {GaConfig.iterations})"
     )
     parser.add_argument("--objective", choices=OBJECTIVES, default=PipelineConfig.objective,
                         help="GA objective (default: %(default)s)")
@@ -346,23 +345,21 @@ def _input_series(args):
     return build_series(_load_records(args), _FIELD_MAP[args.field])
 
 
-def _ga_budget(args) -> tuple[int, int]:
-    """(population size, generations): the flags over the selected budget."""
-    pop, iters = PAPER_BUDGET if args.paper_fidelity else DESK_BUDGET
-    return (pop if args.ga_pop is None else args.ga_pop,
-            iters if args.ga_iters is None else args.ga_iters)
+def _ga_config(args) -> GaConfig:
+    """The GA flags; an unset budget flag takes the selected budget's value."""
+    pop, iters = PAPER_BUDGET if args.paper_fidelity else (
+        GaConfig.population_size, GaConfig.iterations)
+    return GaConfig(
+        population_size=pop if args.ga_pop is None else args.ga_pop,
+        iterations=iters if args.ga_iters is None else args.ga_iters,
+        seed=args.seed,
+        patience=args.patience,
+    )
 
 
 def _pipeline_config(args, **settings) -> PipelineConfig:
-    population, iterations = _ga_budget(args)
     return PipelineConfig(
-        master_seed=args.seed,
-        ga_population=population,
-        ga_iterations=iterations,
-        objective=args.objective,
-        patience=args.patience,
-        methods=args.methods,
-        **settings,
+        ga=_ga_config(args), objective=args.objective, methods=args.methods, **settings
     )
 
 
@@ -416,17 +413,8 @@ def cmd_calibrate(args) -> int:
     method = args.method
     if method not in PARAMETRIC_METHODS:
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
+    config = _ga_config(args)
     gap_free = impute_linear(_input_series(args))
-    population, iterations = _ga_budget(args)
-    try:
-        config = GaConfig(
-            population_size=population,
-            iterations=iterations,
-            seed=args.seed,
-            patience=args.patience,
-        )
-    except ValueError as exc:
-        raise InputError(f"invalid GA budget: {exc}") from exc
     result = calibrate(method, gap_free, config, objective=args.objective)
     payload = {
         "method": method.value,

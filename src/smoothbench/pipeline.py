@@ -12,13 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 
 from . import __version__
 from .calibration import (
     CROSSOVER_RATE,
-    DESK_BUDGET,
     ELITISM_FRACTION,
     MUTATION_RATE,
     OBJECTIVES,
@@ -56,13 +55,10 @@ SIGNAL_KINDS = ("raw", "normalized")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Settings of one benchmark run (desk-scale GA budget by default)."""
+    """Settings of one benchmark run; ``ga.seed`` is the master seed."""
 
-    master_seed: int = 42
-    ga_population: int = DESK_BUDGET[0]
-    ga_iterations: int = DESK_BUDGET[1]
+    ga: GaConfig = GaConfig()
     objective: str = "aic"
-    patience: int | None = None
     standardize: bool = True
     standard_aic_sign: bool = False
     band_level: float = 0.95
@@ -74,10 +70,9 @@ class PipelineConfig:
         object.__setattr__(self, "methods", tuple(MethodId(m) for m in self.methods))
         if len(self.methods) < 3:
             raise InputError("the benchmark needs at least 3 methods to cluster")
-        try:
-            self.ga_config(self.master_seed)
-        except ValueError as exc:
-            raise InputError(f"invalid GA budget: {exc}") from exc
+        if len(set(self.methods)) < len(self.methods):
+            codes = ",".join(m.value for m in self.methods)
+            raise InputError(f"each method may be listed once, got {codes}")
         if self.objective not in OBJECTIVES:
             raise InputError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if not 0.0 < self.band_level < 1.0:
@@ -85,24 +80,16 @@ class PipelineConfig:
         if self.f_nh4 is not None and not self.f_nh4 > 0:
             raise InputError(f"f_nh4 must be positive, got {self.f_nh4}")
 
-    def ga_config(self, seed: int) -> GaConfig:
-        return GaConfig(
-            population_size=self.ga_population,
-            iterations=self.ga_iterations,
-            seed=seed,
-            patience=self.patience,
-        )
-
     def to_dict(self) -> dict:
         return {
-            "master_seed": self.master_seed,
-            "ga_population": self.ga_population,
-            "ga_iterations": self.ga_iterations,
+            "master_seed": self.ga.seed,
+            "ga_population": self.ga.population_size,
+            "ga_iterations": self.ga.iterations,
             "mutation_rate": MUTATION_RATE,
             "crossover_rate": CROSSOVER_RATE,
             "elitism_fraction": ELITISM_FRACTION,
             "objective": self.objective,
-            "patience": self.patience,
+            "patience": self.ga.patience,
             "standardize": self.standardize,
             "standard_aic_sign": self.standard_aic_sign,
             "band_level": self.band_level,
@@ -191,12 +178,12 @@ def run_benchmark(
     matrices: dict[MethodId, LoocvMatrix] = {}
     for m in config.methods:
         parametric = bool(PARAM_SPECS[m])
-        seed_m = method_seed(config.master_seed, m) if parametric else None
+        seed_m = method_seed(config.ga.seed, m) if parametric else None
         ga_evals = 0
         try:
             if parametric:
                 result = calibrate(
-                    m, imputed, config.ga_config(seed_m), objective=config.objective
+                    m, imputed, replace(config.ga, seed=seed_m), objective=config.objective
                 )
                 spec = result.spec
                 ga_evals = result.evaluations
@@ -252,7 +239,7 @@ def run_benchmark(
     ) + 1  # the final full-series smooth of the optimal method
     provenance = {
         "tool_version": __version__,
-        "master_seed": config.master_seed,
+        "master_seed": config.ga.seed,
         "config_digest": config.digest(),
         "config": config.to_dict(),
         "method_seeds": {

@@ -17,7 +17,13 @@ from smoothbench.calibration import (
     search_bounds,
     two_point_crossover,
 )
-from smoothbench.errors import EvaluationFailure, InvalidParams, NonParametricMethod
+from smoothbench.errors import (
+    EvaluationFailure,
+    InputError,
+    InvalidParams,
+    NonParametricMethod,
+    SeriesTooShort,
+)
 from smoothbench.evaluation import ZERO_RESIDUAL_SSE, build_loocv_matrix, evaluate_method
 from smoothbench.smoothers import (
     PARAM_SPECS,
@@ -26,6 +32,7 @@ from smoothbench.smoothers import (
     SmootherSpec,
     apply_to_values,
     effective_params,
+    required_length,
 )
 from smoothbench.timeseries import TimeSeries
 
@@ -41,11 +48,13 @@ def small_config(**kw):
 class TestGaConfig:
     def test_table_defaults(self):
         cfg = GaConfig()
-        assert (cfg.population_size, cfg.iterations) == (100, 1000)
+        assert (cfg.population_size, cfg.iterations) == (30, 100)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GaConfig(population_size=1)
+        for bad in (dict(population_size=1), dict(iterations=-1), dict(patience=0)):
+            with pytest.raises(InputError, match=next(iter(bad))):
+                GaConfig(**bad)
+        GaConfig(population_size=2, iterations=0, patience=1)
 
 
 class TestRouletteSelect:
@@ -235,6 +244,19 @@ def test_mutation_repairs_like_full_repair(method, n, parents, take_b, draws):
     assert got == repair_genome(method, bounds, raw)
 
 
+@pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
+@settings(max_examples=20, deadline=None)
+@given(fractions=st.lists(st.floats(-0.5, 1.5), min_size=4, max_size=4))
+def test_search_box_agrees_with_length_rule(method, fractions):
+    """At every n, repaired genomes of the box for length n are valid specs applicable to n."""
+    for n in range(5, 401):
+        bounds = search_bounds(method, n)
+        drawn = [b.lo + f * (b.hi - b.lo) for b, f in zip(bounds, fractions)]
+        for raw in (drawn, [b.lo for b in bounds], [b.hi for b in bounds]):
+            spec = SmootherSpec(method, repair_genome(method, bounds, raw))
+            assert required_length(spec) <= n, (n, spec.params)
+
+
 class TestCalibrate:
     def test_surrogate_recovers_grid_optimum(self, noisy_sine):
         result = calibrate(
@@ -252,6 +274,15 @@ class TestCalibrate:
     def test_nonparametric_rejected(self, noisy_sine):
         with pytest.raises(NonParametricMethod):
             calibrate(MethodId.TUK, noisy_sine, small_config())
+
+    @pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
+    def test_series_too_short_for_any_genome_rejected(self, method, noisy_sine):
+        def never(genome):
+            raise AssertionError("the GA ran")
+
+        short = TimeSeries.from_values(noisy_sine.values()[:4])
+        with pytest.raises(SeriesTooShort, match="at least 5 points, got 4"):
+            calibrate(method, short, small_config(), objective=never)
 
     def test_history_monotone_and_elitism(self, noisy_sine):
         result = calibrate(

@@ -18,7 +18,13 @@ from smoothbench.csvio import (
     write_surveillance_csv,
 )
 from smoothbench.errors import ParseError, SchemaError
-from smoothbench.smoothers import MethodId, apply_to_values, default_spec, make_spec
+from smoothbench.smoothers import (
+    PARAMETRIC_METHODS,
+    MethodId,
+    apply_to_values,
+    default_spec,
+    make_spec,
+)
 from smoothbench.synthetic import bundled_records
 
 
@@ -191,6 +197,18 @@ class TestCalibrateCommand:
     def test_nonparametric_exit(self, surveillance_csv, capsys):
         assert main(["calibrate", "--method", "tuk", "--input", surveillance_csv]) == 1
 
+    @pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
+    def test_series_too_short_for_any_genome_exits_1(self, series_csv, tmp_path, method,
+                                                      capsys):
+        short = tmp_path / "short.csv"
+        with open(series_csv) as fh:
+            short.write_text("".join(fh.readlines()[:5]))  # the header and 4 points
+        argv = ["calibrate", "--method", method.value, "--ga-pop", "4", "--ga-iters", "1",
+                "--out", str(tmp_path / "cal.json"), "--input"]
+        assert main(argv + [str(short)]) == 1
+        assert "needs at least 5 points, got 4" in capsys.readouterr().err
+        assert main(argv + [series_csv]) == 0
+
 
 class TestBenchmarkCommand:
     def test_end_to_end_files(self, surveillance_csv, tmp_path, capsys):
@@ -275,7 +293,7 @@ class TestBenchmarkCommand:
                    "--config", str(cfg)])
         assert rc == 0
         (config,) = configs
-        assert config.ga_population == 20
+        assert config.ga.population_size == 20
         assert config.methods == (MethodId.TUK, MethodId.FFT, MethodId.SMA)
 
     def test_bad_seed_in_environment_exits_1(self, surveillance_csv, tmp_path, monkeypatch,
@@ -323,7 +341,7 @@ class TestRegressCommand:
                    "--out", str(tmp_path / "fit.csv")])
         assert rc == 0
         (config,) = configs
-        assert (config.objective, config.patience) == ("mae", 3)
+        assert (config.objective, config.ga.patience) == ("mae", 3)
 
     def test_from_stored_report(self, surveillance_csv, tmp_path):
         bench = tmp_path / "bench"
@@ -347,6 +365,27 @@ class TestExitCodes:
                    "--ga-iters", "2", "--methods", "tuk,fft,sma"])
         assert rc == 2
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ga-pop", "1"], "population_size"),
+        (["--ga-iters", "-3"], "iterations"),
+        (["--patience", "0"], "patience"),
+        (["--methods", "sma,sma,tuk,fft"], "once"),
+    ])
+    def test_bad_ga_settings_exit_1_before_any_ga(self, series_csv, surveillance_csv, tmp_path,
+                                                  monkeypatch, flags, message, capsys):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran")
+
+        monkeypatch.setattr(pipeline, "calibrate", no_ga)
+        monkeypatch.setattr(cli, "calibrate", no_ga)
+        commands = [["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                     "--out", str(tmp_path / "bench")]]
+        if flags[0] != "--methods":
+            commands.append(["calibrate", "--method", "sma", "--input", series_csv])
+        for argv in commands:
+            assert main(argv + flags) == 1, argv
+            assert message in capsys.readouterr().err
 
     def test_corrupt_report_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "report.json"

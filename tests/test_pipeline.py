@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import smoothbench.pipeline as pl
+from smoothbench.calibration import GaConfig
 from smoothbench.errors import InputError, MissingBiomarker, SeriesTooShort
 from smoothbench.clustering import cluster_methods
 from smoothbench.evaluation import evaluate_method
@@ -19,7 +20,7 @@ from smoothbench.smoothers import MethodId, SmootherSpec
 from smoothbench.synthetic import DEFAULT_F_NH4, bundled_records, catchment_suite
 from smoothbench.timeseries import SurveillanceRecord, build_series, impute_linear
 
-TINY = dict(ga_population=8, ga_iterations=3)
+TINY = dict(ga=GaConfig(population_size=8, iterations=3))
 
 
 def tiny_config(**kw):
@@ -219,9 +220,9 @@ class TestRawAndNormalized:
 class TestConfig:
     def test_bad_ga_budget_fails_at_construction(self):
         with pytest.raises(InputError, match="population_size"):
-            PipelineConfig(ga_population=1)
+            PipelineConfig(ga=GaConfig(population_size=1))
         # 5% elitism of 10 individuals rounds to none; the elite floors at one
-        assert PipelineConfig(ga_population=10).ga_config(1).elite_count == 1
+        assert PipelineConfig(ga=GaConfig(population_size=10)).ga.elite_count == 1
 
     def test_bad_settings_fail_at_construction(self):
         for level in (1.5, 1.0, 0.0, -0.2):
@@ -232,13 +233,17 @@ class TestConfig:
         for objective in ("aic", "mae", "combined"):
             assert PipelineConfig(objective=objective).objective == objective
 
+    def test_repeated_method_fails_at_construction(self):
+        with pytest.raises(InputError, match="once"):
+            PipelineConfig(methods=("sma", "sma", "tuk", "fft"))
+
     def test_nonpositive_f_nh4_fails_at_construction(self):
         for f_nh4 in (0.0, -1.0, float("nan")):
             with pytest.raises(InputError, match="f_nh4"):
                 PipelineConfig(f_nh4=f_nh4)
 
     def test_desk_budget_accepted(self):
-        assert PipelineConfig().ga_config(7).population_size == 30
+        assert PipelineConfig().ga.population_size == 30
 
 
 class TestSeeds:
