@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .smoothers import (
     MethodId,
     ParamSpec,
     SmootherSpec,
+    constrain,
     effective_params,
     required_length,
 )
@@ -74,8 +75,7 @@ class GaConfig:
 @dataclass
 class Individual:
     genome: tuple[float, ...]
-    fitness: float = math.inf
-    failed: bool = False
+    fitness: float = math.inf  # inf marks a failed evaluation
 
 
 @dataclass(frozen=True)
@@ -89,34 +89,31 @@ class CalibrationResult:
 
 
 def search_bounds(method: MethodId, n: int) -> tuple[ParamSpec, ...]:
-    """Catalog bounds shrunk so every candidate is applicable to length n."""
-    out = []
-    for b in PARAM_SPECS[MethodId(method)]:
-        hi = b.hi
-        if b.odd and hi > n:
-            hi = n if n % 2 == 1 else n - 1
-        elif b.name == "basis_dim" and hi > n:
-            hi = n
-        elif b.name == "order":
-            hi = min(hi, max(1, (n - 3) // 2))
-        out.append(ParamSpec(b.name, b.lo, hi, b.integer, b.odd))
-    return tuple(out)
+    """Catalog bounds shrunk so every candidate is applicable to length n.
+
+    Taking the integer genes in catalog order, each upper bound drops one grid
+    step at a time, not below its lower bound, until the box's constrained
+    upper corner meets ``required_length``.  That length never falls as an
+    integer gene grows, so every genome of the box then fits.
+    """
+    method = MethodId(method)
+    bounds = list(PARAM_SPECS[method])
+
+    def corner_fits() -> bool:
+        corner = constrain(method, [b.hi for b in bounds])
+        return required_length(SmootherSpec(method, corner)) <= n
+
+    for i, b in enumerate(bounds):
+        while b.integer and b.hi > b.lo and not corner_fits():
+            b = bounds[i] = replace(b, hi=b.hi - (2 if b.odd else 1))
+    return tuple(bounds)
 
 
 def repair_genome(
     method: MethodId, bounds: Sequence[ParamSpec], raw: Sequence[float]
 ) -> tuple[float, ...]:
-    """Per-gene clamp/round/parity snap plus cross-parameter constraints."""
-    return _constrain(method, [b.repair(x) for b, x in zip(bounds, raw)])
-
-
-def _constrain(method: MethodId, genes: list[float]) -> tuple[float, ...]:
-    """The cross-parameter constraints of :func:`repair_genome`, on repaired genes."""
-    if method is MethodId.SGF:
-        genes[1] = min(genes[1], genes[0] - 1)
-    elif method is MethodId.ADP:
-        genes[2] = min(max(genes[2], genes[1]), genes[0] - 1)
-    return tuple(genes)
+    """Per-gene clamp/round/parity snap plus the catalog's cross-parameter rule."""
+    return constrain(method, [b.repair(x) for b, x in zip(bounds, raw)])
 
 
 class RouletteWheel:
@@ -197,8 +194,8 @@ def _mutate(
     """Redraw each gene with probability ``rate``, and repair the redrawn ones.
 
     The other genes come from repaired parents, and ``ParamSpec.repair``
-    leaves a repaired gene as it is, so only the cross-parameter constraints
-    remain to be applied.
+    leaves a repaired gene as it is, so only the catalog's cross-parameter
+    rule (:func:`constrain`) remains to be applied.
     """
     out = list(genome)
     for i, b in enumerate(bounds):
@@ -310,7 +307,7 @@ def calibrate(
         for ind in pop:
             result = cache(ind.genome)
             if result is None:
-                ind.fitness, ind.failed = math.inf, True
+                ind.fitness = math.inf
                 failures += 1
             else:
                 ind.fitness = fitness_of(result)
@@ -343,9 +340,9 @@ def calibrate(
                 if len(children) >= child_count:
                     break
                 mutated = _mutate(genome, bounds, MUTATION_RATE, rng)
-                children.append(Individual(_constrain(method, mutated)))
+                children.append(Individual(constrain(method, mutated)))
         evaluate_population(children)
-        population = [Individual(e.genome, e.fitness, e.failed) for e in elite] + children
+        population = elite + children
         gen_best = min(population, key=lambda ind: ind.fitness)
         if gen_best.fitness < best_fitness:
             best_genome, best_fitness = gen_best.genome, gen_best.fitness

@@ -78,6 +78,14 @@ def _parse_float(cell: str, column: str, line: int) -> float | None:
     return value
 
 
+def _parse_date(cell: str, line: int) -> date:
+    cell = cell.strip()
+    try:
+        return date.fromisoformat(cell)
+    except ValueError:
+        raise ParseError(f"line {line}: date {cell!r} is not ISO-8601 (YYYY-MM-DD)") from None
+
+
 def open_input(path: str):
     """Open a user-named file for reading; failing that is an input error."""
     try:
@@ -103,13 +111,7 @@ def read_surveillance_csv(
         has_incidence = OPTIONAL_COLUMNS[1] in reader.fieldnames
         records = []
         for line, row in enumerate(reader, start=2):
-            raw_date = (row["date"] or "").strip()
-            try:
-                when = date.fromisoformat(raw_date)
-            except ValueError:
-                raise ParseError(
-                    f"line {line}: date {raw_date!r} is not ISO-8601 (YYYY-MM-DD)"
-                ) from None
+            when = _parse_date(row["date"] or "", line)
             site = (row["site"] or "").strip()
             if not site:
                 raise ParseError(f"line {line}: empty site identifier")
@@ -211,13 +213,7 @@ def read_series_csv(path: str) -> TimeSeries:
             raise SchemaError("series file needs columns: date,value")
         pairs = []
         for line, row in enumerate(reader, start=2):
-            raw_date = (row["date"] or "").strip()
-            try:
-                when = date.fromisoformat(raw_date)
-            except ValueError:
-                raise ParseError(
-                    f"line {line}: date {raw_date!r} is not ISO-8601 (YYYY-MM-DD)"
-                ) from None
+            when = _parse_date(row["date"] or "", line)
             pairs.append((when, _parse_float(row["value"] or "", "value", line)))
         if not pairs:
             raise SchemaError("series file has no rows")

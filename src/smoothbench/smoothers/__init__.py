@@ -10,7 +10,6 @@ from ..timeseries import TimeSeries
 from .autoregressive import ar_smoother
 from .basic import repeated_running_median, simple_moving_average, tukey_3r
 from .catalog import (
-    DEFAULT_PARAMS,
     K_PARAMS,
     PARAM_SPECS,
     PARAMETER_FREE_METHODS,
@@ -18,6 +17,7 @@ from .catalog import (
     MethodId,
     ParamSpec,
     SmootherSpec,
+    constrain,
     default_spec,
     effective_params,
     make_spec,
@@ -39,7 +39,6 @@ from .spline import smoothing_spline
 from .supsmu import super_smoother
 
 __all__ = [
-    "DEFAULT_PARAMS",
     "K_PARAMS",
     "PARAM_SPECS",
     "PARAMETER_FREE_METHODS",
@@ -49,6 +48,7 @@ __all__ = [
     "SmootherSpec",
     "apply_smoother",
     "apply_to_values",
+    "constrain",
     "default_spec",
     "deletion_diagonal",
     "effective_params",

@@ -1,14 +1,16 @@
 """Method registry: identifiers, parameter schemas, bounds and defaults.
 
 Every smoother is addressed by a :class:`MethodId`; its tunable parameters
-are described by :class:`ParamSpec` entries that double as the search bounds
-used by the genetic calibration.  ``k_params`` is the nominal parameter count
-that enters the information criterion (0 for the parameter-less methods up to
-4 for the additive model).
+are described by :class:`ParamSpec` entries (bounds, grid and default) that
+double as the search bounds used by the genetic calibration.  This module
+holds every parameter rule: the per-gene grid, the one cross-parameter rule
+(:func:`constrain`) and the one length rule (:func:`required_length`).
+``K_PARAMS`` is the nominal parameter count that enters the information
+criterion (0 for the parameter-less methods up to 4 for the additive model).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import InvalidParams
@@ -37,11 +39,12 @@ class MethodId(str, Enum):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One tunable parameter: closed bounds plus integrality/parity flags."""
+    """One tunable parameter: closed bounds, default and integrality/parity flags."""
 
     name: str
     lo: float
     hi: float
+    default: float
     integer: bool = False
     odd: bool = False  # odd implies integer
 
@@ -76,30 +79,30 @@ PARAM_SPECS: dict[MethodId, tuple[ParamSpec, ...]] = {
     MethodId.TUK: (),
     MethodId.KAL: (),
     MethodId.FFT: (),
-    MethodId.SPL: (ParamSpec("log10_penalty", -4.0, 4.0),),
-    MethodId.KER: (ParamSpec("bandwidth", 0.5, 10.0),),
-    MethodId.SMA: (ParamSpec("window", 3, 21, integer=True, odd=True),),
-    MethodId.RRM: (ParamSpec("window", 3, 21, integer=True, odd=True),),
-    MethodId.SUP: (ParamSpec("bass", 0.0, 10.0),),
-    MethodId.POL: (ParamSpec("span", 0.1, 1.0),),
+    MethodId.SPL: (ParamSpec("log10_penalty", -4.0, 4.0, 0.0),),
+    MethodId.KER: (ParamSpec("bandwidth", 0.5, 10.0, 2.0),),
+    MethodId.SMA: (ParamSpec("window", 3, 21, 5.0, integer=True, odd=True),),
+    MethodId.RRM: (ParamSpec("window", 3, 21, 5.0, integer=True, odd=True),),
+    MethodId.SUP: (ParamSpec("bass", 0.0, 10.0, 0.0),),
+    MethodId.POL: (ParamSpec("span", 0.1, 1.0, 0.3),),
     MethodId.SGF: (
-        ParamSpec("window", 5, 21, integer=True, odd=True),
-        ParamSpec("degree", 1, 6, integer=True),
+        ParamSpec("window", 5, 21, 7.0, integer=True, odd=True),
+        ParamSpec("degree", 1, 6, 2.0, integer=True),
     ),
     MethodId.ARI: (
-        ParamSpec("order", 1, 5, integer=True),
-        ParamSpec("differences", 0, 1, integer=True),
+        ParamSpec("order", 1, 5, 2.0, integer=True),
+        ParamSpec("differences", 0, 1, 0.0, integer=True),
     ),
     MethodId.ADP: (
-        ParamSpec("window", 5, 21, integer=True, odd=True),
-        ParamSpec("min_degree", 0, 2, integer=True),
-        ParamSpec("max_degree", 0, 6, integer=True),
+        ParamSpec("window", 5, 21, 7.0, integer=True, odd=True),
+        ParamSpec("min_degree", 0, 2, 0.0, integer=True),
+        ParamSpec("max_degree", 0, 6, 4.0, integer=True),
     ),
     MethodId.GAM: (
-        ParamSpec("basis_dim", 4, 40, integer=True),
-        ParamSpec("log10_penalty", -4.0, 4.0),
-        ParamSpec("family", 0, 0, integer=True),  # identity/Gaussian only
-        ParamSpec("auto_penalty", 0, 1, integer=True),
+        ParamSpec("basis_dim", 4, 40, 10.0, integer=True),
+        ParamSpec("log10_penalty", -4.0, 4.0, 0.0),
+        ParamSpec("family", 0, 0, 0.0, integer=True),  # identity/Gaussian only
+        ParamSpec("auto_penalty", 0, 1, 0.0, integer=True),
     ),
 }
 
@@ -109,22 +112,6 @@ K_PARAMS: dict[MethodId, int] = {m: len(PARAM_SPECS[m]) for m in MethodId}
 PARAMETRIC_METHODS: tuple[MethodId, ...] = tuple(m for m in MethodId if PARAM_SPECS[m])
 PARAMETER_FREE_METHODS: tuple[MethodId, ...] = tuple(m for m in MethodId if not PARAM_SPECS[m])
 
-DEFAULT_PARAMS: dict[MethodId, tuple[float, ...]] = {
-    MethodId.TUK: (),
-    MethodId.KAL: (),
-    MethodId.FFT: (),
-    MethodId.SPL: (0.0,),
-    MethodId.KER: (2.0,),
-    MethodId.SMA: (5.0,),
-    MethodId.RRM: (5.0,),
-    MethodId.SUP: (0.0,),
-    MethodId.POL: (0.3,),
-    MethodId.SGF: (7.0, 2.0),
-    MethodId.ARI: (2.0, 0.0),
-    MethodId.ADP: (7.0, 0.0, 4.0),
-    MethodId.GAM: (10.0, 0.0, 0.0, 0.0),
-}
-
 
 @dataclass(frozen=True)
 class SmootherSpec:
@@ -132,15 +119,15 @@ class SmootherSpec:
 
     method: MethodId
     params: tuple[float, ...] = ()
-    bounds: tuple[ParamSpec, ...] = field(default=())
 
     def __post_init__(self):
-        method = MethodId(self.method)
-        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "method", MethodId(self.method))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if not self.bounds:
-            object.__setattr__(self, "bounds", PARAM_SPECS[method])
         validate_spec(self)
+
+    @property
+    def bounds(self) -> tuple[ParamSpec, ...]:
+        return PARAM_SPECS[self.method]
 
     def named_params(self) -> dict[str, float]:
         return {b.name: p for b, p in zip(self.bounds, self.params)}
@@ -151,7 +138,30 @@ class SmootherSpec:
 
 
 def default_spec(method: MethodId) -> SmootherSpec:
-    return SmootherSpec(MethodId(method), DEFAULT_PARAMS[MethodId(method)])
+    method = MethodId(method)
+    return SmootherSpec(method, tuple(b.default for b in PARAM_SPECS[method]))
+
+
+# The cross-parameter rule of each method that has one, as :func:`constrain` enforces it.
+_CROSS_RULES = {
+    MethodId.SGF: "degree < window",
+    MethodId.ADP: "min_degree <= max_degree < window",
+}
+
+
+def constrain(method: MethodId, genes: list[float]) -> tuple[float, ...]:
+    """Move genes that are valid one by one onto the method's cross-parameter rule.
+
+    This is the only implementation of those rules: a spec is valid exactly
+    when its parameters are valid one by one and ``constrain`` leaves them
+    as they are.  It edits ``genes`` in place, so callers pass a list of
+    their own.
+    """
+    if method is MethodId.SGF:
+        genes[1] = min(genes[1], genes[0] - 1)
+    elif method is MethodId.ADP:
+        genes[2] = min(max(genes[2], genes[1]), genes[0] - 1)
+    return tuple(genes)
 
 
 def validate_spec(spec: SmootherSpec) -> None:
@@ -169,23 +179,9 @@ def validate_spec(spec: SmootherSpec) -> None:
                 f"{spec.method.value}: {b.name}={p:g} is not a valid {kind} "
                 f"in [{b.lo:g}, {b.hi:g}]"
             )
-    named = spec.named_params()
-    if spec.method is MethodId.SGF and named["degree"] >= named["window"]:
-        raise InvalidParams(
-            f"sgf: degree ({named['degree']:g}) must be smaller than "
-            f"window ({named['window']:g})"
-        )
-    if spec.method is MethodId.ADP:
-        if named["min_degree"] > named["max_degree"]:
-            raise InvalidParams(
-                f"adp: min_degree ({named['min_degree']:g}) exceeds "
-                f"max_degree ({named['max_degree']:g})"
-            )
-        if named["max_degree"] >= named["window"]:
-            raise InvalidParams(
-                f"adp: max_degree ({named['max_degree']:g}) must be smaller than "
-                f"window ({named['window']:g})"
-            )
+    if constrain(spec.method, list(spec.params)) != spec.params:
+        got = ", ".join(f"{b.name}={p:g}" for b, p in zip(specs, spec.params))
+        raise InvalidParams(f"{spec.method.value}: needs {_CROSS_RULES[spec.method]}, got {got}")
 
 
 def effective_params(spec: SmootherSpec) -> tuple[float, ...]:
@@ -197,7 +193,7 @@ def effective_params(spec: SmootherSpec) -> tuple[float, ...]:
     """
     if spec.method is MethodId.GAM and spec.named_params()["auto_penalty"]:
         basis_dim, _, family, auto = spec.params
-        return (basis_dim, DEFAULT_PARAMS[MethodId.GAM][1], family, auto)
+        return (basis_dim, PARAM_SPECS[MethodId.GAM][1].default, family, auto)
     return spec.params
 
 

@@ -45,15 +45,16 @@ def _gam_operators(n: int, basis_dim: int):
 
 @lru_cache(maxsize=64)
 def _gcv_factorization(n: int, basis_dim: int):
-    """Cholesky of the Gram matrix and eigensystem of L^-1 P L^-T (or None)."""
+    """Cholesky of the Gram matrix and eigensystem of L^-1 P L^-T.
+
+    The Gram matrix is positive definite whenever n >= basis_dim, which
+    ``required_length`` guarantees.
+    """
     # scipy loads on first use: a run without spl, gam or adp never imports it
     from scipy.linalg import solve_triangular
 
     _, gram, penalty = _gam_operators(n, basis_dim)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
+    chol = np.linalg.cholesky(gram)
     half = solve_triangular(chol, penalty, lower=True)
     m = solve_triangular(chol, half.T, lower=True)
     eigvals, eigvecs = np.linalg.eigh((m + m.T) / 2.0)
@@ -104,25 +105,6 @@ def _eigen_scores(rows, rhs, fact, n):
     return scores
 
 
-def _direct_scores(rows, rhs, design, gram, penalty, n):
-    """GCV scorer by direct solves, one (row, candidate) at a time.
-
-    Only reached when the Gram matrix has no Cholesky factor.
-    """
-
-    def scores(cands: np.ndarray) -> np.ndarray:
-        out = np.empty(cands.shape)
-        for b, row in enumerate(cands):
-            for j, log_lam in enumerate(row):
-                system = gram + 10.0**log_lam * penalty
-                resid = rows[b] - design @ np.linalg.solve(system, rhs[b])
-                denom = n - float(np.trace(np.linalg.solve(system, gram)))
-                out[b, j] = np.inf if denom < 1e-8 else n * float(resid @ resid) / denom**2
-        return out
-
-    return scores
-
-
 def gam_smoother(
     y: np.ndarray, basis_dim: int, log10_penalty: float, family: int, auto_penalty: int
 ) -> np.ndarray:
@@ -132,11 +114,7 @@ def gam_smoother(
     design, gram, penalty = _gam_operators(n, basis_dim)
     rhs = [design.T @ row for row in rows]
     if auto_penalty:
-        fact = _gcv_factorization(n, basis_dim)
-        if fact is None:
-            scores = _direct_scores(rows, rhs, design, gram, penalty, n)
-        else:
-            scores = _eigen_scores(rows, rhs, fact, n)
+        scores = _eigen_scores(rows, rhs, _gcv_factorization(n, basis_dim), n)
         lams = [10.0**best for best in _gcv_log10_penalties(scores, len(rows)).tolist()]
     else:
         lams = [10.0**log10_penalty] * len(rows)

@@ -19,19 +19,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from .windows import LocalDesign, batched_local_polyfit, local_design, polyfit_window
+from .windows import (
+    LocalDesign,
+    batched_local_polyfit,
+    local_design,
+    polyfit_window,
+    scaled_powers,
+)
 
 F_TEST_ALPHA = 0.05
 _SSE_TINY = 1e-280
 
 
+def _edge_row(offsets: np.ndarray, degree: int) -> np.ndarray:
+    """Fit weights of the truncated-window polynomial value at offset zero."""
+    return np.linalg.pinv(scaled_powers(offsets, degree))[0]
+
+
 @lru_cache(maxsize=256)
 def _sg_center_coefficients(window: int, degree: int) -> np.ndarray:
     """Center row of the SG projection matrix for a full window."""
-    half = window // 2
-    offsets = (np.arange(window) - half) / max(1, half)
-    design = offsets[:, None] ** np.arange(degree + 1)[None, :]
-    return np.linalg.pinv(design)[0]
+    return _edge_row(np.arange(window) - window // 2, degree)
 
 
 @lru_cache(maxsize=128)
@@ -54,15 +62,6 @@ def savitzky_golay(y: np.ndarray, window: int, degree: int) -> np.ndarray:
             lo, hi = max(0, j - half), min(n, j + half + 1)
             out[j], _ = polyfit_window(y[lo:hi], np.arange(lo, hi) - j, degree)
     return out
-
-
-def _edge_row(offsets: np.ndarray, degree: int) -> np.ndarray:
-    """Fit weights of the truncated-window polynomial value at offset zero."""
-    m = len(offsets)
-    deg = min(degree, m - 1)
-    scale = max(1.0, float(np.abs(offsets).max()))
-    design = (offsets / scale)[:, None] ** np.arange(deg + 1)[None, :]
-    return np.linalg.pinv(design)[0]
 
 
 def savgol_operator(n: int, window: int, degree: int) -> np.ndarray:

@@ -124,6 +124,16 @@ def local_polyfit_rows(
     return out
 
 
+def scaled_powers(offsets: np.ndarray, degree: int) -> np.ndarray:
+    """Design of a single-window fit: powers of the offsets scaled into [-1, 1].
+
+    The degree is clamped to what the window can determine.
+    """
+    deg = min(degree, len(offsets) - 1)
+    scale = max(1.0, float(np.abs(offsets).max()))
+    return (offsets / scale)[:, None] ** np.arange(deg + 1)[None, :]
+
+
 def polyfit_window(y_win: np.ndarray, offsets: np.ndarray, degree: int) -> tuple[float, float]:
     """Single-window unweighted fit: (value at offset 0, residual SSE).
 
@@ -131,10 +141,7 @@ def polyfit_window(y_win: np.ndarray, offsets: np.ndarray, degree: int) -> tuple
     batching does not pay off.  The degree is clamped to what the window can
     determine.
     """
-    m = len(y_win)
-    deg = min(degree, m - 1)
-    scale = max(1.0, float(np.abs(offsets).max()))
-    design = (offsets / scale)[:, None] ** np.arange(deg + 1)[None, :]
+    design = scaled_powers(offsets, degree)
     coef, *_ = np.linalg.lstsq(design, y_win, rcond=None)
     resid = y_win - design @ coef
     return float(coef[0]), float(resid @ resid)

@@ -120,7 +120,7 @@ class SurveillanceRecord:
     incidence_7d: float | None = None  # weekly cases per 100k persons
 
     def __post_init__(self):
-        for name in ("c_virus", "q_flow", "c_nh4", "active_cases", "incidence_7d"):
+        for name in _RECORD_FIELDS:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")

@@ -31,6 +31,7 @@ from smoothbench.smoothers import (
     MethodId,
     SmootherSpec,
     apply_to_values,
+    constrain,
     effective_params,
     required_length,
 )
@@ -240,8 +241,30 @@ def test_mutation_repairs_like_full_repair(method, n, parents, take_b, draws):
         gene if f is None else g.lo + f * (g.hi - g.lo)
         for g, f, gene in zip(bounds, draws, child)
     ]
-    got = cal._constrain(method, cal._mutate(child, bounds, 0.5, _ScriptedRng(draws)))
+    got = constrain(method, cal._mutate(child, bounds, 0.5, _ScriptedRng(draws)))
     assert got == repair_genome(method, bounds, raw)
+
+
+def _by_name_bounds(method, n):
+    """The search box by a rule on parameter names, kept as a reference for search_bounds."""
+    out = []
+    for b in PARAM_SPECS[method]:
+        hi = b.hi
+        if b.odd and hi > n:
+            hi = n if n % 2 == 1 else n - 1
+        elif b.name == "basis_dim" and hi > n:
+            hi = n
+        elif b.name == "order":
+            hi = min(hi, max(1, (n - 3) // 2))
+        out.append((b.name, b.lo, hi, type(hi), b.integer, b.odd))
+    return out
+
+
+@pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
+def test_search_bounds_match_by_name_rule(method):
+    for n in range(5, 401):
+        got = [(b.name, b.lo, b.hi, type(b.hi), b.integer, b.odd) for b in search_bounds(method, n)]
+        assert got == _by_name_bounds(method, n), n
 
 
 @pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)

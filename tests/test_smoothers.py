@@ -2,10 +2,13 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothbench.errors import InsufficientData, InvalidParams, SeriesTooShort
 from smoothbench.smoothers import (
     K_PARAMS,
+    PARAM_SPECS,
     PARAMETER_FREE_METHODS,
     PARAMETRIC_METHODS,
     MethodId,
@@ -75,6 +78,13 @@ class TestCatalog:
         for m in MethodId:
             spec = default_spec(m)
             assert len(spec.params) == K_PARAMS[m]
+        expected = {
+            "tuk": (), "kal": (), "fft": (),
+            "spl": (0.0,), "ker": (2.0,), "sma": (5.0,), "rrm": (5.0,), "sup": (0.0,),
+            "pol": (0.3,), "sgf": (7.0, 2.0), "ari": (2.0, 0.0), "adp": (7.0, 0.0, 4.0),
+            "gam": (10.0, 0.0, 0.0, 0.0),
+        }
+        assert {m.value: default_spec(m).params for m in MethodId} == expected
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(InvalidParams):
@@ -92,7 +102,7 @@ class TestCatalog:
 
     def test_sgf_degree_window_boundary(self):
         SmootherSpec(MethodId.SGF, (5, 4))  # d < w holds
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="needs degree < window, got window=5, degree=5"):
             SmootherSpec(MethodId.SGF, (5, 5))
 
     def test_adp_degree_ordering(self):
@@ -106,6 +116,33 @@ class TestCatalog:
             make_spec(MethodId.SGF, {"window": 7})
         with pytest.raises(InvalidParams):
             make_spec(MethodId.SGF, {"window": 7, "degree": 2, "bogus": 1})
+
+
+def _catalog_grid(method):
+    """Every genome on the catalog's per-parameter grid of ``method``."""
+    return st.tuples(
+        *(
+            st.sampled_from(range(int(b.lo), int(b.hi) + 1, 2 if b.odd else 1))
+            for b in PARAM_SPECS[method]
+        )
+    )
+
+
+def _accepts(method, params) -> bool:
+    try:
+        SmootherSpec(method, params)
+    except InvalidParams:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(sgf=_catalog_grid(MethodId.SGF), adp=_catalog_grid(MethodId.ADP))
+def test_cross_parameter_rule_matches_predicates(sgf, adp):
+    window, degree = sgf
+    assert _accepts(MethodId.SGF, sgf) == (degree < window)
+    window, min_degree, max_degree = adp
+    assert _accepts(MethodId.ADP, adp) == (min_degree <= max_degree < window)
 
 
 class TestHandExamples:

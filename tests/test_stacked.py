@@ -23,7 +23,7 @@ from scipy.linalg import solve_triangular
 
 import smoothbench.smoothers.gam as gam
 from smoothbench.calibration import repair_genome, search_bounds
-from smoothbench.errors import DegenerateLikelihood, SmoothbenchError
+from smoothbench.errors import DegenerateLikelihood, SeriesTooShort, SmoothbenchError
 from smoothbench.evaluation import build_loocv_matrix, deletion_imputations
 from smoothbench.smoothers import MethodId, SmootherSpec, apply_to_values
 from smoothbench.smoothers.kalman import VARIANCE_FLOOR_FACTOR, fit_kalman_local_level
@@ -153,37 +153,22 @@ def test_degenerate_inputs(method, name):
 # --- reference row-by-row scans (slow paths) -------------------------------
 
 
-def reference_gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim) -> float:
+def reference_gcv_penalty(y, rhs, n, basis_dim) -> float:
     """GCV penalty of one series: every candidate scored by its own scalar call."""
-    fact = gam._gcv_factorization(n, basis_dim)
-    if fact is not None:
-        chol, eigvals, eigvecs = fact
-        b_tilde = solve_triangular(chol, rhs, lower=True)
-        d = eigvecs.T @ b_tilde
-        d2 = d * d
-        yty = float(y @ y)
+    chol, eigvals, eigvecs = gam._gcv_factorization(n, basis_dim)
+    b_tilde = solve_triangular(chol, rhs, lower=True)
+    d = eigvecs.T @ b_tilde
+    d2 = d * d
+    yty = float(y @ y)
 
-        def score(log_lam: float) -> float:
-            shrink = 1.0 / (1.0 + 10.0**log_lam * eigvals)
-            rss = yty - 2.0 * float(d2 @ shrink) + float(d2 @ (shrink * shrink))
-            trace_hat = float(shrink.sum())
-            denom = n - trace_hat
-            if denom < 1e-8:
-                return np.inf
-            return n * max(rss, 0.0) / denom**2
-
-    else:
-
-        def score(log_lam: float) -> float:
-            lam = 10.0**log_lam
-            system = gram + lam * penalty
-            beta = np.linalg.solve(system, rhs)
-            resid = y - design @ beta
-            trace_hat = float(np.trace(np.linalg.solve(system, gram)))
-            denom = n - trace_hat
-            if denom < 1e-8:
-                return np.inf
-            return n * float(resid @ resid) / denom**2
+    def score(log_lam: float) -> float:
+        shrink = 1.0 / (1.0 + 10.0**log_lam * eigvals)
+        rss = yty - 2.0 * float(d2 @ shrink) + float(d2 @ (shrink * shrink))
+        trace_hat = float(shrink.sum())
+        denom = n - trace_hat
+        if denom < 1e-8:
+            return np.inf
+        return n * max(rss, 0.0) / denom**2
 
     lo, hi = gam.GCV_LOG10_RANGE
     cands = np.linspace(lo, hi, 17)
@@ -203,7 +188,7 @@ def reference_gam(y: np.ndarray, basis_dim: int) -> np.ndarray:
     n = len(y)
     design, gram, penalty = gam._gam_operators(n, basis_dim)
     rhs = design.T @ y
-    lam = reference_gcv_penalty(y, design, gram, penalty, rhs, n, basis_dim)
+    lam = reference_gcv_penalty(y, rhs, n, basis_dim)
     return design @ np.linalg.solve(gram + lam * penalty, rhs)
 
 
@@ -337,15 +322,22 @@ def test_degenerate_inputs_match_reference(name):
     y = DEGENERATE[name]
     stack = deletion_stack(y)
     for basis_dim in (4, 10, len(y)):
-        assert_gam_matches_reference(stack, basis_dim)
+        if basis_dim > len(y):
+            # outside the length rule: the front door refuses before GAM runs
+            with pytest.raises(SeriesTooShort):
+                apply_to_values(SmootherSpec(MethodId.GAM, (basis_dim, 0, 0, 1)), y)
+        else:
+            assert_gam_matches_reference(stack, basis_dim)
     assert_kalman_matches_reference(stack)
 
 
-def test_gam_without_cholesky_matches_reference(monkeypatch, rng):
-    # the direct-solve scorer stands in when the Gram matrix has no Cholesky factor
-    monkeypatch.setattr(gam, "_gcv_factorization", lambda n, basis_dim: None)
-    y = np.cumsum(rng.normal(size=14)) + 3.0
-    assert_gam_matches_reference(deletion_stack(y), 6)
+def test_gram_factors_at_every_basis_dim():
+    # n >= basis_dim, which required_length keeps, leaves the Gram matrix
+    # positive definite: GCV's Cholesky-based eigen scorer always applies
+    for basis_dim in range(4, 41):
+        for n in (*range(basis_dim, basis_dim + 5), 60, 365):
+            _, gram, _ = gam._gam_operators(n, basis_dim)
+            assert np.all(np.isfinite(np.linalg.cholesky(gram))), (n, basis_dim)
 
 
 def test_kalman_variances_are_per_row(rng):
