@@ -23,7 +23,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientData
-from .smoothers import SmootherSpec, apply_to_values, deletion_diagonal, linear_operator
+from .smoothers import (
+    SmootherSpec,
+    apply_to_values,
+    deletion_diagonal,
+    linear_operator,
+    linear_parts,
+)
 from .timeseries import TimeSeries, percentile
 
 ZERO_RESIDUAL_SSE = 1e-300
@@ -122,24 +128,32 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
     data-adaptive methods smooth the stack of all T deletion series in one
     call.  The diagonal is computed now; where it has a cheaper form than the
     full matrix (the linear methods, ADP), the matrix waits until it is read.
+    POL and KER form the base application and the operator from one shared
+    geometry, and their dense operator too waits until the matrix is read.
     """
     if not series.is_gap_free():
         raise InsufficientData("LOOCV input must be gap-free; impute first")
-    n = len(series)
-    operator = linear_operator(spec, n)  # raises SeriesTooShort first
     y = series.values()
+    parts = linear_parts(spec, y)  # raises SeriesTooShort first
+    if parts is None:
+        operator = linear_operator(spec, len(y))
+        if operator is not None:
+            parts = (apply_to_values(spec, y), np.diagonal(operator), lambda: operator)
     imp = deletion_imputations(y, series.day_index())
-    if operator is not None:
+    if parts is not None:
         # the direct algorithm gives the base application (bit-faithful for
         # e.g. constants); the operator supplies the per-deletion correction,
         # elementwise as in the matrix
-        base = apply_to_values(spec, y)
+        base, operator_diagonal, operator_of = parts
         step = imp - y
-        return LoocvMatrix.deferred(
-            series,
-            base + np.diagonal(operator) * step,
-            lambda: base[:, None] + operator * step[None, :],
-        )
+
+        def matrix() -> np.ndarray:
+            # base[:, None] + operator * step[None, :], with one T x T temporary
+            out = operator_of() * step[None, :]
+            out += base[:, None]
+            return out
+
+        return LoocvMatrix.deferred(series, base + operator_diagonal * step, matrix)
     diagonal = deletion_diagonal(spec, y, imp)
     if diagonal is not None:
         return LoocvMatrix.deferred(series, diagonal, lambda: _deletion_smooths(spec, y, imp))

@@ -27,8 +27,8 @@ from .catalog import (
 from .fourier import fourier_lowpass
 from .gam import gam_matrix_operator, gam_smoother
 from .kalman import fit_kalman_local_level
-from .kernel import kernel_operator, kernel_regression
-from .localpoly import local_quadratic, local_quadratic_operator
+from .kernel import kernel_operator, kernel_parts, kernel_regression
+from .localpoly import local_quadratic, local_quadratic_operator, local_quadratic_parts
 from .savgol import (
     adaptive_degree_diagonal,
     adaptive_degree_filter,
@@ -53,6 +53,7 @@ __all__ = [
     "deletion_diagonal",
     "effective_params",
     "linear_operator",
+    "linear_parts",
     "make_spec",
     "required_length",
     "validate_spec",
@@ -60,12 +61,15 @@ __all__ = [
 
 
 class _Row(NamedTuple):
-    """How one method is run: ``smoother(y, *params)``, ``operator(n, *params)``
-    and ``diagonal(y, imp, *params)``."""
+    """How one method is run: ``smoother(y, *params)``, ``operator(n, *params)``,
+    ``parts(y, *params)`` and ``diagonal(y, imp, *params)``."""
 
     smoother: Callable[..., np.ndarray]
     stacked: bool  # the smoother takes a (B, T) stack in one call
     operator: "Callable[..., np.ndarray | None] | None" = None  # None: nonlinear
+    # a linear method whose smooth, operator diagonal and operator share one
+    # geometry: (smoother(y), diag(S), a builder of S), all from one build
+    parts: "Callable[..., tuple] | None" = None
     # a nonlinear method whose LOOCV diagonal is cheaper than its T deletion smooths
     diagonal: "Callable[..., np.ndarray] | None" = None
 
@@ -79,17 +83,18 @@ def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarra
 # One row per method.  SGF, POL and GAM keep hand-built operators, which their
 # smoother on unit vectors misses by up to 6.3e-14, 3.5e-16 and 7.0e-15, enough
 # to change reported indices; KER keeps one because a row-exact derivation is
-# ~4x slower at T=365.
+# ~4x slower at T=365.  POL and KER also give ``parts``, so that their LOOCV
+# build makes one local design (POL) or one weight matrix (KER).
 _METHODS: dict[MethodId, _Row] = {
     MethodId.TUK: _Row(tukey_3r, True),
     MethodId.KAL: _Row(lambda y: fit_kalman_local_level(y)[0], True),
     MethodId.FFT: _Row(fourier_lowpass, False),
     MethodId.SPL: _Row(smoothing_spline, True, _on_identity(smoothing_spline)),
-    MethodId.KER: _Row(kernel_regression, False, kernel_operator),
+    MethodId.KER: _Row(kernel_regression, False, kernel_operator, kernel_parts),
     MethodId.SMA: _Row(simple_moving_average, True, _on_identity(simple_moving_average)),
     MethodId.RRM: _Row(repeated_running_median, True),
     MethodId.SUP: _Row(super_smoother, True),
-    MethodId.POL: _Row(local_quadratic, False, local_quadratic_operator),
+    MethodId.POL: _Row(local_quadratic, False, local_quadratic_operator, local_quadratic_parts),
     MethodId.SGF: _Row(savitzky_golay, False, savgol_operator),
     MethodId.ARI: _Row(ar_smoother, False),
     MethodId.ADP: _Row(adaptive_degree_filter, True, diagonal=adaptive_degree_diagonal),
@@ -136,6 +141,21 @@ def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
     params = _checked_params(spec, n)
     build = _METHODS[spec.method].operator
     return None if build is None else build(n, *params)
+
+
+def linear_parts(
+    spec: SmootherSpec, y: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]] | None":
+    """``apply_to_values(spec, y)``, the diagonal of ``linear_operator(spec,
+    len(y))`` and a builder of that operator, computed from one shared geometry.
+
+    Each is bit for bit what the two front doors give; the dense operator is
+    formed only when the builder is called.  Returns None for a method
+    without such a form (its operator, if any, comes from linear_operator).
+    """
+    params = _checked_params(spec, len(y))
+    build = _METHODS[spec.method].parts
+    return None if build is None else build(y, *params)
 
 
 def deletion_diagonal(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> "np.ndarray | None":

@@ -76,10 +76,13 @@ def local_design(
     """
     cols, offsets = window_offsets(starts, k, centers)
     scale = max(1.0, float(np.abs(offsets).max()))
-    t = offsets / scale
+    # the offsets are integers in [lo, hi]: raise each distinct one to the
+    # powers once, then gather (the same ** per element, so the same bits)
+    lo, hi = int(offsets.min()), int(offsets.max())
     powers = np.arange(degree + 1)
-    design = t[:, :, None] ** powers[None, None, :]
-    w = np.ones_like(t) if weights is None else weights
+    table = (np.arange(lo, hi + 1) / scale)[:, None] ** powers[None, :]
+    design = table[offsets - lo]
+    w = np.ones(offsets.shape) if weights is None else weights
     aw = design * w[:, :, None]
     normal = np.einsum("nkp,nkq->npq", aw, design)
     return LocalDesign(cols, design, w, aw, normal)
@@ -101,26 +104,24 @@ def batched_local_polyfit(yw: np.ndarray, local: LocalDesign, want_sse: bool = F
     return fitted, np.einsum("nk,nk->n", local.weights, resid**2)
 
 
-def local_polyfit_rows(
-    starts: np.ndarray,
-    k: int,
-    degree: int,
-    n: int,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Equivalent-kernel rows of the local polynomial smoother.
+def equivalent_kernel(local: LocalDesign) -> np.ndarray:
+    """(m, k) weights of each window's fitted value on its window points.
 
-    Returns the dense (n, n) matrix S with ``S @ y`` equal to the batched fit
-    of :func:`batched_local_polyfit` over one window per point (the fitted
-    value is linear in y for fixed windows and weights).
+    The fit at window r is ``rows[r] @ y[local.cols[r]]`` (the fitted value
+    is linear in y for fixed windows and weights).
     """
-    local = local_design(starts, k, degree, weights)
-    e0 = np.zeros((n, degree + 1, 1))
+    m, _, p = local.design.shape
+    e0 = np.zeros((m, p, 1))
     e0[:, 0, 0] = 1.0
     ninv_e0 = np.linalg.solve(local.normal, e0)[:, :, 0]
-    window_rows = np.einsum("np,nkp->nk", ninv_e0, local.weighted)
-    out = np.zeros((n, n))
-    np.put_along_axis(out, local.cols, window_rows, axis=1)
+    return np.einsum("np,nkp->nk", ninv_e0, local.weighted)
+
+
+def scatter_rows(starts: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Dense (m, n) matrix holding window row ``rows[r]`` from column ``starts[r]`` on."""
+    out = np.zeros((len(rows), n))
+    cols = starts[:, None] + np.arange(rows.shape[1])[None, :]
+    np.put_along_axis(out, cols, rows, axis=1)
     return out
 
 

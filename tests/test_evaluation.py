@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import smoothbench.evaluation as ev
-from smoothbench.calibration import repair_genome, search_bounds
-from smoothbench.errors import SeriesTooShort
+from smoothbench.calibration import GaConfig, calibrate
+from smoothbench.errors import SeriesTooShort, SmoothbenchError
 from smoothbench.evaluation import (
     LoocvMatrix,
     PerformanceIndex,
@@ -23,10 +23,13 @@ from smoothbench.smoothers import (
     apply_to_values,
     default_spec,
     linear_operator,
+    linear_parts,
 )
+from smoothbench.smoothers import kernel, localpoly
 from smoothbench.timeseries import TimeSeries
 
 from conftest import random_series
+from test_stacked import DEGENERATE, spec_at
 
 
 def matrix_of(values, source):
@@ -53,6 +56,57 @@ def aic_oracle(m, x, k):
     n = len(x)
     sse = sum((m[t][t] - x[t]) ** 2 for t in range(n))
     return n * math.log(sse / n) - 2 * k
+
+
+LINEAR_METHODS = [m for m in MethodId if linear_operator(default_spec(m), 40) is not None]
+
+
+def specs_across_box(method, n):
+    """Specs at the low end, the middle and the high end of the length-n search box."""
+    return [spec_at(method, n, (f,) * 4) for f in (0.0, 0.5, 1.0)]
+
+
+def assert_bitwise_equal(got, want, spec):
+    assert got.shape == want.shape, spec
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=str(spec))
+
+
+def assert_deferred_matches_eager(spec, series):
+    """The deferred build against the eager one: the whole matrix at once, the
+    diagonal read off it."""
+    y = series.values()
+    imp = deletion_imputations(y, series.day_index())
+    try:
+        operator = linear_operator(spec, len(y))
+        if operator is not None:
+            eager = apply_to_values(spec, y)[:, None] + operator * (imp - y)[None, :]
+        else:
+            deleted = np.tile(y, (len(y), 1))
+            np.fill_diagonal(deleted, imp)
+            eager = np.ascontiguousarray(apply_to_values(spec, deleted).T)
+    except SmoothbenchError as exc:
+        with pytest.raises(type(exc)):
+            build_loocv_matrix(spec, series).matrix
+        return
+    loocv = build_loocv_matrix(spec, series)
+    diagonal = loocv.diagonal.copy()
+    matrix = loocv.matrix
+    assert matrix.flags.c_contiguous, spec
+    assert_bitwise_equal(matrix, eager, spec)
+    assert_bitwise_equal(diagonal, np.diag(eager), spec)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` to count its calls; returns the one-element counter."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestBuildMatrix:
@@ -85,6 +139,9 @@ class TestBuildMatrix:
             SmootherSpec(MethodId.GAM, (12, 0.5, 0, 0)),
         ]
         fast = [build_loocv_matrix(spec, noisy_sine).matrix for spec in specs]
+        # both doors to the rank-one path closed: every method takes the
+        # per-deletion loop
+        monkeypatch.setattr(ev, "linear_parts", lambda *a, **k: None)
         monkeypatch.setattr(ev, "linear_operator", lambda *a, **k: None)
         for spec, matrix in zip(specs, fast):
             slow = build_loocv_matrix(spec, noisy_sine).matrix
@@ -104,27 +161,59 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
     def test_deferred_matrix_matches_eager_build(self, method, rng):
-        # the eager build: the whole matrix at once, the diagonal read off it
         series = random_series(rng, 33)
-        bounds = search_bounds(method, len(series))
-        for f in (0.0, 0.5, 1.0):
-            raw = [b.lo + f * (b.hi - b.lo) for b in bounds]
-            spec = SmootherSpec(method, repair_genome(method, bounds, raw))
-            y = series.values()
-            imp = deletion_imputations(y, series.day_index())
-            operator = linear_operator(spec, len(y))
-            if operator is not None:
-                eager = apply_to_values(spec, y)[:, None] + operator * (imp - y)[None, :]
-            else:
-                deleted = np.tile(y, (len(y), 1))
-                np.fill_diagonal(deleted, imp)
-                eager = np.ascontiguousarray(apply_to_values(spec, deleted).T)
-            loocv = build_loocv_matrix(spec, series)
-            diagonal = loocv.diagonal.copy()
-            matrix = loocv.matrix
-            assert matrix.flags.c_contiguous, spec
-            np.testing.assert_array_equal(matrix.view(np.int64), eager.view(np.int64))
-            np.testing.assert_array_equal(diagonal.view(np.int64), np.diag(eager).view(np.int64))
+        for spec in specs_across_box(method, 33):
+            assert_deferred_matches_eager(spec, series)
+
+    @pytest.mark.parametrize("method", LINEAR_METHODS, ids=lambda m: m.value)
+    def test_deferred_linear_build_at_t365(self, method, rng):
+        series = random_series(rng, 365)
+        for spec in specs_across_box(method, 365):
+            assert_deferred_matches_eager(spec, series)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+    def test_deferred_matrix_on_degenerate_inputs(self, method, name):
+        series = TimeSeries.from_values(DEGENERATE[name])
+        for spec in specs_across_box(method, len(series)):
+            assert_deferred_matches_eager(spec, series)
+
+    @pytest.mark.parametrize("method", [MethodId.POL, MethodId.KER], ids=lambda m: m.value)
+    def test_shared_parts_match_front_doors(self, method, rng):
+        # the smooth, the operator diagonal and the operator of one shared
+        # build, against apply_to_values and linear_operator
+        inputs = [random_series(rng, n).values() for n in (33, 365)]
+        inputs += [DEGENERATE[name] for name in sorted(DEGENERATE)]
+        for y in inputs:
+            for spec in specs_across_box(method, len(y)):
+                base, diagonal, operator_of = linear_parts(spec, y)
+                operator = linear_operator(spec, len(y))
+                for got, want in (
+                    (base, apply_to_values(spec, y)),
+                    (diagonal, np.diagonal(operator)),
+                    (operator_of(), operator),
+                ):
+                    assert_bitwise_equal(got, want, spec)
+
+    def test_one_design_per_pol_build(self, rng, monkeypatch):
+        calls = counting(monkeypatch, localpoly, "local_design")
+        build_loocv_matrix(SmootherSpec(MethodId.POL, (0.4,)), random_series(rng, 60)).matrix
+        assert calls == [1]
+
+    def test_one_weight_matrix_per_ker_build(self, rng, monkeypatch):
+        calls = counting(monkeypatch, kernel, "_gaussian_weights")
+        build_loocv_matrix(SmootherSpec(MethodId.KER, (2.5,)), random_series(rng, 60)).matrix
+        assert calls == [1]
+
+    def test_aic_calibration_of_pol_forms_no_dense_operator(self, rng, monkeypatch):
+        scatters = counting(monkeypatch, localpoly, "scatter_rows")
+        operators = counting(monkeypatch, ev, "linear_operator")
+        series = random_series(rng, 365)
+        calibrate(MethodId.POL, series, GaConfig(population_size=6, iterations=2, seed=3))
+        assert scatters == [0] and operators == [0]
+        # the counter sees the one scatter that reading a matrix makes
+        build_loocv_matrix(SmootherSpec(MethodId.POL, (0.3,)), series).matrix
+        assert scatters == [1]
 
     def test_deletion_imputations_match_impute_linear(self, rng):
         from smoothbench.timeseries import impute_linear

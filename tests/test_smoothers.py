@@ -20,9 +20,11 @@ from smoothbench.smoothers import (
     make_spec,
     required_length,
 )
+from smoothbench.smoothers import localpoly
 from smoothbench.smoothers.basic import tukey_3r
 from smoothbench.smoothers.fourier import fourier_lowpass
 from smoothbench.smoothers.kalman import fit_kalman_local_level
+from smoothbench.smoothers.windows import local_design, window_offsets
 from smoothbench.timeseries import TimeSeries
 
 from conftest import random_series
@@ -439,3 +441,46 @@ class TestAdaptiveDegree:
             for dof2 in range(1, 401):
                 expected = float(f_dist.ppf(1.0 - F_TEST_ALPHA, jump, dof2))
                 assert _f_critical(jump, dof2) == expected, (jump, dof2)
+
+
+def reference_local_design(starts, k, degree, weights=None, centers=None):
+    """(design, weighted, normal) as built before the power table: ** on every offset."""
+    cols, offsets = window_offsets(starts, k, centers)
+    scale = max(1.0, float(np.abs(offsets).max()))
+    t = offsets / scale
+    powers = np.arange(degree + 1)
+    design = t[:, :, None] ** powers[None, None, :]
+    w = np.ones_like(t) if weights is None else weights
+    aw = design * w[:, :, None]
+    return design, aw, np.einsum("nkp,nkq->npq", aw, design)
+
+
+def assert_design_matches_reference(local, reference):
+    for name, got, want in zip(("design", "weighted", "normal"), (
+        local.design, local.weighted, local.normal), reference):
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+
+
+class TestLocalDesign:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 400), st.floats(0.1, 1.0))
+    def test_pol_design_matches_broadcast_powers(self, n, span):
+        local = localpoly._design(n, span)
+        reference = reference_local_design(
+            local.cols[:, 0], local.cols.shape[1], 2, local.weights
+        )
+        assert_design_matches_reference(local, reference)
+
+    @pytest.mark.parametrize("n", [30, 60, 365])
+    def test_interior_designs_match_broadcast_powers(self, n):
+        # every full-window design of ADP's interior fits
+        for window in range(5, 22, 2):
+            half = window // 2
+            interior = np.arange(half, n - half)
+            for degree in range(1, min(6, window - 1) + 1):
+                local = local_design(interior - half, window, degree, centers=interior)
+                reference = reference_local_design(
+                    interior - half, window, degree, centers=interior
+                )
+                assert_design_matches_reference(local, reference)
