@@ -22,14 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientData
-from .smoothers import (
-    SmootherSpec,
-    apply_to_values,
-    deletion_diagonal,
-    linear_operator,
-    linear_parts,
-)
+from .errors import EvaluationFailure, InsufficientData
+from .smoothers import SmootherSpec, deletion_diagonal, linear_parts
+# perfbench's traced mode wraps these two names here, so they stay importable
+from .smoothers import apply_to_values, linear_operator  # noqa: F401
 from .timeseries import TimeSeries, percentile
 
 ZERO_RESIDUAL_SSE = 1e-300
@@ -91,7 +87,7 @@ class PerformanceIndex:
     def __post_init__(self):
         _check_diagonal_indices(self.mae, self.aic)
         if not (math.isfinite(self.var) and self.var >= 0):
-            raise ValueError(f"VAR must be finite and nonnegative, got {self.var}")
+            raise EvaluationFailure(f"VAR must be finite and nonnegative, got {self.var}")
 
     def features(self) -> tuple[float, float, float]:
         return (self.var, self.mae, self.aic)
@@ -99,9 +95,9 @@ class PerformanceIndex:
 
 def _check_diagonal_indices(mae_value: float, aic_value: float) -> None:
     if not (math.isfinite(mae_value) and mae_value >= 0):
-        raise ValueError(f"MAE must be finite and nonnegative, got {mae_value}")
+        raise EvaluationFailure(f"MAE must be finite and nonnegative, got {mae_value}")
     if math.isnan(aic_value):
-        raise ValueError("AIC is NaN")
+        raise EvaluationFailure("AIC is NaN")
 
 
 def deletion_imputations(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -123,22 +119,18 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
     """Delete, impute and re-smooth once per sample; columns stack the results.
 
     Column t is the smoother applied to the series with x_t replaced by its
-    deletion imputation.  For the linear catalog methods that is computed as
-    a rank-one update of one matrix application (same map, fewer passes); the
+    deletion imputation.  For a linear method (``linear_parts`` gives its
+    smooth, operator diagonal and operator builder) that is computed as a
+    rank-one update of one application (same map, fewer passes); the
     data-adaptive methods smooth the stack of all T deletion series in one
     call.  The diagonal is computed now; where it has a cheaper form than the
-    full matrix (the linear methods, ADP), the matrix waits until it is read.
-    POL and KER form the base application and the operator from one shared
-    geometry, and their dense operator too waits until the matrix is read.
+    full matrix (the linear methods, ADP), the matrix, and with it a linear
+    method's dense operator, waits until it is read.
     """
     if not series.is_gap_free():
         raise InsufficientData("LOOCV input must be gap-free; impute first")
     y = series.values()
     parts = linear_parts(spec, y)  # raises SeriesTooShort first
-    if parts is None:
-        operator = linear_operator(spec, len(y))
-        if operator is not None:
-            parts = (apply_to_values(spec, y), np.diagonal(operator), lambda: operator)
     imp = deletion_imputations(y, series.day_index())
     if parts is not None:
         # the direct algorithm gives the base application (bit-faithful for

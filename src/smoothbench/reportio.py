@@ -16,7 +16,7 @@ from datetime import date
 
 from .clustering import ClusterResult
 from .csvio import fmt, open_input, write_table
-from .errors import IoError, SchemaError
+from .errors import EvaluationFailure, IoError, SchemaError
 from .evaluation import PerformanceIndex
 from .pipeline import BenchmarkReport, MethodOutcome
 from .regression import LinearFit
@@ -165,8 +165,9 @@ def parse_reports_json(text: str) -> list[BenchmarkReport]:
         if version != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema version: {version!r}")
         reports = [report_from_dict(d) for d in payload["reports"]]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # what malformed JSON, or JSON of the wrong shape, raises on the way in
+    except (ValueError, KeyError, TypeError, AttributeError, EvaluationFailure) as exc:
+        # what malformed JSON, JSON of the wrong shape, or a stored index out
+        # of range raises on the way in
         raise SchemaError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     _check_kinds(reports, SchemaError)
     return reports

@@ -27,8 +27,8 @@ from .catalog import (
 from .fourier import fourier_lowpass
 from .gam import gam_matrix_operator, gam_smoother
 from .kalman import fit_kalman_local_level
-from .kernel import kernel_operator, kernel_parts, kernel_regression
-from .localpoly import local_quadratic, local_quadratic_operator, local_quadratic_parts
+from .kernel import kernel_parts, kernel_regression
+from .localpoly import local_quadratic, local_quadratic_parts
 from .savgol import (
     adaptive_degree_diagonal,
     adaptive_degree_filter,
@@ -61,15 +61,14 @@ __all__ = [
 
 
 class _Row(NamedTuple):
-    """How one method is run: ``smoother(y, *params)``, ``operator(n, *params)``,
-    ``parts(y, *params)`` and ``diagonal(y, imp, *params)``."""
+    """How one method is run: ``smoother(y, *params)``, ``parts(y, *params)``
+    and ``diagonal(y, imp, *params)``."""
 
     smoother: Callable[..., np.ndarray]
     stacked: bool  # the smoother takes a (B, T) stack in one call
-    operator: "Callable[..., np.ndarray | None] | None" = None  # None: nonlinear
-    # a linear method whose smooth, operator diagonal and operator share one
-    # geometry: (smoother(y), diag(S), a builder of S), all from one build
-    parts: "Callable[..., tuple] | None" = None
+    # a linear method: (smoother(y), diag(S), a builder of S) from one build,
+    # or None where S depends on the data (GAM with auto_penalty)
+    parts: "Callable[..., tuple | None] | None" = None
     # a nonlinear method whose LOOCV diagonal is cheaper than its T deletion smooths
     diagonal: "Callable[..., np.ndarray] | None" = None
 
@@ -80,25 +79,40 @@ def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarra
     return lambda n, *params: np.ascontiguousarray(smoother(np.eye(n), *params).T)
 
 
-# One row per method.  SGF, POL and GAM keep hand-built operators, which their
-# smoother on unit vectors misses by up to 6.3e-14, 3.5e-16 and 7.0e-15, enough
-# to change reported indices; KER keeps one because a row-exact derivation is
-# ~4x slower at T=365.  POL and KER also give ``parts``, so that their LOOCV
-# build makes one local design (POL) or one weight matrix (KER).
+def _dense_parts(
+    smoother: Callable[..., np.ndarray],
+    operator: "Callable[..., np.ndarray | None] | None" = None,
+) -> Callable[..., "tuple | None"]:
+    """``parts`` over a dense operator ``operator(n, *params)`` (by default
+    the smoother on the identity), which it builds once per call."""
+    operator = operator or _on_identity(smoother)
+
+    def parts(y: np.ndarray, *params) -> "tuple | None":
+        s = operator(len(y), *params)
+        return None if s is None else (smoother(y, *params), np.diagonal(s), lambda: s)
+
+    return parts
+
+
+# One row per method.  SGF, POL and GAM build their operators by hand, which
+# their smoother on unit vectors misses by up to 6.3e-14, 3.5e-16 and 7.0e-15,
+# enough to change reported indices; KER builds its own because a row-exact
+# derivation is ~4x slower at T=365.  POL and KER form the smooth and the
+# operator from one local design (POL) or one weight matrix (KER).
 _METHODS: dict[MethodId, _Row] = {
     MethodId.TUK: _Row(tukey_3r, True),
     MethodId.KAL: _Row(lambda y: fit_kalman_local_level(y)[0], True),
     MethodId.FFT: _Row(fourier_lowpass, False),
-    MethodId.SPL: _Row(smoothing_spline, True, _on_identity(smoothing_spline)),
-    MethodId.KER: _Row(kernel_regression, False, kernel_operator, kernel_parts),
-    MethodId.SMA: _Row(simple_moving_average, True, _on_identity(simple_moving_average)),
+    MethodId.SPL: _Row(smoothing_spline, True, _dense_parts(smoothing_spline)),
+    MethodId.KER: _Row(kernel_regression, False, kernel_parts),
+    MethodId.SMA: _Row(simple_moving_average, True, _dense_parts(simple_moving_average)),
     MethodId.RRM: _Row(repeated_running_median, True),
     MethodId.SUP: _Row(super_smoother, True),
-    MethodId.POL: _Row(local_quadratic, False, local_quadratic_operator, local_quadratic_parts),
-    MethodId.SGF: _Row(savitzky_golay, False, savgol_operator),
+    MethodId.POL: _Row(local_quadratic, False, local_quadratic_parts),
+    MethodId.SGF: _Row(savitzky_golay, False, _dense_parts(savitzky_golay, savgol_operator)),
     MethodId.ARI: _Row(ar_smoother, False),
     MethodId.ADP: _Row(adaptive_degree_filter, True, diagonal=adaptive_degree_diagonal),
-    MethodId.GAM: _Row(gam_smoother, True, gam_matrix_operator),
+    MethodId.GAM: _Row(gam_smoother, True, _dense_parts(gam_smoother, gam_matrix_operator)),
 }
 
 
@@ -134,24 +148,23 @@ def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
 def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
     """Dense smoother matrix S with S @ y == apply_to_values(spec, y), when linear.
 
-    Several catalog methods are linear maps of the input for a fixed spec;
-    their LOOCV matrices then follow from rank-one updates of a single
-    application.  Returns None for the data-adaptive (nonlinear) methods.
+    The builder that ``linear_parts`` returns for a length-n series; None
+    where that is None.
     """
-    params = _checked_params(spec, n)
-    build = _METHODS[spec.method].operator
-    return None if build is None else build(n, *params)
+    parts = linear_parts(spec, np.zeros(n))
+    return None if parts is None else parts[2]()
 
 
 def linear_parts(
     spec: SmootherSpec, y: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]] | None":
-    """``apply_to_values(spec, y)``, the diagonal of ``linear_operator(spec,
-    len(y))`` and a builder of that operator, computed from one shared geometry.
+    """For a linear method, ``apply_to_values(spec, y)``, the diagonal of its
+    dense smoother matrix S and a builder of S, from one shared build.
 
-    Each is bit for bit what the two front doors give; the dense operator is
-    formed only when the builder is called.  Returns None for a method
-    without such a form (its operator, if any, comes from linear_operator).
+    The smooth is bit for bit what ``apply_to_values`` gives.  POL and KER
+    form S only when the builder is called; the others build it here.
+    Returns None for a nonlinear method, and for GAM with ``auto_penalty``,
+    whose GCV-chosen penalty depends on y.
     """
     params = _checked_params(spec, len(y))
     build = _METHODS[spec.method].parts

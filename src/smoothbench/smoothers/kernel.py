@@ -12,12 +12,6 @@ def _gaussian_weights(n: int, bandwidth: float) -> np.ndarray:
     return np.exp(-0.5 * u * u)
 
 
-def kernel_operator(n: int, bandwidth: float) -> np.ndarray:
-    """Row-normalized Gaussian weight matrix."""
-    k = _gaussian_weights(n, bandwidth)
-    return k / k.sum(axis=1, keepdims=True)
-
-
 def kernel_regression(y: np.ndarray, bandwidth: float) -> np.ndarray:
     k = _gaussian_weights(len(y), bandwidth)
     return (k @ y) / k.sum(axis=1)
@@ -28,7 +22,8 @@ def kernel_parts(
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """The smooth S @ y, diag(S) and a builder of the dense S, from one weight matrix.
 
-    Each equals :func:`kernel_regression` or :func:`kernel_operator` bit for bit.
+    S is the row-normalized Gaussian weight matrix; the smooth equals
+    :func:`kernel_regression` bit for bit.
     """
     k = _gaussian_weights(len(y), bandwidth)
     s = k.sum(axis=1)

@@ -40,19 +40,14 @@ def local_quadratic(y: np.ndarray, span: float) -> np.ndarray:
     return batched_local_polyfit(y[local.cols], local)
 
 
-def local_quadratic_operator(n: int, span: float) -> np.ndarray:
-    """Dense equivalent-kernel matrix (weights depend on geometry only)."""
-    local = _design(n, span)
-    return scatter_rows(local.cols[:, 0], equivalent_kernel(local), n)
-
-
 def local_quadratic_parts(
     y: np.ndarray, span: float
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """The smooth S @ y, diag(S) and a builder of the dense S, from one design.
 
-    Each equals :func:`local_quadratic` or :func:`local_quadratic_operator`
-    bit for bit; S is formed only when the builder is called.
+    S is the equivalent-kernel matrix (its weights depend on geometry only);
+    the smooth equals :func:`local_quadratic` bit for bit, and S is formed
+    only when the builder is called.
     """
     n = len(y)
     local = _design(n, span)

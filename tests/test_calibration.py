@@ -556,9 +556,9 @@ class TestDiagonalObjectives:
         spec = SmootherSpec(MethodId.SMA, (5.0,))
         config = small_config(iterations=2)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="VAR"):
+            with pytest.raises(EvaluationFailure, match="VAR"):
                 evaluate_method(spec, series)
-            with pytest.raises(ValueError, match="VAR"):
+            with pytest.raises(EvaluationFailure, match="viable"):
                 calibrate(MethodId.SMA, series, config, "combined")
         for objective in ("aic", "mae"):
             assert math.isfinite(evaluate_method(spec, series, objective=objective))

@@ -455,10 +455,17 @@ class TestExitCodes:
         assert rc == 1
         assert key in capsys.readouterr().err
 
-    def test_malformed_report_exits_1(self, tmp_path, capsys):
+    def test_malformed_report_exits_1(self, surveillance_csv, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        assert main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
+                     "--out", str(bench), "--ga-pop", "8", "--ga-iters", "1",
+                     "--methods", "tuk,fft,sma"]) == 0
+        payload = json.loads((bench / "report.json").read_text())
+        payload["reports"][0]["methods"][0]["index"]["mae"] = -1.0  # index out of range
+        capsys.readouterr()
         bad = tmp_path / "report.json"
         for text in ('{"schema_version": 1}', "{not json", "[]",
-                     '{"schema_version": 1, "reports": [{"site": "A"}]}'):
+                     '{"schema_version": 1, "reports": [{"site": "A"}]}', json.dumps(payload)):
             bad.write_text(text)
             rc = main(["report", "--report", str(bad), "--out", str(tmp_path / "out")])
             assert rc == 1, text

@@ -5,7 +5,7 @@ import pytest
 
 import smoothbench.evaluation as ev
 from smoothbench.calibration import GaConfig, calibrate
-from smoothbench.errors import SeriesTooShort, SmoothbenchError
+from smoothbench.errors import EvaluationFailure, SeriesTooShort, SmoothbenchError
 from smoothbench.evaluation import (
     LoocvMatrix,
     PerformanceIndex,
@@ -26,6 +26,11 @@ from smoothbench.smoothers import (
     linear_parts,
 )
 from smoothbench.smoothers import kernel, localpoly
+from smoothbench.smoothers.basic import simple_moving_average
+from smoothbench.smoothers.gam import gam_matrix_operator
+from smoothbench.smoothers.savgol import savgol_operator
+from smoothbench.smoothers.spline import smoothing_spline
+from smoothbench.smoothers.windows import equivalent_kernel, scatter_rows
 from smoothbench.timeseries import TimeSeries
 
 from conftest import random_series
@@ -58,7 +63,38 @@ def aic_oracle(m, x, k):
     return n * math.log(sse / n) - 2 * k
 
 
-LINEAR_METHODS = [m for m in MethodId if linear_operator(default_spec(m), 40) is not None]
+def _on_identity(smoother):
+    # column j of S is S applied to e_j, the transposed smooth of the identity
+    return lambda n, *params: np.ascontiguousarray(smoother(np.eye(n), *params).T)
+
+
+def _kernel_operator(n, bandwidth):
+    """Row-normalized Gaussian weight matrix (KER's former operator builder)."""
+    k = kernel._gaussian_weights(n, bandwidth)
+    return k / k.sum(axis=1, keepdims=True)
+
+
+def _local_quadratic_operator(n, span):
+    """Dense equivalent-kernel matrix (POL's former operator builder)."""
+    local = localpoly._design(n, span)
+    return scatter_rows(local.cols[:, 0], equivalent_kernel(local), n)
+
+
+# the dense operator of each linear method, as formed before ``parts``
+REFERENCE_OPERATORS = {
+    MethodId.SPL: _on_identity(smoothing_spline),
+    MethodId.KER: _kernel_operator,
+    MethodId.SMA: _on_identity(simple_moving_average),
+    MethodId.POL: _local_quadratic_operator,
+    MethodId.SGF: savgol_operator,
+    MethodId.GAM: gam_matrix_operator,
+}
+LINEAR_METHODS = list(REFERENCE_OPERATORS)
+
+
+def typed_params(spec):
+    """The spec's parameters, int where the ParamSpec is integer."""
+    return tuple(int(p) if b.integer else p for b, p in zip(spec.bounds, spec.params))
 
 
 def specs_across_box(method, n):
@@ -131,18 +167,12 @@ class TestBuildMatrix:
 
     def test_fast_path_matches_per_deletion_loop(self, noisy_sine, monkeypatch):
         specs = [
-            SmootherSpec(MethodId.SMA, (5,)),
-            SmootherSpec(MethodId.KER, (1.5,)),
-            SmootherSpec(MethodId.SPL, (1.0,)),
-            SmootherSpec(MethodId.SGF, (7, 2)),
-            SmootherSpec(MethodId.POL, (0.4,)),
-            SmootherSpec(MethodId.GAM, (12, 0.5, 0, 0)),
+            spec for m in LINEAR_METHODS for spec in specs_across_box(m, len(noisy_sine))
         ]
         fast = [build_loocv_matrix(spec, noisy_sine).matrix for spec in specs]
-        # both doors to the rank-one path closed: every method takes the
+        # the one door to the rank-one path closed: every method takes the
         # per-deletion loop
         monkeypatch.setattr(ev, "linear_parts", lambda *a, **k: None)
-        monkeypatch.setattr(ev, "linear_operator", lambda *a, **k: None)
         for spec, matrix in zip(specs, fast):
             slow = build_loocv_matrix(spec, noisy_sine).matrix
             np.testing.assert_allclose(
@@ -178,22 +208,31 @@ class TestBuildMatrix:
         for spec in specs_across_box(method, len(series)):
             assert_deferred_matches_eager(spec, series)
 
-    @pytest.mark.parametrize("method", [MethodId.POL, MethodId.KER], ids=lambda m: m.value)
+    @pytest.mark.parametrize("method", LINEAR_METHODS, ids=lambda m: m.value)
     def test_shared_parts_match_front_doors(self, method, rng):
         # the smooth, the operator diagonal and the operator of one shared
-        # build, against apply_to_values and linear_operator
+        # build, against apply_to_values, linear_operator and the operator
+        # each method was built from before ``parts`` was its only form
         inputs = [random_series(rng, n).values() for n in (33, 365)]
         inputs += [DEGENERATE[name] for name in sorted(DEGENERATE)]
         for y in inputs:
             for spec in specs_across_box(method, len(y)):
-                base, diagonal, operator_of = linear_parts(spec, y)
+                reference = REFERENCE_OPERATORS[method](len(y), *typed_params(spec))
+                parts = linear_parts(spec, y)
                 operator = linear_operator(spec, len(y))
+                if reference is None:  # GAM with auto_penalty: not linear
+                    assert parts is None and operator is None, spec
+                    continue
+                base, diagonal, operator_of = parts
+                built = operator_of()
                 for got, want in (
                     (base, apply_to_values(spec, y)),
                     (diagonal, np.diagonal(operator)),
-                    (operator_of(), operator),
+                    (built, reference),
+                    (operator, reference),
                 ):
                     assert_bitwise_equal(got, want, spec)
+                assert built.flags.c_contiguous and operator.flags.c_contiguous, spec
 
     def test_one_design_per_pol_build(self, rng, monkeypatch):
         calls = counting(monkeypatch, localpoly, "local_design")
@@ -361,7 +400,18 @@ class TestEvaluateMethod:
         assert evaluate_method(default_spec(MethodId.TUK), noisy_sine).k == 0
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EvaluationFailure):
             PerformanceIndex(method="sma", k=1, mae=-1.0, var=0.0, aic=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(EvaluationFailure):
             PerformanceIndex(method="sma", k=1, mae=0.0, var=0.0, aic=float("nan"))
+
+    @pytest.mark.parametrize(
+        "method", [MethodId.TUK, MethodId.SPL, MethodId.POL, MethodId.SGF], ids=lambda m: m.value
+    )
+    def test_non_finite_index_is_a_smoothbench_error(self, method, rng):
+        # squares of values near 1e155 overflow, so VAR is inf: a GA then
+        # counts the genome as failed and the pipeline excludes the method
+        series = random_series(rng, 30, scale=1e155)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SmoothbenchError, match="VAR"):
+                evaluate_method(default_spec(method), series)

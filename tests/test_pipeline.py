@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import smoothbench.pipeline as pl
 from smoothbench.calibration import GaConfig
-from smoothbench.errors import InputError, MissingBiomarker, SeriesTooShort
+from smoothbench.errors import EvaluationFailure, InputError, MissingBiomarker, SeriesTooShort
 from smoothbench.clustering import cluster_methods
 from smoothbench.evaluation import evaluate_method
 from smoothbench.pipeline import PipelineConfig, method_seed, run_benchmark
@@ -172,6 +173,20 @@ class TestRunBenchmark:
         assert "SeriesTooShort" in failed.error
         assert MethodId.TUK not in report.cluster.assignments
         assert len([o for o in report.outcomes if o.ok]) == 3
+
+    def test_non_finite_indices_exclude_methods(self, bundled):
+        # at 1e150 times the bundled concentrations every index's squares
+        # overflow: each method fails on its own instead of aborting the run
+        scaled = [
+            replace(r, c_virus=None if r.c_virus is None else r.c_virus * 1e150) for r in bundled
+        ]
+        methods = (MethodId.TUK, MethodId.SPL, MethodId.SMA, MethodId.KER)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(EvaluationFailure, match="only 0 methods succeeded"):
+                run_benchmark(scaled, "raw", tiny_config(methods=methods))
+        excluded = [str(w.message) for w in caught if "failed and is excluded" in str(w.message)]
+        assert [text.split()[1] for text in excluded] == [m.value for m in methods]
 
 
 class TestRawAndNormalized:
