@@ -94,18 +94,22 @@ def search_bounds(method: MethodId, n: int) -> tuple[ParamSpec, ...]:
     Taking the integer genes in catalog order, each upper bound drops one grid
     step at a time, not below its lower bound, until the box's constrained
     upper corner meets ``required_length``.  That length never falls as an
-    integer gene grows, so every genome of the box then fits.
+    integer gene grows, so every genome of the box then fits; a series too
+    short for even the lowered corner raises SeriesTooShort.
     """
     method = MethodId(method)
     bounds = list(PARAM_SPECS[method])
 
-    def corner_fits() -> bool:
+    def corner_need() -> int:
         corner = constrain(method, [b.hi for b in bounds])
-        return required_length(SmootherSpec(method, corner)) <= n
+        return required_length(SmootherSpec(method, corner))
 
     for i, b in enumerate(bounds):
-        while b.integer and b.hi > b.lo and not corner_fits():
+        while b.integer and b.hi > b.lo and corner_need() > n:
             b = bounds[i] = replace(b, hi=b.hi - (2 if b.odd else 1))
+    need = corner_need()
+    if need > n:
+        raise SeriesTooShort(f"{method.value} needs at least {need} points, got {n}")
     return tuple(bounds)
 
 
@@ -262,16 +266,9 @@ def calibrate(
     """
     method = MethodId(method)
     config = config or GaConfig()
-    bounds = search_bounds(method, len(series))
-    if not bounds:
+    if not PARAM_SPECS[method]:
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
-    # no genome needs fewer points than the catalog's lowest corner
-    catalog = PARAM_SPECS[method]
-    need = required_length(
-        SmootherSpec(method, repair_genome(method, catalog, [b.lo for b in catalog]))
-    )
-    if need > len(series):
-        raise SeriesTooShort(f"{method.value} needs at least {need} points, got {len(series)}")
+    bounds = search_bounds(method, len(series))
     rng = np.random.default_rng(config.seed)
 
     if callable(objective):

@@ -2,7 +2,8 @@
 
 Subcommands: ingest, normalize, smooth, calibrate, benchmark, regress,
 report.  Exit codes: 0 success, 1 input/usage error (including an input file
-that cannot be read), 2 any other failure.
+that cannot be read), 2 any other failure: "error:" and its type for one the
+data causes, "internal error:" for an unexpected exception.
 
 Every option gets its value, type and default from argparse.  The keys of a
 --config JSON file (long flag names) become flag tokens parsed before the
@@ -34,19 +35,12 @@ from .csvio import (
     write_surveillance_csv,
     write_table,
 )
-from .errors import InputError, NonParametricMethod
-from .normalization import normalize_series, reference_nh4_load
-from .pipeline import PipelineConfig, run_benchmark
-from .regression import fit_linear, join_load_incidence
+from .errors import InputError, SmoothbenchError
+from .normalization import reference_nh4_load
+from .pipeline import PipelineConfig, fit_loads, normalized_loads, run_benchmark
 from .reportio import read_reports, write_reports
-from .smoothers import (
-    PARAM_SPECS,
-    PARAMETRIC_METHODS,
-    MethodId,
-    apply_smoother,
-    make_spec,
-)
-from .timeseries import Sample, TimeSeries, build_series, impute_linear
+from .smoothers import PARAM_SPECS, MethodId, apply_smoother, make_spec
+from .timeseries import TimeSeries, build_series, impute_linear
 
 _FIELD_MAP = {
     "virus": "c_virus",
@@ -377,10 +371,7 @@ def cmd_normalize(args) -> int:
     records = _load_records(args)
     site = records[0].site
     f_nh4 = _f_nh4(args, site)
-    virus = build_series(records, "c_virus")
-    nh4 = build_series(records, "c_nh4")
-    normalized = normalize_series(virus, nh4, f_nh4)
-    rows = [[s.timestamp.isoformat(), fmt(s.value)] for s in normalized]
+    rows = [[s.timestamp.isoformat(), fmt(s.value)] for s in normalized_loads(records, f_nh4)]
     write_table(
         _sink(args.out),
         ["date", "value"],
@@ -411,8 +402,6 @@ def cmd_smooth(args) -> int:
 
 def cmd_calibrate(args) -> int:
     method = args.method
-    if method not in PARAMETRIC_METHODS:
-        raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
     config = _ga_config(args)
     gap_free = impute_linear(_input_series(args))
     result = calibrate(method, gap_free, config, objective=args.objective)
@@ -476,26 +465,18 @@ def cmd_regress(args) -> int:
                 f"report {args.report} has no {args.signal} run for site {site!r}"
             )
         rep = matching[0]
-        loads = TimeSeries(
-            tuple(Sample(t, v) for t, v in zip(rep.timestamps, rep.smoothed))
-        )
+        loads = TimeSeries.from_pairs(zip(rep.timestamps, rep.smoothed))
         source = f"report:{args.report}"
     elif args.raw_loads:
-        loads = normalize_series(
-            build_series(records, "c_virus"), build_series(records, "c_nh4"),
-            _f_nh4(args, site),
-        )
+        loads = normalized_loads(records, _f_nh4(args, site))
         source = "raw normalized loads"
     else:
         config = _pipeline_config(args, f_nh4=_f_nh4(args, site))
         report = run_benchmark(records, args.signal, config)
-        loads = TimeSeries(
-            tuple(Sample(t, v) for t, v in zip(report.timestamps, report.smoothed))
-        )
+        loads = TimeSeries.from_pairs(zip(report.timestamps, report.smoothed))
         source = f"benchmark optimal={report.optimal_method.value}"
 
-    pairs = join_load_incidence(loads, incidence, site=site)
-    fit = fit_linear(pairs)
+    fit = fit_loads(loads, incidence, site)
     rows = [[site, fmt(fit.slope), fmt(fit.intercept), fmt(fit.r_squared), str(fit.n)]]
     write_table(
         _sink(args.out),
@@ -537,6 +518,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SmoothbenchError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

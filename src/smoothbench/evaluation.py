@@ -167,14 +167,17 @@ def mae(loocv: LoocvMatrix) -> float:
 
 
 def var_index(loocv: LoocvMatrix) -> float:
-    return float(np.sum(np.var(loocv.matrix, axis=1, ddof=1)))
+    # an overflowing VAR is inf, which PerformanceIndex rejects
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.var(loocv.matrix, axis=1, ddof=1)))
 
 
 def aic(loocv: LoocvMatrix, k: int, standard_sign: bool = False) -> float:
     """T*ln(SSE/T) with the 2k penalty subtracted (added when standard_sign)."""
     n = loocv.size
     resid = loocv.diagonal - loocv.source.values()
-    sse = float(resid @ resid)
+    with np.errstate(over="ignore"):  # an overflowing SSE is inf, and so is the AIC
+        sse = float(resid @ resid)
     penalty = 2.0 * k
     if sse < ZERO_RESIDUAL_SSE:
         return float("-inf")

@@ -2,10 +2,12 @@
 
 normalize (optional) -> impute -> per-method GA calibration -> LOOCV indices
 -> K-medoid clustering -> optimal method -> full-series smooth + confidence
-band -> report.  Per-method GA seeds are derived by hashing the master seed
-with the method code, so dropping one method never perturbs the others.
-Methods that fail are excluded from clustering with a warning instead of
-aborting the run.
+band -> report.  ``evaluate_one`` calibrates and scores one method and shares
+no state with the others: per-method GA seeds are derived by hashing the
+master seed with the method code, so dropping one method never perturbs the
+others.  Methods that fail are excluded from clustering with a warning
+instead of aborting the run.  ``normalized_loads`` and ``fit_loads`` are the
+one producer each of the NH4-normalized series and the load-incidence fit.
 """
 from __future__ import annotations
 
@@ -145,6 +147,22 @@ def method_seed(master_seed: int, method: MethodId) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def normalized_loads(records: list[SurveillanceRecord], f_nh4: float | None) -> TimeSeries:
+    """Per-capita loads ``c_virus * f_nh4 / c_nh4``; ``f_nh4`` None takes the site's reference."""
+    if all(r.c_nh4 is None for r in records):
+        raise MissingBiomarker("normalized run requested but no NH4 values are present")
+    if f_nh4 is None:
+        f_nh4 = reference_nh4_load(records[0].site)
+    return normalize_series(
+        build_series(records, "c_virus"), build_series(records, "c_nh4"), f_nh4
+    )
+
+
+def fit_loads(loads: TimeSeries, incidence: TimeSeries, site: str) -> LinearFit:
+    """OLS of 7-day incidence on the loads, over the dates both series hold."""
+    return fit_linear(join_load_incidence(loads, incidence, site=site))
+
+
 def _signal_series(
     records: list[SurveillanceRecord], signal_kind: str, config: PipelineConfig
 ) -> TimeSeries:
@@ -152,14 +170,35 @@ def _signal_series(
         return build_series(records, "c_virus")
     if signal_kind != "normalized":
         raise InputError(f"signal_kind must be one of {SIGNAL_KINDS}, got {signal_kind!r}")
-    if all(r.c_nh4 is None for r in records):
-        raise MissingBiomarker("normalized run requested but no NH4 values are present")
-    virus = build_series(records, "c_virus")
-    nh4 = build_series(records, "c_nh4")
-    f_nh4 = config.f_nh4
-    if f_nh4 is None:
-        f_nh4 = reference_nh4_load(records[0].site)
-    return normalize_series(virus, nh4, f_nh4)
+    return normalized_loads(records, config.f_nh4)
+
+
+def evaluate_one(
+    config: PipelineConfig, method: MethodId, imputed: TimeSeries
+) -> tuple[MethodOutcome, LoocvMatrix | None]:
+    """GA-calibrate (if parametric) and LOOCV-score one method; shares no state.
+
+    A SmoothbenchError is not raised: it is warned about and recorded in the
+    outcome, and the matrix is None.
+    """
+    parametric = bool(PARAM_SPECS[method])
+    seed = method_seed(config.ga.seed, method) if parametric else None
+    evaluations = 0
+    try:
+        if parametric:
+            result = calibrate(
+                method, imputed, replace(config.ga, seed=seed), objective=config.objective
+            )
+            spec, evaluations = result.spec, result.evaluations
+        else:
+            spec = default_spec(method)
+        loocv = build_loocv_matrix(spec, imputed)
+        index = performance_index(spec, loocv, config.standard_aic_sign)
+    except SmoothbenchError as exc:
+        warnings.warn(f"method {method.value} failed and is excluded: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+        return MethodOutcome(method, ga_seed=seed, ga_evaluations=evaluations, error=error), None
+    return MethodOutcome(method, spec.params, index, seed, evaluations), loocv
 
 
 def run_benchmark(
@@ -174,45 +213,8 @@ def run_benchmark(
     imputed = impute_linear(series)
     n = len(imputed)
 
-    outcomes: list[MethodOutcome] = []
-    matrices: dict[MethodId, LoocvMatrix] = {}
-    for m in config.methods:
-        parametric = bool(PARAM_SPECS[m])
-        seed_m = method_seed(config.ga.seed, m) if parametric else None
-        ga_evals = 0
-        try:
-            if parametric:
-                result = calibrate(
-                    m, imputed, replace(config.ga, seed=seed_m), objective=config.objective
-                )
-                spec = result.spec
-                ga_evals = result.evaluations
-            else:
-                spec = default_spec(m)
-            loocv = build_loocv_matrix(spec, imputed)
-            index = performance_index(spec, loocv, config.standard_aic_sign)
-        except SmoothbenchError as exc:
-            warnings.warn(f"method {m.value} failed and is excluded: {exc}")
-            outcomes.append(
-                MethodOutcome(
-                    method=m,
-                    ga_seed=seed_m,
-                    ga_evaluations=ga_evals,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        matrices[m] = loocv
-        outcomes.append(
-            MethodOutcome(
-                method=m,
-                params=spec.params,
-                index=index,
-                ga_seed=seed_m,
-                ga_evaluations=ga_evals,
-            )
-        )
-
+    evaluated = {m: evaluate_one(config, m, imputed) for m in config.methods}
+    outcomes = tuple(outcome for outcome, _ in evaluated.values())
     succeeded = [o for o in outcomes if o.ok]
     if len(succeeded) < 3:
         raise EvaluationFailure(
@@ -222,10 +224,10 @@ def run_benchmark(
         [o.index for o in succeeded], standardize=config.standardize
     )
     optimal = cluster.optimal
-    optimal_outcome = next(o for o in succeeded if o.method is optimal)
+    optimal_outcome, optimal_loocv = evaluated[optimal]
     optimal_spec = SmootherSpec(optimal, optimal_outcome.params)
     smoothed = apply_smoother(optimal_spec, imputed)
-    lower, upper = confidence_band(matrices[optimal], config.band_level)
+    lower, upper = confidence_band(optimal_loocv, config.band_level)
 
     regression = _regression_fit(records, smoothed)
 
@@ -254,7 +256,7 @@ def run_benchmark(
 
     loocv_payload = None
     if config.include_loocv:
-        loocv_payload = tuple(tuple(row) for row in matrices[optimal].matrix)
+        loocv_payload = tuple(tuple(row) for row in optimal_loocv.matrix)
 
     return BenchmarkReport(
         site=records[0].site,
@@ -262,7 +264,7 @@ def run_benchmark(
         timestamps=series.timestamps,
         original=tuple(s.value for s in series),
         imputed=tuple(imputed.values()),
-        outcomes=tuple(outcomes),
+        outcomes=outcomes,
         cluster=cluster,
         optimal_method=optimal,
         optimal_params=optimal_spec.params,
@@ -277,13 +279,8 @@ def run_benchmark(
 
 
 def _regression_fit(records, smoothed: TimeSeries) -> LinearFit | None:
-    if all(r.incidence_7d is None for r in records):
-        return None
+    """The load-incidence fit of the smooth, or None when the records allow none."""
     try:
-        incidence = build_series(records, "incidence_7d")
-        pairs = join_load_incidence(smoothed, incidence, site=records[0].site)
-        if len(pairs) < 2:
-            return None
-        return fit_linear(pairs)
+        return fit_loads(smoothed, build_series(records, "incidence_7d"), records[0].site)
     except SmoothbenchError:
         return None

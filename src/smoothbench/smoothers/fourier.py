@@ -21,7 +21,9 @@ def fourier_lowpass(y: np.ndarray, energy_fraction: float = DEFAULT_ENERGY_FRACT
     weights[0] = 1.0
     if n % 2 == 0:
         weights[-1] = 1.0
-    energy = weights * np.abs(spectrum) ** 2
+    # an energy past the float range is inf, which the cutoff search below takes
+    with np.errstate(over="ignore"):
+        energy = weights * np.abs(spectrum) ** 2
     non_dc = energy[1:]
     total = float(non_dc.sum())
     if total <= 0.0:

@@ -51,16 +51,21 @@ def _f_critical(num_dof: int, dof2: int) -> float:
     return float(fdtri(num_dof, dof2, 1.0 - F_TEST_ALPHA))
 
 
+def _boundary_windows(n: int, half: int):
+    """(point, window start, window stop) of every truncated boundary window."""
+    for i in range(min(half, n)):
+        for j in (i, n - 1 - i):
+            yield j, max(0, j - half), min(n, j + half + 1)
+
+
 def savitzky_golay(y: np.ndarray, window: int, degree: int) -> np.ndarray:
     n = len(y)
     half = window // 2
     out = np.empty(n)
     coeffs = _sg_center_coefficients(window, degree)
     out[half : n - half] = np.correlate(y, coeffs, mode="valid")
-    for i in range(half):
-        for j in (i, n - 1 - i):
-            lo, hi = max(0, j - half), min(n, j + half + 1)
-            out[j], _ = polyfit_window(y[lo:hi], np.arange(lo, hi) - j, degree)
+    for j, lo, hi in _boundary_windows(n, half):
+        out[j], _ = polyfit_window(y[lo:hi], np.arange(lo, hi) - j, degree)
     return out
 
 
@@ -71,10 +76,8 @@ def savgol_operator(n: int, window: int, degree: int) -> np.ndarray:
     coeffs = _sg_center_coefficients(window, degree)
     for i in range(half, n - half):
         out[i, i - half : i + half + 1] = coeffs
-    for i in range(half):
-        for j in (i, n - 1 - i):
-            lo, hi = max(0, j - half), min(n, j + half + 1)
-            out[j, lo:hi] = _edge_row(np.arange(lo, hi) - j, degree)
+    for j, lo, hi in _boundary_windows(n, half):
+        out[j, lo:hi] = _edge_row(np.arange(lo, hi) - j, degree)
     return out
 
 
@@ -153,13 +156,6 @@ def _adaptive_values(
     chosen = _choose_degrees(sses.reshape(ndeg, -1), min_degree, window)
     picked = np.take_along_axis(fits.reshape(ndeg, -1), chosen[None, :], axis=0)
     return picked.reshape(fits.shape[1:])
-
-
-def _boundary_windows(n: int, half: int):
-    """(point, window start, window stop) of every truncated boundary window."""
-    for i in range(min(half, n)):
-        for j in (i, n - 1 - i):
-            yield j, max(0, j - half), min(n, j + half + 1)
 
 
 def adaptive_degree_filter(

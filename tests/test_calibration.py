@@ -200,6 +200,13 @@ class TestRepair:
         assert ari[0].hi == 3
 
 
+@pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
+def test_search_bounds_reject_a_series_too_short_for_any_genome(method):
+    with pytest.raises(SeriesTooShort, match=f"{method.value} needs at least 5 points, got 4"):
+        search_bounds(method, 4)
+    assert search_bounds(method, 5)
+
+
 class _ScriptedRng:
     """Stands in for the generator in ``_mutate``: one scripted draw per gene.
 

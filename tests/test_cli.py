@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ import pytest
 import smoothbench
 import smoothbench.cli as cli
 import smoothbench.pipeline as pipeline
+from smoothbench.calibration import GaConfig
 from smoothbench.cli import main
 from smoothbench.csvio import (
     UnitConfig,
+    fmt,
     read_series_csv,
     read_surveillance_csv,
     write_surveillance_csv,
 )
 from smoothbench.errors import ParseError, SchemaError
+from smoothbench.pipeline import PipelineConfig, run_benchmark
 from smoothbench.smoothers import (
     PARAMETRIC_METHODS,
     MethodId,
@@ -182,6 +186,12 @@ class TestIngestAndNormalize:
         assert main(["normalize", "--input", surveillance_csv]) == 1
         assert "['A', 'B', 'C', 'D']" in capsys.readouterr().err
 
+    def test_normalize_without_nh4_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "no_nh4.csv"
+        write_surveillance_csv([replace(r, c_nh4=None) for r in bundled_records()], str(path))
+        assert main(["normalize", "--input", str(path), "--f-nh4", "10.71"]) == 1
+        assert "no NH4 values are present" in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
     def test_json_payload(self, surveillance_csv, tmp_path, capsys):
@@ -343,6 +353,33 @@ class TestRegressCommand:
         (config,) = configs
         assert (config.objective, config.ga.patience) == ("mae", 3)
 
+    def test_internal_benchmark_writes_the_report_regression(self, surveillance_csv, tmp_path):
+        out = tmp_path / "fit.csv"
+        rc = main(["regress", "--input", surveillance_csv, "--f-nh4", "10.71",
+                   "--methods", "tuk,fft,sma", "--ga-pop", "4", "--ga-iters", "1",
+                   "--seed", "42", "--out", str(out)])
+        assert rc == 0
+        config = PipelineConfig(ga=GaConfig(population_size=4, iterations=1, seed=42),
+                                methods=("tuk", "fft", "sma"), f_nh4=10.71)
+        fit = run_benchmark(read_surveillance_csv(surveillance_csv), "normalized",
+                            config).regression
+        (row,) = read_csv_rows(out)
+        assert (row["slope"], row["intercept"], row["r2"], row["n"]) == (
+            fmt(fit.slope), fmt(fit.intercept), fmt(fit.r_squared), str(fit.n))
+
+    def test_no_incidence_exits_1_before_any_ga(self, tmp_path, monkeypatch, capsys):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran")
+
+        monkeypatch.setattr(pipeline, "calibrate", no_ga)
+        path = tmp_path / "no_incidence.csv"
+        write_surveillance_csv(
+            [replace(r, incidence_7d=None) for r in bundled_records()], str(path))
+        rc = main(["regress", "--input", str(path), "--f-nh4", "10.71",
+                   "--methods", "tuk,fft,sma", "--out", str(tmp_path / "fit.csv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_from_stored_report(self, surveillance_csv, tmp_path):
         bench = tmp_path / "bench"
         main(["benchmark", "--input", surveillance_csv, "--signal", "normalized",
@@ -364,7 +401,23 @@ class TestExitCodes:
                    "--out", str(blocker / "nested"), "--ga-pop", "20",
                    "--ga-iters", "2", "--methods", "tuk,fft,sma"])
         assert rc == 2
-        assert "internal error" in capsys.readouterr().err
+        assert "IoError" in capsys.readouterr().err
+
+    def test_data_failure_exits_2_as_error(self, tmp_path):
+        """A failure the data causes names its type, not an internal error, once."""
+        records = [
+            replace(r, c_virus=None if r.c_virus is None else r.c_virus * 1e150)
+            for r in bundled_records()
+        ]
+        path = tmp_path / "huge.csv"
+        write_surveillance_csv(records, str(path))
+        done = run_cli("benchmark", "--input", str(path), "--out", str(tmp_path / "bench"),
+                       "--signal", "raw", "--methods", "tuk,fft,sma,spl,ker",
+                       "--ga-pop", "4", "--ga-iters", "1")
+        assert done.returncode == 2
+        assert "error: EvaluationFailure:" in done.stderr
+        assert "internal error" not in done.stderr
+        assert "overflow encountered" not in done.stderr
 
     @pytest.mark.parametrize("flags, message", [
         (["--ga-pop", "1"], "population_size"),
@@ -514,14 +567,27 @@ class TestHelp:
 GUARD_SERIES = np.sin(np.arange(40) / 5.0) + 0.1 * np.cos(np.arange(40) * 1.7) + 2.0
 
 
+def run_cli(*argv):
+    """Run the CLI in a new interpreter, so its warnings print as they do for a user."""
+    return subprocess.run(
+        [sys.executable, "-m", "smoothbench.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=_import_path()), capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def _import_path():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbench.__file__)))
+    return os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+
 def run_fresh(code):
     """Run ``code`` in a new interpreter, with ``y`` set to GUARD_SERIES; its stdout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothbench.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     prelude = "import sys\nimport numpy as np\ny = np.frombuffer(bytes.fromhex(sys.argv[1]))\n"
     done = subprocess.run(
         [sys.executable, "-c", prelude + code, GUARD_SERIES.tobytes().hex()],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=_import_path()), capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()

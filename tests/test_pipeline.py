@@ -189,6 +189,33 @@ class TestRunBenchmark:
         assert [text.split()[1] for text in excluded] == [m.value for m in methods]
 
 
+class TestEvaluateOne:
+    def test_failure_is_recorded_not_raised(self, bundled, monkeypatch):
+        def sabotage(spec, series):
+            raise SeriesTooShort("sabotaged for the test")
+
+        monkeypatch.setattr(pl, "build_loocv_matrix", sabotage)
+        config = tiny_config()
+        imputed = impute_linear(build_series(bundled, "c_virus"))
+        with pytest.warns(UserWarning, match="method sma failed and is excluded"):
+            outcome, loocv = pl.evaluate_one(config, MethodId.SMA, imputed)
+        assert loocv is None
+        assert outcome.error == "SeriesTooShort: sabotaged for the test"
+        assert (outcome.params, outcome.index) == (None, None)
+        assert outcome.ga_seed == method_seed(config.ga.seed, MethodId.SMA)
+        assert outcome.ga_evaluations > 0
+
+    def test_run_benchmark_maps_evaluate_one(self, bundled):
+        config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL))
+        report = run_benchmark(bundled, "raw", config)
+        imputed = impute_linear(build_series(bundled, "c_virus"))
+        for method, got in zip(config.methods, report.outcomes):
+            outcome, loocv = pl.evaluate_one(config, method, imputed)
+            assert got == outcome
+            assert loocv.matrix.tolist() == pl.build_loocv_matrix(
+                SmootherSpec(method, outcome.params), imputed).matrix.tolist()
+
+
 class TestRawAndNormalized:
     def test_missing_biomarker(self):
         records = [
