@@ -2,7 +2,8 @@
 
 Importing the package loads numpy, the series types and the smoother catalog.
 The evaluation, calibration and pipeline layers load on first attribute
-access, and scipy on the first call of a method that uses it (spl, gam, adp).
+access.  Only ``spl``, and ``gam`` with ``auto_penalty``, load scipy, on their
+first call, and then only ``scipy.linalg``.
 """
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .calibration import OBJECTIVES, PAPER_BUDGET, GaConfig, calibrate
 from .csvio import (
     FLOW_UNIT_FACTORS,
     NH4_UNIT_FACTORS,
+    OPTIONAL_COLUMNS,
     VIRUS_UNIT_FACTORS,
     UnitConfig,
     fmt,
@@ -35,7 +36,7 @@ from .csvio import (
     write_surveillance_csv,
     write_table,
 )
-from .errors import InputError, SmoothbenchError
+from .errors import EmptyInput, InputError, SmoothbenchError
 from .normalization import reference_nh4_load
 from .pipeline import PipelineConfig, fit_loads, normalized_loads, run_benchmark
 from .reportio import read_reports, write_reports
@@ -455,7 +456,12 @@ def cmd_benchmark(args) -> int:
 def cmd_regress(args) -> int:
     records = _load_records(args)
     site = records[0].site
-    incidence = build_series(records, "incidence_7d")
+    try:
+        incidence = build_series(records, "incidence_7d")
+    except EmptyInput:
+        raise InputError(
+            f"column {OPTIONAL_COLUMNS[1]} of {args.input} has no values; regress needs them"
+        ) from None
 
     if args.report:
         reports = read_reports(args.report)

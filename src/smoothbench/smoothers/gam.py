@@ -7,6 +7,11 @@ penalty weight is chosen by generalized cross-validation on a log10 grid,
 which removes the remaining user tuning and makes the method effectively
 non-parametric.
 
+The design matrix comes from the Cox-de Boor recursion in numpy, with the
+order of operations of de Boor, *A Practical Guide to Splines* (1978), the
+algorithm ``scipy.interpolate.BSpline.design_matrix`` runs; the two agree bit
+for bit, so GAM loads no ``scipy.interpolate``.
+
 The smoother takes one series (T,) or a stack (B, T) and fits each row on its
 own.  GCV scoring uses a cached generalized eigendecomposition: after a
 one-off O(basis_dim^3) factorization per (length, basis_dim) pair, each row
@@ -26,19 +31,43 @@ import numpy as np
 GCV_LOG10_RANGE = (-4.0, 4.0)
 
 
+def _cubic_design(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Dense cubic B-spline design at ``x`` (inside the knot span), by Cox-de Boor.
+
+    Each point's interval ``ell`` has knots[ell] <= x < knots[ell + 1] (the
+    last interval is closed).  The recursion runs de Boor's order of
+    operations on all points at once, so every value is bit for bit the one
+    ``scipy.interpolate.BSpline.design_matrix`` gives.
+    """
+    basis_dim = len(knots) - 4
+    ell = np.clip(np.searchsorted(knots, x, "right") - 1, 3, basis_dim - 1)
+    h = np.zeros((len(x), 4))
+    h[:, 0] = 1.0
+    for j in range(1, 4):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            xb, xa = knots[ell + m], knots[ell + m - j]
+            same = xb == xa
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = hh[:, m - 1] / (xb - xa)
+            h[:, m - 1] = np.where(same, h[:, m - 1], h[:, m - 1] + w * (xb - x))
+            h[:, m] = np.where(same, 0.0, w * (x - xa))
+    design = np.zeros((len(x), basis_dim))
+    design[np.arange(len(x))[:, None], ell[:, None] + np.arange(-3, 1)] = h
+    return design
+
+
 @lru_cache(maxsize=64)
 def _gam_operators(n: int, basis_dim: int):
     """Design matrix, its Gram matrix and the coefficient penalty (cached)."""
-    # scipy loads on first use: a run without spl, gam or adp never imports it
-    from scipy.interpolate import BSpline
-
     x = np.arange(n, dtype=float)
     if basis_dim == 4:
         interior = np.empty(0)
     else:
         interior = np.linspace(0.0, n - 1.0, basis_dim - 2)[1:-1]
     knots = np.concatenate((np.zeros(4), interior, np.full(4, n - 1.0)))
-    design = BSpline.design_matrix(x, knots, 3).toarray()
+    design = _cubic_design(x, knots)
     diff2 = np.diff(np.eye(basis_dim), n=2, axis=0)
     return design, design.T @ design, diff2.T @ diff2
 
@@ -50,7 +79,7 @@ def _gcv_factorization(n: int, basis_dim: int):
     The Gram matrix is positive definite whenever n >= basis_dim, which
     ``required_length`` guarantees.
     """
-    # scipy loads on first use: a run without spl, gam or adp never imports it
+    # scipy.linalg loads on first use: only spl and gam with auto_penalty import it
     from scipy.linalg import solve_triangular
 
     _, gram, penalty = _gam_operators(n, basis_dim)
@@ -81,7 +110,7 @@ def _gcv_log10_penalties(scores: Callable[[np.ndarray], np.ndarray], rows: int) 
 
 def _eigen_scores(rows, rhs, fact, n):
     """GCV scorer over the eigenbasis: shrinkage 1 / (1 + lam * eigval) per component."""
-    # scipy loads on first use: a run without spl, gam or adp never imports it
+    # scipy.linalg loads on first use: only spl and gam with auto_penalty import it
     from scipy.linalg import solve_triangular
 
     chol, eigvals, eigvecs = fact

@@ -42,10 +42,36 @@ def _sg_center_coefficients(window: int, degree: int) -> np.ndarray:
     return _edge_row(np.arange(window) - window // 2, degree)
 
 
+# fdtri(jump, dof2, 1 - F_TEST_ALPHA) written with repr, for jump 1 and 2 and
+# dof2 = 1..19: every degree test a window of at most 21 points makes
+_F_CRITICAL: dict[tuple[int, int], float] = {
+    (jump, dof2): value
+    for jump, column in {
+        1: (
+            161.4476387975882, 18.512820512820493, 10.127964486013925, 7.708647422176786,
+            6.607890973703364, 5.987377607273699, 5.591447851220735, 5.317655071578713,
+            5.117355029199225, 4.964602743730711, 4.844335674943617, 4.747225346722515,
+            4.667192731826847, 4.600109936669422, 4.5430771652669755, 4.493998477666356,
+            4.451321772468127, 4.413873419170566, 4.3807496923317935,
+        ),
+        2: (
+            199.49999999999963, 18.999999999999982, 9.552094495921152, 6.944271909999155,
+            5.786135043349963, 5.143252849784718, 4.737414127775881, 4.458970107524511,
+            4.256494729093747, 4.1028210151304, 3.982297957094484, 3.8852938346523924,
+            3.8055652529780564, 3.738891832440735, 3.682320343673241, 3.633723467591628,
+            3.5915305684750805, 3.554557145661787, 3.5218932605788256,
+        ),
+    }.items()
+    for dof2, value in enumerate(column, start=1)
+}
+
+
 @lru_cache(maxsize=128)
 def _f_critical(num_dof: int, dof2: int) -> float:
     """Upper F_TEST_ALPHA quantile of the F(num_dof, dof2) distribution."""
-    # scipy loads on first use: a run without spl, gam or adp never imports it
+    if (num_dof, dof2) in _F_CRITICAL:
+        return _F_CRITICAL[num_dof, dof2]
+    # no valid ADP spec gets here; scipy loads on first use
     from scipy.special import fdtri
 
     return float(fdtri(num_dof, dof2, 1.0 - F_TEST_ALPHA))

@@ -32,7 +32,7 @@ def _apply_q(gamma: np.ndarray) -> np.ndarray:
 
 def smoothing_spline(y: np.ndarray, log10_penalty: float) -> np.ndarray:
     """Fitted values; ``y`` is one series (T,) or a stack (B, T) of series."""
-    # scipy loads on first use: a run without spl, gam or adp never imports it
+    # scipy.linalg loads on first use: only spl and gam with auto_penalty import it
     from scipy.linalg import solveh_banded
 
     n = y.shape[-1]

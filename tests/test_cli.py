@@ -380,6 +380,17 @@ class TestRegressCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_incidence_column_is_named_with_the_file(self, tmp_path, capsys):
+        path = tmp_path / "no_incidence.csv"
+        write_surveillance_csv(
+            [replace(r, incidence_7d=None) for r in bundled_records()], str(path))
+        rc = main(["regress", "--input", str(path), "--f-nh4", "10.71", "--raw-loads",
+                   "--out", str(tmp_path / "fit.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "incidence_7d_per_100k" in err
+        assert str(path) in err
+
     def test_from_stored_report(self, surveillance_csv, tmp_path):
         bench = tmp_path / "bench"
         main(["benchmark", "--input", surveillance_csv, "--signal", "normalized",
@@ -601,6 +612,48 @@ class TestScipyLoadsOnFirstUse:
             "for code in 'tuk kal fft ker sma rrm sup pol sgf ari'.split():\n"
             "    apply_to_values(default_spec(MethodId(code)), y)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert loaded == "[]"
+
+    def test_no_scipy_for_adp_and_fixed_penalty_gam(self):
+        loaded = run_fresh(
+            "from smoothbench.smoothers import MethodId, apply_to_values, default_spec\n"
+            "from smoothbench.smoothers import deletion_diagonal, linear_parts\n"
+            "adp, gam = default_spec(MethodId.ADP), default_spec(MethodId.GAM)\n"
+            "assert gam.named_params()['auto_penalty'] == 0\n"
+            "apply_to_values(adp, y)\n"
+            "deletion_diagonal(adp, y, y[::-1].copy())\n"
+            "apply_to_values(gam, y)\n"
+            "linear_parts(gam, y)[2]()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert loaded == "[]"
+
+    def test_every_method_loads_at_most_scipy_linalg(self):
+        unwanted = ("interpolate", "special", "sparse", "optimize", "stats", "spatial", "fft")
+        loaded = run_fresh(
+            "from smoothbench.smoothers import MethodId, apply_to_values, default_spec\n"
+            "from smoothbench.smoothers import make_spec\n"
+            "for method in MethodId:\n"
+            "    apply_to_values(default_spec(method), y)\n"
+            "apply_to_values(make_spec(MethodId.GAM, {'basis_dim': 10, 'log10_penalty': 0.0,\n"
+            "                                         'family': 0, 'auto_penalty': 1}), y)\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+            f"             [['scipy', name] for name in {unwanted!r}]))\n"
+        )
+        assert loaded == "[]"
+
+    def test_full_benchmark_loads_no_interpolate_or_special(self, tmp_path):
+        path = tmp_path / "site.csv"
+        write_surveillance_csv(bundled_records(n=30), str(path))
+        loaded = run_fresh(
+            "from smoothbench.cli import main\n"
+            f"assert main(['benchmark', '--input', {str(path)!r}, '--signal', 'raw',\n"
+            f"             '--out', {str(tmp_path / 'bench')!r},\n"
+            "             '--ga-pop', '4', '--ga-iters', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'special'])))\n"
         )
         assert loaded == "[]"
 

@@ -20,7 +20,7 @@ from smoothbench.smoothers import (
     make_spec,
     required_length,
 )
-from smoothbench.smoothers import localpoly
+from smoothbench.smoothers import gam, localpoly
 from smoothbench.smoothers.basic import tukey_3r
 from smoothbench.smoothers.fourier import fourier_lowpass
 from smoothbench.smoothers.kalman import fit_kalman_local_level
@@ -401,6 +401,20 @@ class TestGamAutoPenalty:
             apply_to_values(SmootherSpec(MethodId.GAM, (40, 0.0, 0, 0)), np.arange(20.0))
 
 
+def test_gam_design_is_scipy_bspline_design_bit_for_bit():
+    from scipy.interpolate import BSpline
+
+    for n in (*range(4, 120), 180, 200, 365, 366, 500, 730):
+        x = np.arange(n, dtype=float)
+        for basis_dim in range(4, min(40, n) + 1):
+            interior = np.linspace(0.0, n - 1.0, basis_dim - 2)[1:-1]
+            knots = np.concatenate((np.zeros(4), interior, np.full(4, n - 1.0)))
+            expected = BSpline.design_matrix(x, knots, 3).toarray()
+            design = gam._gam_operators(n, basis_dim)[0]
+            assert design.shape == expected.shape, (n, basis_dim)
+            assert np.array_equal(design.view(np.int64), expected.view(np.int64)), (n, basis_dim)
+
+
 class TestAutoregressive:
     def test_linear_trend_reproduced(self):
         x = np.arange(20, dtype=float) * 2.0 + 3.0
@@ -441,6 +455,21 @@ class TestAdaptiveDegree:
             for dof2 in range(1, 401):
                 expected = float(f_dist.ppf(1.0 - F_TEST_ALPHA, jump, dof2))
                 assert _f_critical(jump, dof2) == expected, (jump, dof2)
+
+    def test_f_critical_table_covers_every_valid_spec(self):
+        from smoothbench.smoothers.savgol import _F_CRITICAL
+
+        bounds = {b.name: b for b in PARAM_SPECS[MethodId.ADP]}
+        # raising degree d by jump on an m-point window (m <= window) tests
+        # with dof2 = m - (d + jump) - 1, and only when dof2 > 0
+        reachable = {
+            (jump, m - (d + jump) - 1)
+            for jump in (1, 2)
+            for m in range(1, int(bounds["window"].hi) + 1)
+            for d in range(int(bounds["min_degree"].lo), int(bounds["max_degree"].hi) - jump + 1)
+            if m - (d + jump) - 1 > 0
+        }
+        assert reachable <= set(_F_CRITICAL)
 
 
 def reference_local_design(starts, k, degree, weights=None, centers=None):
