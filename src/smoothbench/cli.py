@@ -482,7 +482,7 @@ def cmd_regress(args) -> int:
         loads = TimeSeries.from_pairs(zip(report.timestamps, report.smoothed))
         source = f"benchmark optimal={report.optimal_method.value}"
 
-    fit = fit_loads(loads, incidence, site)
+    fit = fit_loads(loads, incidence)
     rows = [[site, fmt(fit.slope), fmt(fit.intercept), fmt(fit.r_squared), str(fit.n)]]
     write_table(
         _sink(args.out),

@@ -158,9 +158,9 @@ def normalized_loads(records: list[SurveillanceRecord], f_nh4: float | None) -> 
     )
 
 
-def fit_loads(loads: TimeSeries, incidence: TimeSeries, site: str) -> LinearFit:
+def fit_loads(loads: TimeSeries, incidence: TimeSeries) -> LinearFit:
     """OLS of 7-day incidence on the loads, over the dates both series hold."""
-    return fit_linear(join_load_incidence(loads, incidence, site=site))
+    return fit_linear(join_load_incidence(loads, incidence))
 
 
 def _signal_series(
@@ -281,6 +281,6 @@ def run_benchmark(
 def _regression_fit(records, smoothed: TimeSeries) -> LinearFit | None:
     """The load-incidence fit of the smooth, or None when the records allow none."""
     try:
-        return fit_loads(smoothed, build_series(records, "incidence_7d"), records[0].site)
+        return fit_loads(smoothed, build_series(records, "incidence_7d"))
     except SmoothbenchError:
         return None

@@ -14,7 +14,6 @@ from .timeseries import TimeSeries
 class LoadIncidencePair:
     load: float  # RNA copies per capita per day
     incidence: float  # weekly cases per 100,000 persons
-    site: str = ""
 
     def __post_init__(self):
         if self.load < 0 or self.incidence < 0:
@@ -59,9 +58,7 @@ def fit_linear(pairs: Sequence[LoadIncidencePair]) -> LinearFit:
     return LinearFit(slope=slope, intercept=intercept, r_squared=min(max(r2, 0.0), 1.0), n=len(pairs))
 
 
-def join_load_incidence(
-    loads: TimeSeries, incidence: TimeSeries, site: str = ""
-) -> list[LoadIncidencePair]:
+def join_load_incidence(loads: TimeSeries, incidence: TimeSeries) -> list[LoadIncidencePair]:
     """Exact-date join; dates where either value is missing are dropped.
 
     Smoothers may undershoot zero on near-zero signals, so slightly negative
@@ -73,5 +70,5 @@ def join_load_incidence(
         inc = by_date.get(s.timestamp)
         if s.value is None or inc is None:
             continue
-        out.append(LoadIncidencePair(load=max(s.value, 0.0), incidence=inc, site=site))
+        out.append(LoadIncidencePair(load=max(s.value, 0.0), incidence=inc))
     return out

@@ -194,7 +194,7 @@ def _clusters_rows(report: BenchmarkReport, with_signal: bool) -> list[list[str]
             o.method.value,
             fmt(o.index.var),
             fmt(o.index.mae),
-            "-inf" if o.index.aic == -math.inf else fmt(o.index.aic),
+            fmt(o.index.aic),
             report.cluster.assignments[o.method],
             str(int(o.method in medoids)),
             str(int(o.method is report.optimal_method)),

@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .windows import clipped_bounds
+from .windows import boundary_windows, clipped_bounds, window_sums
 
 RRM_MAX_PASSES = 50
 
@@ -17,9 +17,7 @@ def simple_moving_average(y: np.ndarray, window: int) -> np.ndarray:
     ``y`` is one series (T,) or a stack (B, T) of series smoothed independently.
     """
     lo, hi = clipped_bounds(y.shape[-1], window)
-    zero = np.zeros(y.shape[:-1] + (1,))
-    csum = np.concatenate((zero, np.cumsum(y, axis=-1)), axis=-1)
-    return (np.take(csum, hi, axis=-1) - np.take(csum, lo, axis=-1)) / (hi - lo)
+    return window_sums(y, lo, hi) / (hi - lo)
 
 
 def _running_median(y: np.ndarray, window: int) -> np.ndarray:
@@ -29,10 +27,8 @@ def _running_median(y: np.ndarray, window: int) -> np.ndarray:
     out = np.empty(y.shape)
     if n >= window:
         out[..., h : n - h] = np.median(sliding_window_view(y, window, axis=-1), axis=-1)
-    for i in range(min(h, n)):
-        out[..., i] = np.median(y[..., : min(n, i + h + 1)], axis=-1)
-    for i in range(max(h, n - h), n):
-        out[..., i] = np.median(y[..., max(0, i - h) :], axis=-1)
+    for i, lo, hi in boundary_windows(n, h):
+        out[..., i] = np.median(y[..., lo:hi], axis=-1)
     return out
 
 

@@ -10,8 +10,10 @@ max_degree] by a forward F-test on the residual drop of successive degrees.
 When the one-step test fails it probes two degrees ahead before stopping:
 on symmetric windows the even and odd polynomial terms decouple, so a
 single-step test alone would miss e.g. the quadratic term at a local
-extremum.  Its LOOCV diagonal takes one window fit per point, since deleting
-a sample moves the filter only on the windows that contain it.
+extremum.  The test's critical values are a literal table of the F quantiles
+for every test a valid window makes, so ADP needs no scipy.  Its LOOCV
+diagonal takes one window fit per point, since deleting a sample moves the
+filter only on the windows that contain it.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import numpy as np
 from .windows import (
     LocalDesign,
     batched_local_polyfit,
+    boundary_windows,
     local_design,
     polyfit_window,
     scaled_powers,
@@ -42,46 +45,21 @@ def _sg_center_coefficients(window: int, degree: int) -> np.ndarray:
     return _edge_row(np.arange(window) - window // 2, degree)
 
 
-# fdtri(jump, dof2, 1 - F_TEST_ALPHA) written with repr, for jump 1 and 2 and
-# dof2 = 1..19: every degree test a window of at most 21 points makes
-_F_CRITICAL: dict[tuple[int, int], float] = {
-    (jump, dof2): value
-    for jump, column in {
-        1: (
-            161.4476387975882, 18.512820512820493, 10.127964486013925, 7.708647422176786,
-            6.607890973703364, 5.987377607273699, 5.591447851220735, 5.317655071578713,
-            5.117355029199225, 4.964602743730711, 4.844335674943617, 4.747225346722515,
-            4.667192731826847, 4.600109936669422, 4.5430771652669755, 4.493998477666356,
-            4.451321772468127, 4.413873419170566, 4.3807496923317935,
-        ),
-        2: (
-            199.49999999999963, 18.999999999999982, 9.552094495921152, 6.944271909999155,
-            5.786135043349963, 5.143252849784718, 4.737414127775881, 4.458970107524511,
-            4.256494729093747, 4.1028210151304, 3.982297957094484, 3.8852938346523924,
-            3.8055652529780564, 3.738891832440735, 3.682320343673241, 3.633723467591628,
-            3.5915305684750805, 3.554557145661787, 3.5218932605788256,
-        ),
-    }.items()
-    for dof2, value in enumerate(column, start=1)
-}
-
-
-@lru_cache(maxsize=128)
-def _f_critical(num_dof: int, dof2: int) -> float:
-    """Upper F_TEST_ALPHA quantile of the F(num_dof, dof2) distribution."""
-    if (num_dof, dof2) in _F_CRITICAL:
-        return _F_CRITICAL[num_dof, dof2]
-    # no valid ADP spec gets here; scipy loads on first use
-    from scipy.special import fdtri
-
-    return float(fdtri(num_dof, dof2, 1.0 - F_TEST_ALPHA))
-
-
-def _boundary_windows(n: int, half: int):
-    """(point, window start, window stop) of every truncated boundary window."""
-    for i in range(min(half, n)):
-        for j in (i, n - 1 - i):
-            yield j, max(0, j - half), min(n, j + half + 1)
+# Upper F_TEST_ALPHA quantiles of F(jump, dof2), written with repr, at row
+# jump - 1 and column dof2 = 1..19: every degree test a window of at most 21
+# points makes.  Column 0, a fit with no residual degree of freedom, passes no test.
+_F_CRITICAL = np.array([
+    [np.inf, 161.4476387975882, 18.512820512820493, 10.127964486013925, 7.708647422176786,
+     6.607890973703364, 5.987377607273699, 5.591447851220735, 5.317655071578713,
+     5.117355029199225, 4.964602743730711, 4.844335674943617, 4.747225346722515,
+     4.667192731826847, 4.600109936669422, 4.5430771652669755, 4.493998477666356,
+     4.451321772468127, 4.413873419170566, 4.3807496923317935],
+    [np.inf, 199.49999999999963, 18.999999999999982, 9.552094495921152, 6.944271909999155,
+     5.786135043349963, 5.143252849784718, 4.737414127775881, 4.458970107524511,
+     4.256494729093747, 4.1028210151304, 3.982297957094484, 3.8852938346523924,
+     3.8055652529780564, 3.738891832440735, 3.682320343673241, 3.633723467591628,
+     3.5915305684750805, 3.554557145661787, 3.5218932605788256],
+])
 
 
 def savitzky_golay(y: np.ndarray, window: int, degree: int) -> np.ndarray:
@@ -90,7 +68,7 @@ def savitzky_golay(y: np.ndarray, window: int, degree: int) -> np.ndarray:
     out = np.empty(n)
     coeffs = _sg_center_coefficients(window, degree)
     out[half : n - half] = np.correlate(y, coeffs, mode="valid")
-    for j, lo, hi in _boundary_windows(n, half):
+    for j, lo, hi in boundary_windows(n, half):
         out[j], _ = polyfit_window(y[lo:hi], np.arange(lo, hi) - j, degree)
     return out
 
@@ -102,32 +80,21 @@ def savgol_operator(n: int, window: int, degree: int) -> np.ndarray:
     coeffs = _sg_center_coefficients(window, degree)
     for i in range(half, n - half):
         out[i, i - half : i + half + 1] = coeffs
-    for j, lo, hi in _boundary_windows(n, half):
+    for j, lo, hi in boundary_windows(n, half):
         out[j, lo:hi] = _edge_row(np.arange(lo, hi) - j, degree)
     return out
 
 
-def _step_accepted(sse_d: float, sse_up: float, jump: int, m: int, d: int) -> bool:
-    """F-test: does raising the degree by ``jump`` significantly cut the SSE?"""
-    dof2 = m - (d + jump) - 1
-    if dof2 <= 0:
-        return False
-    if sse_up <= _SSE_TINY:
-        return True
-    f_stat = ((sse_d - sse_up) / jump) * dof2 / sse_up
-    return f_stat > _f_critical(jump, dof2)
+def _steps_accepted(sse_d, sse_up, jump: int, m: int, d):
+    """F-test: does raising degree ``d`` by ``jump`` significantly cut the SSE?
 
-
-def _steps_accepted(
-    sse_d: np.ndarray, sse_up: np.ndarray, jump: int, m: int, d: np.ndarray
-) -> np.ndarray:
-    """:func:`_step_accepted` elementwise over arrays of fits at degrees ``d``."""
+    Elementwise over arrays of fits on ``m``-point windows, or over one fit
+    whose SSEs are numpy scalars.
+    """
     dof2 = m - (d + jump) - 1
-    crit = np.full(dof2.shape, np.inf)
-    for k in np.unique(dof2[dof2 > 0]):
-        crit[dof2 == k] = _f_critical(jump, int(k))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f_stat = ((sse_d - sse_up) / jump) * dof2 / sse_up
+    crit = _F_CRITICAL[jump - 1, np.maximum(dof2, 0)]
     return (dof2 > 0) & ((sse_up <= _SSE_TINY) | (f_stat > crit))
 
 
@@ -210,7 +177,7 @@ def adaptive_degree_filter(
             fits[:, b], sses[:, b] = _degree_fits(row[designs[0].cols], designs)
         out[:, interior] = _adaptive_values(fits, sses, min_degree, window)
 
-    for j, lo, hi in _boundary_windows(n, half):
+    for j, lo, hi in boundary_windows(n, half):
         offsets = np.arange(lo, hi) - j
         by_content: dict[bytes, float] = {}
         for b in range(count):
@@ -245,7 +212,7 @@ def adaptive_degree_diagonal(
         yw = y[designs[0].cols]  # row r: the window of deletion series interior[r]
         yw[:, half] = imp[interior]
         out[interior] = _adaptive_values(*_degree_fits(yw, designs), min_degree, window)
-    for j, lo, hi in _boundary_windows(n, half):
+    for j, lo, hi in boundary_windows(n, half):
         y_win = y[lo:hi].copy()
         y_win[j - lo] = imp[j]
         out[j] = _adaptive_window_value(y_win, np.arange(lo, hi) - j, min_degree, max_degree)
@@ -263,12 +230,12 @@ def _adaptive_window_value(
         if best_sse <= _SSE_TINY:
             break
         val, sse = polyfit_window(y_win, offsets, d + 1)
-        if _step_accepted(best_sse, sse, 1, m, d):
+        if _steps_accepted(best_sse, sse, 1, m, d):
             best_val, best_sse, d = val, sse, d + 1
             continue
         if d + 2 <= max_degree:
             val2, sse2 = polyfit_window(y_win, offsets, d + 2)
-            if _step_accepted(best_sse, sse2, 2, m, d):
+            if _steps_accepted(best_sse, sse2, 2, m, d):
                 best_val, best_sse, d = val2, sse2, d + 2
                 continue
         break

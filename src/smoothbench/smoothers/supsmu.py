@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .windows import knn_starts
+from .windows import knn_starts, window_sums
 
 PRIMARY_SPANS = (0.05, 0.2, 0.5)
 _TINY = 1e-30
@@ -30,10 +30,9 @@ def _span_points(span: float, n: int) -> int:
 @lru_cache(maxsize=512)
 def _window_geometry(n: int, k: int):
     """Data-independent moments of the contiguous k-point windows."""
-    starts = knn_starts(n, k)
+    lo = knn_starts(n, k)
+    hi = lo + k
     x = np.arange(n, dtype=float)
-    lo = starts
-    hi = starts + k
     a, b = lo.astype(float), (hi - 1).astype(float)
     s1 = (a + b) * k / 2.0
     s2 = (b * (b + 1) * (2 * b + 1) - (a - 1) * a * (2 * a - 1)) / 6.0
@@ -54,11 +53,8 @@ def _local_linear(y: np.ndarray, k: int, want_loo: bool = False):
     n = y.shape[-1]
     lo, hi, s1, sxx, centered, hat = _window_geometry(n, k)
     x = np.arange(n, dtype=float)
-    zero = np.zeros(y.shape[:-1] + (1,))
-    cy = np.concatenate((zero, np.cumsum(y, axis=-1)), axis=-1)
-    cxy = np.concatenate((zero, np.cumsum(x * y, axis=-1)), axis=-1)
-    sy = cy[..., hi] - cy[..., lo]
-    sxy = cxy[..., hi] - cxy[..., lo]
+    sy = window_sums(y, lo, hi)
+    sxy = window_sums(x * y, lo, hi)
     slope = (sxy - s1 * sy / k) / sxx
     fitted = sy / k + slope * centered
     if not want_loo:

@@ -21,6 +21,21 @@ def clipped_bounds(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0, idx - h), np.minimum(n, idx + h + 1)
 
 
+def boundary_windows(n: int, half: int):
+    """(point, start, stop) of every clipped window within ``half`` points of an end."""
+    lo, hi = clipped_bounds(n, 2 * half + 1)
+    for i in range(min(half, n)):
+        for j in (i, n - 1 - i):
+            yield j, int(lo[j]), int(hi[j])
+
+
+def window_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of ``values[..., lo[i]:hi[i]]`` along the last axis, from one prefix sum."""
+    zero = np.zeros(values.shape[:-1] + (1,))
+    csum = np.concatenate((zero, np.cumsum(values, axis=-1)), axis=-1)
+    return csum[..., hi] - csum[..., lo]
+
+
 def knn_starts(n: int, k: int) -> np.ndarray:
     """Starts of contiguous k-point neighbourhoods, shifted inward at the edges."""
     if k > n:
@@ -145,4 +160,4 @@ def polyfit_window(y_win: np.ndarray, offsets: np.ndarray, degree: int) -> tuple
     design = scaled_powers(offsets, degree)
     coef, *_ = np.linalg.lstsq(design, y_win, rcond=None)
     resid = y_win - design @ coef
-    return float(coef[0]), float(resid @ resid)
+    return coef[0], resid @ resid

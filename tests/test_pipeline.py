@@ -346,6 +346,18 @@ class TestReportIo:
         back = parse_reports_json(reports_json([report]))[0]
         assert back == report
 
+    def test_neg_inf_aic_reads_minus_inf_in_clusters_csv(self, tmp_path):
+        import csv
+
+        report = run_benchmark(constant_records(), "raw", tiny_config())
+        write_reports([report], str(tmp_path))
+        with open(tmp_path / "clusters.csv") as fh:
+            aic = {r["method"]: r["aic"] for r in csv.DictReader(fh)}
+        zero = [o.method.value for o in report.outcomes if o.ok and o.index.aic == float("-inf")]
+        assert zero
+        for method in zero:
+            assert aic[method] == "-inf", method
+
     def test_loocv_traces_optional(self, bundled):
         config = tiny_config(methods=(MethodId.TUK, MethodId.SMA, MethodId.FFT), include_loocv=True)
         report = run_benchmark(bundled, "raw", config)

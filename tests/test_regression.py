@@ -88,7 +88,7 @@ class TestIncidenceAtLoad:
         for site, (slope, intercept) in true_params.items():
             inc = np.clip(slope * loads + intercept + rng.normal(scale=2.0, size=40), 0, None)
             fits[site] = fit_linear(
-                [LoadIncidencePair(load=x, incidence=y, site=site) for x, y in zip(loads, inc)]
+                [LoadIncidencePair(load=x, incidence=y) for x, y in zip(loads, inc)]
             )
         slopes = [fits[s].slope for s in "ABCD"]
         intercepts = [fits[s].intercept for s in "ABCD"]
@@ -114,7 +114,7 @@ class TestBundledCatchments:
                 DEFAULT_F_NH4,
             )
             incidence = build_series(records, "incidence_7d")
-            pairs = join_load_incidence(impute_linear(loads), incidence, site=site)
+            pairs = join_load_incidence(impute_linear(loads), incidence)
             fit = fit_linear(pairs)
             fits[site] = fit
             median_load = float(np.median([p.load for p in pairs]))
@@ -131,7 +131,7 @@ class TestJoin:
     def test_exact_date_join_drops_missing(self):
         loads = TimeSeries.from_values([1.0, None, 3.0, 4.0])
         incidence = TimeSeries.from_values([10.0, 20.0, None, 40.0])
-        pairs = join_load_incidence(loads, incidence, site="X")
+        pairs = join_load_incidence(loads, incidence)
         assert [(p.load, p.incidence) for p in pairs] == [(1.0, 10.0), (4.0, 40.0)]
 
     def test_negative_smoothed_loads_clamped(self):

@@ -449,12 +449,14 @@ class TestAdaptiveDegree:
     def test_f_critical_is_the_scipy_stats_quantile(self):
         from scipy.stats import f as f_dist
 
-        from smoothbench.smoothers.savgol import F_TEST_ALPHA, _f_critical
+        from smoothbench.smoothers.savgol import _F_CRITICAL, F_TEST_ALPHA
 
+        assert _F_CRITICAL.shape == (2, 20)
+        assert np.all(_F_CRITICAL[:, 0] == np.inf)
         for jump in (1, 2):
-            for dof2 in range(1, 401):
+            for dof2 in range(1, 20):
                 expected = float(f_dist.ppf(1.0 - F_TEST_ALPHA, jump, dof2))
-                assert _f_critical(jump, dof2) == expected, (jump, dof2)
+                assert _F_CRITICAL[jump - 1, dof2] == expected, (jump, dof2)
 
     def test_f_critical_table_covers_every_valid_spec(self):
         from smoothbench.smoothers.savgol import _F_CRITICAL
@@ -469,7 +471,8 @@ class TestAdaptiveDegree:
             for d in range(int(bounds["min_degree"].lo), int(bounds["max_degree"].hi) - jump + 1)
             if m - (d + jump) - 1 > 0
         }
-        assert reachable <= set(_F_CRITICAL)
+        for jump, dof2 in reachable:
+            assert np.isfinite(_F_CRITICAL[jump - 1, dof2]), (jump, dof2)
 
 
 def reference_local_design(starts, k, degree, weights=None, centers=None):

@@ -11,6 +11,10 @@ of the earlier row-by-row scans, kept below as the slow path.
 
 ADP's LOOCV diagonal, one window fit per point, is checked against the
 diagonal of the stacked filter of all T deletion series.
+
+The window rules that SMA, RRM, SUP and ADP share (clipped boundary windows,
+prefix-sum window sums, ADP's F-test) are checked against copies of the
+per-smoother forms they replaced.
 """
 import math
 from datetime import date, timedelta
@@ -19,14 +23,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular
+from scipy.special import fdtri
 
+import smoothbench.smoothers.basic as basic
 import smoothbench.smoothers.gam as gam
+import smoothbench.smoothers.savgol as savgol
+import smoothbench.smoothers.supsmu as supsmu
 from smoothbench.calibration import repair_genome, search_bounds
 from smoothbench.errors import DegenerateLikelihood, SeriesTooShort, SmoothbenchError
 from smoothbench.evaluation import build_loocv_matrix, deletion_imputations
 from smoothbench.smoothers import MethodId, SmootherSpec, apply_to_values
+from smoothbench.smoothers.basic import simple_moving_average
 from smoothbench.smoothers.kalman import VARIANCE_FLOOR_FACTOR, fit_kalman_local_level
+from smoothbench.smoothers.windows import boundary_windows, clipped_bounds
 from smoothbench.timeseries import TimeSeries, impute_linear
 
 
@@ -389,3 +400,142 @@ def test_adp_diagonal_on_degenerate_inputs(name):
         for low in (0.0, 1.0):
             for high in (0.0, 0.5, 1.0):
                 assert_adp_diagonal_matches_stack(series, (window, low, high))
+
+
+# --- shared window rules against copies of their per-smoother forms -------
+
+
+def reference_moving_average(y, window):
+    lo, hi = clipped_bounds(y.shape[-1], window)
+    zero = np.zeros(y.shape[:-1] + (1,))
+    csum = np.concatenate((zero, np.cumsum(y, axis=-1)), axis=-1)
+    return (np.take(csum, hi, axis=-1) - np.take(csum, lo, axis=-1)) / (hi - lo)
+
+
+def reference_running_median(y, window):
+    n = y.shape[-1]
+    h = window // 2
+    out = np.empty(y.shape)
+    if n >= window:
+        out[..., h : n - h] = np.median(sliding_window_view(y, window, axis=-1), axis=-1)
+    for i in range(min(h, n)):
+        out[..., i] = np.median(y[..., : min(n, i + h + 1)], axis=-1)
+    for i in range(max(h, n - h), n):
+        out[..., i] = np.median(y[..., max(0, i - h) :], axis=-1)
+    return out
+
+
+def reference_local_linear(y, k, want_loo=False):
+    n = y.shape[-1]
+    lo, hi, s1, sxx, centered, hat = supsmu._window_geometry(n, k)
+    x = np.arange(n, dtype=float)
+    zero = np.zeros(y.shape[:-1] + (1,))
+    cy = np.concatenate((zero, np.cumsum(y, axis=-1)), axis=-1)
+    cxy = np.concatenate((zero, np.cumsum(x * y, axis=-1)), axis=-1)
+    sy = cy[..., hi] - cy[..., lo]
+    sxy = cxy[..., hi] - cxy[..., lo]
+    slope = (sxy - s1 * sy / k) / sxx
+    fitted = sy / k + slope * centered
+    if not want_loo:
+        return fitted
+    loo = (y - fitted) / np.maximum(1.0 - hat, 1e-6)
+    return fitted, loo
+
+
+def reference_f_critical(num_dof: int, dof2: int) -> float:
+    return float(fdtri(num_dof, dof2, 1.0 - savgol.F_TEST_ALPHA))
+
+
+def reference_step_accepted(sse_d: float, sse_up: float, jump: int, m: int, d: int) -> bool:
+    dof2 = m - (d + jump) - 1
+    if dof2 <= 0:
+        return False
+    if sse_up <= savgol._SSE_TINY:
+        return True
+    f_stat = ((sse_d - sse_up) / jump) * dof2 / sse_up
+    return f_stat > reference_f_critical(jump, dof2)
+
+
+def assert_bits_equal(got, want, label) -> None:
+    assert got.shape == want.shape, label
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=label)
+
+
+def assert_window_rules_match_reference(stack: np.ndarray, window: int) -> None:
+    """SMA, RRM's running median and SUP's local linear fit at ``window``, bitwise."""
+    for y in (stack, stack[0]):
+        assert_bits_equal(simple_moving_average(y, window),
+                          reference_moving_average(y, window), f"sma {window}")
+        assert_bits_equal(basic._running_median(y, window),
+                          reference_running_median(y, window), f"median {window}")
+        k = min(window, y.shape[-1])
+        if k < 3:
+            continue
+        assert_bits_equal(supsmu._local_linear(y, k), reference_local_linear(y, k), f"sup {k}")
+        for got, want in zip(supsmu._local_linear(y, k, want_loo=True),
+                             reference_local_linear(y, k, want_loo=True)):
+            assert_bits_equal(got, want, f"sup loo {k}")
+
+
+@st.composite
+def window_stacks(draw):
+    """An odd window of 3..21 points and a deletion stack of window to 3 * window points."""
+    window = draw(st.sampled_from(range(3, 22, 2)))
+    n = draw(st.integers(window, 3 * window))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 17))
+    y = scale * (np.cumsum(gen.normal(size=n)) + gen.standard_t(3, size=n))
+    return window, deletion_stack(y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_stacks())
+def test_window_rules_match_reference_copies(case):
+    window, stack = case
+    assert_window_rules_match_reference(stack, window)
+
+
+def test_window_rules_at_every_length(rng):
+    # every odd window 3..21 from one point, through the window, to 3 * window
+    for window in range(3, 22, 2):
+        for n in range(1, 3 * window + 1):
+            stack = np.cumsum(rng.normal(size=(3, n)), axis=-1)
+            assert_window_rules_match_reference(stack, window)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_window_rules_on_degenerate_inputs(name):
+    stack = deletion_stack(DEGENERATE[name])
+    for window in range(3, 22, 2):
+        assert_window_rules_match_reference(stack, window)
+
+
+def test_boundary_windows_are_the_clipped_end_windows():
+    for n in range(1, 50):
+        for half in range(0, 11):
+            got = {(j, lo, hi) for j, lo, hi in boundary_windows(n, half)}
+            want = {(j, max(0, j - half), min(n, j + half + 1))
+                    for j in range(n) if j < half or j >= n - half}
+            assert got == want, (n, half)
+
+
+def _sse_values(gen: np.random.Generator) -> np.ndarray:
+    special = [0.0, 1e-300, savgol._SSE_TINY, 2e-280, 1e-10, 1.0, 1e17, 1e300, np.inf]
+    return np.concatenate((special, 10.0 ** gen.uniform(-12, 12, size=40)))
+
+
+def test_steps_accepted_matches_reference_step(rng):
+    # every (jump, m, d) an ADP window of at most 21 points tests, and a few
+    # with no residual degree of freedom, over SSE pairs from 0 to inf
+    sses = _sse_values(rng)
+    sse_d, sse_up = (a.ravel() for a in np.meshgrid(sses, sses))
+    for jump in (1, 2):
+        for m in range(1, 22):
+            for d in range(0, 7):
+                want = [reference_step_accepted(float(a), float(b), jump, m, d)
+                        for a, b in zip(sse_d, sse_up)]
+                batched = savgol._steps_accepted(sse_d, sse_up, jump, m, np.full(len(sse_d), d))
+                assert list(batched) == want, (jump, m, d)
+                one = [bool(savgol._steps_accepted(a, b, jump, m, d))
+                       for a, b in zip(sse_d[::97], sse_up[::97])]
+                assert one == want[::97], (jump, m, d)
