@@ -12,7 +12,8 @@ sign).
 The diagonal comes first.  MAE and AIC read only the diagonal, and a linear
 method or ADP computes it without the full matrix, so a GA that scores
 genomes by AIC or MAE never builds a T x T matrix.  The full matrix is built
-when the VAR index or the confidence band first reads it.
+when the VAR index or the confidence band first reads it.  ADP builds it from
+one window fit per (point, window slot), not from T deletion smooths.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationFailure, InsufficientData
-from .smoothers import SmootherSpec, deletion_diagonal, linear_parts
+from .smoothers import SmootherSpec, deletion_loocv, linear_parts
 # perfbench's traced mode wraps these two names here, so they stay importable
 from .smoothers import apply_to_values, linear_operator  # noqa: F401
 from .timeseries import TimeSeries, percentile
@@ -121,11 +122,12 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
     Column t is the smoother applied to the series with x_t replaced by its
     deletion imputation.  For a linear method (``linear_parts`` gives its
     smooth, operator diagonal and operator builder) that is computed as a
-    rank-one update of one application (same map, fewer passes); the
-    data-adaptive methods smooth the stack of all T deletion series in one
-    call.  The diagonal is computed now; where it has a cheaper form than the
-    full matrix (the linear methods, ADP), the matrix, and with it a linear
-    method's dense operator, waits until it is read.
+    rank-one update of one application (same map, fewer passes).  ADP's
+    ``deletion_loocv`` gives its diagonal and a builder of the matrix from one
+    window fit per (point, window slot).  The other data-adaptive methods
+    smooth the stack of all T deletion series in one call.  The diagonal is
+    computed now; for the linear methods and ADP the matrix, and with it a
+    linear method's dense operator, waits until it is read.
     """
     if not series.is_gap_free():
         raise InsufficientData("LOOCV input must be gap-free; impute first")
@@ -146,9 +148,9 @@ def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
             return out
 
         return LoocvMatrix.deferred(series, base + operator_diagonal * step, matrix)
-    diagonal = deletion_diagonal(spec, y, imp)
-    if diagonal is not None:
-        return LoocvMatrix.deferred(series, diagonal, lambda: _deletion_smooths(spec, y, imp))
+    fast = deletion_loocv(spec, y, imp)
+    if fast is not None:
+        return LoocvMatrix.deferred(series, *fast)
     return LoocvMatrix(_deletion_smooths(spec, y, imp), series)
 
 

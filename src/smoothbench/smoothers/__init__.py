@@ -29,12 +29,7 @@ from .gam import gam_matrix_operator, gam_smoother
 from .kalman import fit_kalman_local_level
 from .kernel import kernel_parts, kernel_regression
 from .localpoly import local_quadratic, local_quadratic_parts
-from .savgol import (
-    adaptive_degree_diagonal,
-    adaptive_degree_filter,
-    savgol_operator,
-    savitzky_golay,
-)
+from .savgol import adaptive_degree_filter, adaptive_degree_loocv, savgol_operator, savitzky_golay
 from .spline import smoothing_spline
 from .supsmu import super_smoother
 
@@ -50,7 +45,7 @@ __all__ = [
     "apply_to_values",
     "constrain",
     "default_spec",
-    "deletion_diagonal",
+    "deletion_loocv",
     "effective_params",
     "linear_operator",
     "linear_parts",
@@ -62,15 +57,20 @@ __all__ = [
 
 class _Row(NamedTuple):
     """How one method is run: ``smoother(y, *params)``, ``parts(y, *params)``
-    and ``diagonal(y, imp, *params)``."""
+    and ``loocv(y, imp, *params)``.
+
+    ADP's ``loocv`` gives its LOOCV diagonal and matrix from one window fit
+    per (point, window slot); its smoother takes one series.
+    """
 
     smoother: Callable[..., np.ndarray]
     stacked: bool  # the smoother takes a (B, T) stack in one call
     # a linear method: (smoother(y), diag(S), a builder of S) from one build,
     # or None where S depends on the data (GAM with auto_penalty)
     parts: "Callable[..., tuple | None] | None" = None
-    # a nonlinear method whose LOOCV diagonal is cheaper than its T deletion smooths
-    diagonal: "Callable[..., np.ndarray] | None" = None
+    # a nonlinear method whose LOOCV matrix needs no T deletion smooths:
+    # (LOOCV diagonal, a builder of the LOOCV matrix)
+    loocv: "Callable[..., tuple] | None" = None
 
 
 def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
@@ -111,7 +111,7 @@ _METHODS: dict[MethodId, _Row] = {
     MethodId.POL: _Row(local_quadratic, False, local_quadratic_parts),
     MethodId.SGF: _Row(savitzky_golay, False, _dense_parts(savitzky_golay, savgol_operator)),
     MethodId.ARI: _Row(ar_smoother, False),
-    MethodId.ADP: _Row(adaptive_degree_filter, True, diagonal=adaptive_degree_diagonal),
+    MethodId.ADP: _Row(adaptive_degree_filter, False, loocv=adaptive_degree_loocv),
     MethodId.GAM: _Row(gam_smoother, True, _dense_parts(gam_smoother, gam_matrix_operator)),
 }
 
@@ -171,14 +171,17 @@ def linear_parts(
     return None if build is None else build(y, *params)
 
 
-def deletion_diagonal(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> "np.ndarray | None":
-    """Entry i of the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``, for every i.
+def deletion_loocv(
+    spec: SmootherSpec, y: np.ndarray, imp: np.ndarray
+) -> "tuple[np.ndarray, Callable[[], np.ndarray]] | None":
+    """The LOOCV diagonal and a builder of the LOOCV matrix, without T deletion smooths.
 
-    This is the diagonal of the LOOCV matrix, bit for bit, computed without
-    the T deletion smooths.  Returns None for a method without such a form.
+    Column i of the matrix is the smooth of ``y`` with ``y[i]`` replaced by
+    ``imp[i]``, bit for bit, and the diagonal is its entry i.  Returns None
+    for a method without such a form.
     """
     params = _checked_params(spec, len(y))
-    build = _METHODS[spec.method].diagonal
+    build = _METHODS[spec.method].loocv
     return None if build is None else build(y, imp, *params)
 
 

@@ -11,18 +11,19 @@ When the one-step test fails it probes two degrees ahead before stopping:
 on symmetric windows the even and odd polynomial terms decouple, so a
 single-step test alone would miss e.g. the quadratic term at a local
 extremum.  The test's critical values are a literal table of the F quantiles
-for every test a valid window makes, so ADP needs no scipy.  Its LOOCV
-diagonal takes one window fit per point, since deleting a sample moves the
-filter only on the windows that contain it.
+for every test a valid window makes, so ADP needs no scipy.  Its filter takes
+one series.  Its LOOCV diagonal and full LOOCV matrix take one window fit per
+(point, window slot), since deleting a sample moves the filter only on the
+windows that contain it.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .windows import (
-    LocalDesign,
     batched_local_polyfit,
     boundary_windows,
     local_design,
@@ -124,99 +125,68 @@ def _choose_degrees(sses: np.ndarray, min_degree: int, window: int) -> np.ndarra
     return chosen
 
 
-def _interior_designs(
-    interior: np.ndarray, window: int, min_degree: int, max_degree: int
-) -> list[LocalDesign]:
-    """Designs of the full windows centred on ``interior``, one per degree."""
-    half = window // 2
-    return [
-        local_design(interior - half, window, d, centers=interior)
-        for d in range(min_degree, max_degree + 1)
-    ]
-
-
-def _degree_fits(yw: np.ndarray, designs: list[LocalDesign]) -> tuple[np.ndarray, np.ndarray]:
-    """(ndeg, m) fitted values and residual SSEs of the windows ``yw`` at every degree."""
-    pairs = [batched_local_polyfit(yw, local, want_sse=True) for local in designs]
-    return np.array([fit for fit, _ in pairs]), np.array([sse for _, sse in pairs])
-
-
-def _adaptive_values(
-    fits: np.ndarray, sses: np.ndarray, min_degree: int, window: int
-) -> np.ndarray:
-    """Each window's value at the degree the forward F-test chooses; axis 0 is the degree."""
-    ndeg = len(fits)
-    chosen = _choose_degrees(sses.reshape(ndeg, -1), min_degree, window)
-    picked = np.take_along_axis(fits.reshape(ndeg, -1), chosen[None, :], axis=0)
-    return picked.reshape(fits.shape[1:])
-
-
 def adaptive_degree_filter(
     y: np.ndarray, window: int, min_degree: int, max_degree: int
 ) -> np.ndarray:
-    """Adaptive-degree filter of one series (T,) or a stack (B, T) of series.
-
-    Rows of a stack are filtered independently, each exactly as a 1-D call.
-    Full windows are still fitted row by row (a batch axis in the solves
-    changes their rounding); the degree tests run over all rows at once, and
-    a boundary window whose values recur in another row is fitted only once.
-    """
-    y = np.asarray(y, dtype=float)
-    rows = y.reshape(-1, y.shape[-1])
-    count, n = rows.shape
-    half = window // 2
-    out = np.empty(rows.shape)
-
-    interior = np.arange(half, n - half)
-    if interior.size:
-        designs = _interior_designs(interior, window, min_degree, max_degree)
-        ndeg = len(designs)
-        fits = np.empty((ndeg, count, interior.size))
-        sses = np.empty((ndeg, count, interior.size))
-        for b, row in enumerate(rows):
-            fits[:, b], sses[:, b] = _degree_fits(row[designs[0].cols], designs)
-        out[:, interior] = _adaptive_values(fits, sses, min_degree, window)
-
-    for j, lo, hi in boundary_windows(n, half):
-        offsets = np.arange(lo, hi) - j
-        by_content: dict[bytes, float] = {}
-        for b in range(count):
-            y_win = rows[b, lo:hi]
-            key = y_win.tobytes()
-            if key not in by_content:
-                by_content[key] = _adaptive_window_value(
-                    y_win, offsets, min_degree, max_degree
-                )
-            out[b, j] = by_content[key]
-    return out.reshape(y.shape)
+    """Adaptive-degree filter of one series: its LOOCV diagonal with nothing replaced."""
+    return adaptive_degree_loocv(y, y, window, min_degree, max_degree)[0]
 
 
-def adaptive_degree_diagonal(
+def adaptive_degree_loocv(
     y: np.ndarray, imp: np.ndarray, window: int, min_degree: int, max_degree: int
-) -> np.ndarray:
-    """Point i of the filter of ``y`` with ``y[i]`` replaced by ``imp[i]``, for every i.
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The LOOCV diagonal of the filter and a builder of the full LOOCV matrix.
 
-    This is the diagonal of the LOOCV matrix.  Replacing y[i] moves the
-    filter only on the windows that contain i, so point i needs one window
-    fit, on its own deletion series, where the stacked filter of all T
-    deletion series fits T windows per point.  The values are bit for bit
-    the diagonal of that stacked filter: the full windows go through the same
-    batched fits, one (m, window) array of the same shape.
+    Column i of the matrix is the filter of ``y`` with ``y[i]`` replaced by
+    ``imp[i]``, and the diagonal is its entry i.  Replacing y[i] moves the
+    filter only on the windows that hold i: entry (j, i) is one fit of j's
+    window with i's slot replaced, and every other entry of row j is the
+    filter of ``y`` at j.  The full windows of all points go through one
+    (m, window) batched fit per degree and replaced slot.  A row of a
+    batched fit reads only its own window, so every entry is bit for bit
+    the filter of its own deletion series.
     """
     n = len(y)
     half = window // 2
-    out = np.empty(n)
     interior = np.arange(half, n - half)
-    if interior.size:
-        designs = _interior_designs(interior, window, min_degree, max_degree)
-        yw = y[designs[0].cols]  # row r: the window of deletion series interior[r]
-        yw[:, half] = imp[interior]
-        out[interior] = _adaptive_values(*_degree_fits(yw, designs), min_degree, window)
-    for j, lo, hi in boundary_windows(n, half):
+    designs = [
+        local_design(interior - half, window, d, centers=interior)
+        for d in range(min_degree, max_degree + 1)
+    ]
+    ends = list(boundary_windows(n, half))
+
+    def full_windows(shift: int, values: np.ndarray) -> np.ndarray:
+        # the filter at every interior j, slot half + shift replaced by values[j + shift]
+        yw = y[designs[0].cols]
+        yw[:, half + shift] = values[interior + shift]
+        pairs = [batched_local_polyfit(yw, local, want_sse=True) for local in designs]
+        chosen = _choose_degrees(np.array([sse for _, sse in pairs]), min_degree, window)
+        fits = np.array([fit for fit, _ in pairs])
+        return np.take_along_axis(fits, chosen[None, :], axis=0)[0]
+
+    def end_window(j: int, lo: int, hi: int, i: int, values: np.ndarray) -> float:
+        # the filter at j on its clipped window [lo, hi), slot i replaced by values[i]
         y_win = y[lo:hi].copy()
-        y_win[j - lo] = imp[j]
-        out[j] = _adaptive_window_value(y_win, np.arange(lo, hi) - j, min_degree, max_degree)
-    return out
+        y_win[i - lo] = values[i]
+        return _adaptive_window_value(y_win, np.arange(lo, hi) - j, min_degree, max_degree)
+
+    def diagonal(values: np.ndarray) -> np.ndarray:
+        out = np.empty(n)
+        out[interior] = full_windows(0, values)
+        for j, lo, hi in ends:
+            out[j] = end_window(j, lo, hi, j, values)
+        return out
+
+    def matrix() -> np.ndarray:
+        out = np.repeat(diagonal(y)[:, None], n, axis=1)
+        for shift in range(-half, half + 1):
+            out[interior, interior + shift] = full_windows(shift, imp)
+        for j, lo, hi in ends:
+            for i in range(lo, hi):
+                out[j, i] = end_window(j, lo, hi, i, imp)
+        return out
+
+    return diagonal(imp), matrix
 
 
 def _adaptive_window_value(

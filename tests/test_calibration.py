@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import smoothbench.calibration as cal
 import smoothbench.evaluation as ev
+import smoothbench.smoothers as smoothers
 from smoothbench.calibration import (
     CalibrationResult,
     GaConfig,
@@ -535,13 +536,18 @@ class TestDiagonalObjectives:
 
     def test_matrix_is_built_once(self, series, monkeypatch):
         builds = []
-        real = ev._deletion_smooths
+        row = smoothers._METHODS[MethodId.ADP]
 
         def counting(*args):
-            builds.append(args)
-            return real(*args)
+            diagonal, build = row.loocv(*args)
 
-        monkeypatch.setattr(ev, "_deletion_smooths", counting)
+            def counted_build():
+                builds.append(args)
+                return build()
+
+            return diagonal, counted_build
+
+        monkeypatch.setitem(smoothers._METHODS, MethodId.ADP, row._replace(loocv=counting))
         loocv = build_loocv_matrix(SmootherSpec(MethodId.ADP, (7.0, 0.0, 4.0)), series)
         assert builds == []
         first = loocv.matrix

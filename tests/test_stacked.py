@@ -9,8 +9,10 @@ GAM's GCV search and KAL's likelihood fit run the same stacked code for a
 stack and for one series, so they are also checked against reference copies
 of the earlier row-by-row scans, kept below as the slow path.
 
-ADP's LOOCV diagonal, one window fit per point, is checked against the
-diagonal of the stacked filter of all T deletion series.
+ADP's LOOCV diagonal, LOOCV matrix and 1-D filter, from one window fit per
+(point, window slot), are checked against reference copies of the stacked
+filter and the diagonal they replaced, and against the T one-series filters
+of the deletion series.
 
 The window rules that SMA, RRM, SUP and ADP share (clipped boundary windows,
 prefix-sum window sums, ADP's F-test) are checked against copies of the
@@ -27,6 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular
 from scipy.special import fdtri
 
+import smoothbench.evaluation as ev
 import smoothbench.smoothers.basic as basic
 import smoothbench.smoothers.gam as gam
 import smoothbench.smoothers.savgol as savgol
@@ -37,7 +40,12 @@ from smoothbench.evaluation import build_loocv_matrix, deletion_imputations
 from smoothbench.smoothers import MethodId, SmootherSpec, apply_to_values
 from smoothbench.smoothers.basic import simple_moving_average
 from smoothbench.smoothers.kalman import VARIANCE_FLOOR_FACTOR, fit_kalman_local_level
-from smoothbench.smoothers.windows import boundary_windows, clipped_bounds
+from smoothbench.smoothers.windows import (
+    batched_local_polyfit,
+    boundary_windows,
+    clipped_bounds,
+    local_design,
+)
 from smoothbench.timeseries import TimeSeries, impute_linear
 
 
@@ -359,16 +367,105 @@ def test_kalman_variances_are_per_row(rng):
     assert q[2] == r[2] == 1e-30
 
 
-# --- ADP's LOOCV diagonal against the stacked build ------------------------
+def assert_bits_equal(got, want, label) -> None:
+    assert got.shape == want.shape, label
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=label)
 
 
-def assert_adp_diagonal_matches_stack(series: TimeSeries, fractions) -> None:
-    spec = spec_at(MethodId.ADP, len(series), fractions)
+# --- ADP's window kernel against the stacked filter it replaced -----------
+
+
+def _reference_designs(interior, window, min_degree, max_degree):
+    half = window // 2
+    return [local_design(interior - half, window, d, centers=interior)
+            for d in range(min_degree, max_degree + 1)]
+
+
+def _reference_degree_fits(yw, designs):
+    pairs = [batched_local_polyfit(yw, local, want_sse=True) for local in designs]
+    return np.array([fit for fit, _ in pairs]), np.array([sse for _, sse in pairs])
+
+
+def _reference_adaptive_values(fits, sses, min_degree, window):
+    ndeg = len(fits)
+    chosen = savgol._choose_degrees(sses.reshape(ndeg, -1), min_degree, window)
+    picked = np.take_along_axis(fits.reshape(ndeg, -1), chosen[None, :], axis=0)
+    return picked.reshape(fits.shape[1:])
+
+
+def reference_stacked_adp(y, window, min_degree, max_degree):
+    """ADP filter of a (B, T) stack: full windows fitted row by row, the
+    degree tests over all rows at once, each boundary window's distinct
+    contents fitted once."""
+    rows = y.reshape(-1, y.shape[-1])
+    count, n = rows.shape
+    half = window // 2
+    out = np.empty(rows.shape)
+    interior = np.arange(half, n - half)
+    designs = _reference_designs(interior, window, min_degree, max_degree)
+    ndeg = len(designs)
+    fits = np.empty((ndeg, count, interior.size))
+    sses = np.empty((ndeg, count, interior.size))
+    for b, row in enumerate(rows):
+        fits[:, b], sses[:, b] = _reference_degree_fits(row[designs[0].cols], designs)
+    out[:, interior] = _reference_adaptive_values(fits, sses, min_degree, window)
+    for j, lo, hi in boundary_windows(n, half):
+        offsets = np.arange(lo, hi) - j
+        by_content = {}
+        for b in range(count):
+            y_win = rows[b, lo:hi]
+            key = y_win.tobytes()
+            if key not in by_content:
+                by_content[key] = savgol._adaptive_window_value(
+                    y_win, offsets, min_degree, max_degree)
+            out[b, j] = by_content[key]
+    return out.reshape(y.shape)
+
+
+def reference_adp_diagonal(y, imp, window, min_degree, max_degree):
+    """Entry i of the filter of ``y`` with ``y[i]`` replaced by ``imp[i]``, one window each."""
+    n = len(y)
+    half = window // 2
+    out = np.empty(n)
+    interior = np.arange(half, n - half)
+    designs = _reference_designs(interior, window, min_degree, max_degree)
+    yw = y[designs[0].cols]
+    yw[:, half] = imp[interior]
+    out[interior] = _reference_adaptive_values(
+        *_reference_degree_fits(yw, designs), min_degree, window)
+    for j, lo, hi in boundary_windows(n, half):
+        y_win = y[lo:hi].copy()
+        y_win[j - lo] = imp[j]
+        out[j] = savgol._adaptive_window_value(
+            y_win, np.arange(lo, hi) - j, min_degree, max_degree)
+    return out
+
+
+def assert_adp_matches_references(series: TimeSeries, window, min_degree, max_degree) -> None:
+    """ADP's LOOCV diagonal, matrix and 1-D filter, bitwise, against the
+    reference stacked filter and diagonal and against T one-series filters."""
+    params = (window, min_degree, max_degree)
+    spec = SmootherSpec(MethodId.ADP, params)
+    label = str(spec)
+    y = series.values()
+    imp = deletion_imputations(y, series.day_index())
     loocv = build_loocv_matrix(spec, series)
     diagonal = loocv.diagonal.copy()  # computed before the matrix is built
-    np.testing.assert_array_equal(
-        diagonal.view(np.int64), np.diag(loocv.matrix).view(np.int64), err_msg=str(spec)
-    )
+    # column i is the filter of deletion series i, one series at a time and stacked
+    assert_bits_equal(loocv.matrix, ev._deletion_smooths(spec, y, imp), label)
+    stack = np.tile(y, (len(y), 1))
+    np.fill_diagonal(stack, imp)
+    want = np.ascontiguousarray(reference_stacked_adp(stack, *params).T)
+    assert_bits_equal(loocv.matrix, want, label)
+    assert_bits_equal(diagonal, np.diag(want).copy(), label)
+    assert_bits_equal(diagonal, reference_adp_diagonal(y, imp, *params), label)
+    assert_bits_equal(apply_to_values(spec, y), reference_stacked_adp(y[None], *params)[0], label)
+
+
+def assert_adp_at_fractions(series: TimeSeries, fractions) -> None:
+    # the fractions place window, min_degree and max_degree in their search box
+    spec = spec_at(MethodId.ADP, len(series), fractions)
+    assert_adp_matches_references(series, *(int(p) for p in spec.params))
 
 
 @st.composite
@@ -389,8 +486,7 @@ def adp_series(draw):
 @settings(max_examples=150, deadline=None)
 @given(adp_series(), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
 def test_adp_diagonal_matches_stacked_build(series, fractions):
-    # the fractions place window, min_degree and max_degree in their search box
-    assert_adp_diagonal_matches_stack(series, fractions)
+    assert_adp_at_fractions(series, fractions)
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
@@ -399,7 +495,35 @@ def test_adp_diagonal_on_degenerate_inputs(name):
     for window in (0.0, 0.5, 1.0):
         for low in (0.0, 1.0):
             for high in (0.0, 0.5, 1.0):
-                assert_adp_diagonal_matches_stack(series, (window, low, high))
+                assert_adp_at_fractions(series, (window, low, high))
+
+
+@pytest.mark.parametrize("window", range(5, 22, 2))
+def test_adp_across_the_degree_box(window, rng):
+    # every (min_degree, max_degree) the catalog allows, n from window to 3 * window
+    for min_degree in range(0, 3):
+        for max_degree in range(min_degree, min(6, window - 1) + 1):
+            n = int(rng.integers(window, 3 * window + 1))
+            series = TimeSeries.from_values(np.cumsum(rng.normal(size=n)) + rng.normal(size=n))
+            assert_adp_matches_references(series, window, min_degree, max_degree)
+
+
+def test_adp_at_t365(rng):
+    y = 100.0 + np.cumsum(rng.normal(size=365)) + rng.standard_t(3, size=365)
+    series = TimeSeries.from_values(y)
+    assert_adp_matches_references(series, 21, 0, 6)
+    assert_adp_matches_references(series, 5, 1, 4)
+
+
+def test_adp_matrix_needs_no_deletion_smooths(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("ADP's LOOCV matrix smoothed a whole deletion series")
+
+    monkeypatch.setattr(ev, "_deletion_smooths", refuse)
+    monkeypatch.setattr(ev, "apply_to_values", refuse)
+    series = TimeSeries.from_values(np.cumsum(rng.normal(size=40)))
+    loocv = build_loocv_matrix(SmootherSpec(MethodId.ADP, (9.0, 0.0, 4.0)), series)
+    assert loocv.matrix.shape == (40, 40)
 
 
 # --- shared window rules against copies of their per-smoother forms -------
@@ -454,11 +578,6 @@ def reference_step_accepted(sse_d: float, sse_up: float, jump: int, m: int, d: i
         return True
     f_stat = ((sse_d - sse_up) / jump) * dof2 / sse_up
     return f_stat > reference_f_critical(jump, dof2)
-
-
-def assert_bits_equal(got, want, label) -> None:
-    assert got.shape == want.shape, label
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=label)
 
 
 def assert_window_rules_match_reference(stack: np.ndarray, window: int) -> None:
