@@ -4,18 +4,26 @@ Importing the package loads numpy, the series types and the smoother catalog.
 The evaluation, calibration and pipeline layers load on first attribute
 access.  Only ``spl``, and ``gam`` with ``auto_penalty``, load scipy, on their
 first call, and then only ``scipy.linalg``.
+
+Importing it before numpy sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
+already set: the benchmark runs one method per worker process, so more BLAS
+threads would only oversubscribe the cores.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .smoothers import (  # noqa: F401
+from .smoothers import (  # noqa: E402, F401
     MethodId,
     SmootherSpec,
     apply_smoother,
     default_spec,
     make_spec,
 )
-from .timeseries import (  # noqa: F401
+from .timeseries import (  # noqa: E402, F401
     MISSING,
     Sample,
     SurveillanceRecord,

@@ -131,6 +131,14 @@ def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs", type=int,
+        help="worker processes for the methods (default: the CPUs this process may use, "
+        "at most one per method); the report is the same for every value",
+    )
+
+
 def _add_nh4_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f-nh4", type=float, help="specific NH4 load in g/person/day")
     parser.add_argument("--load-table", help="biomarker load table CSV")
@@ -213,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'standard' adds it (default: %(default)s)",
     )
     p.add_argument("--include-loocv", action="store_true")
+    _add_jobs_flag(p)
     _add_ga_flags(p)
     _add_common(p)
 
@@ -229,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=_method_list, default=PipelineConfig.methods,
                    help="method filter for the internal benchmark (default: all)")
     p.add_argument("--out", default="-")
+    _add_jobs_flag(p)
     _add_ga_flags(p)
     _add_common(p)
 
@@ -440,7 +450,7 @@ def cmd_benchmark(args) -> int:
     kinds = ("raw", "normalized") if args.signal == "both" else (args.signal,)
     reports = []
     for kind in kinds:
-        report = run_benchmark(records, kind, config)
+        report = run_benchmark(records, kind, config, jobs=args.jobs)
         reports.append(report)
         print(
             f"{kind}: optimal={report.optimal_method.value} "
@@ -478,7 +488,7 @@ def cmd_regress(args) -> int:
         source = "raw normalized loads"
     else:
         config = _pipeline_config(args, f_nh4=_f_nh4(args, site))
-        report = run_benchmark(records, args.signal, config)
+        report = run_benchmark(records, args.signal, config, jobs=args.jobs)
         loads = TimeSeries.from_pairs(zip(report.timestamps, report.smoothed))
         source = f"benchmark optimal={report.optimal_method.value}"
 

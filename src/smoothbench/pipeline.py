@@ -5,14 +5,20 @@ normalize (optional) -> impute -> per-method GA calibration -> LOOCV indices
 band -> report.  ``evaluate_one`` calibrates and scores one method and shares
 no state with the others: per-method GA seeds are derived by hashing the
 master seed with the method code, so dropping one method never perturbs the
-others.  Methods that fail are excluded from clustering with a warning
-instead of aborting the run.  ``normalized_loads`` and ``fit_loads`` are the
-one producer each of the NH4-normalized series and the load-incidence fit.
+others.  ``run_benchmark`` runs it for the methods in up to ``jobs`` forked
+worker processes, longest jobs first, and merges the outcomes and the
+warnings each worker caught in the order of ``config.methods``, so the
+report and the warnings are the same for every job count.  A worker returns no LOOCV matrix: the
+parent rebuilds the optimal method's.  Methods that fail are excluded from
+clustering with a warning instead of aborting the run.  ``normalized_loads``
+and ``fit_loads`` are the one producer each of the NH4-normalized series and
+the load-incidence fit.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
@@ -53,6 +59,13 @@ from .smoothers import (
 from .timeseries import SurveillanceRecord, TimeSeries, build_series, impute_linear
 
 SIGNAL_KINDS = ("raw", "normalized")
+
+# Workers take the longest jobs first, so that no long one starts last: these
+# methods by their measured cost at T=365, then the rest in their given order.
+_LONGEST_FIRST = (
+    MethodId.SUP, MethodId.RRM, MethodId.POL, MethodId.GAM, MethodId.SPL,
+    MethodId.ADP, MethodId.KER, MethodId.SGF, MethodId.ARI,
+)
 
 
 @dataclass(frozen=True)
@@ -201,11 +214,76 @@ def evaluate_one(
     return MethodOutcome(method, spec.params, index, seed, evaluations), loocv
 
 
+def worker_count(jobs: int | None, methods: int) -> int:
+    """Worker processes for ``methods`` jobs: ``jobs``, by default the CPUs
+    this process may use, and never more than ``methods``."""
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # a platform without CPU affinity
+            jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, methods)
+
+
+def _evaluate_in_worker(
+    config: PipelineConfig, method: MethodId, imputed: TimeSeries
+) -> tuple[MethodOutcome, list[tuple[str, type[Warning]]]]:
+    """``evaluate_one`` in a worker: its outcome and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome, _ = evaluate_one(config, method, imputed)
+    return outcome, [(str(w.message), w.category) for w in caught]
+
+
+def _evaluate_methods(
+    config: PipelineConfig, imputed: TimeSeries, workers: int
+) -> dict[MethodId, tuple[MethodOutcome, LoocvMatrix | None]]:
+    """``evaluate_one`` for every method, in the order of ``config.methods``.
+
+    With more than one worker (and ``fork`` available) the methods run in a
+    pool of forked processes; their matrices are then None, and the warnings
+    each caught are raised again here in that order.  The first exception in
+    that order cancels the jobs not yet started and is raised once the
+    running ones end, so no worker outlives the call.
+    """
+    if workers == 1 or not hasattr(os, "fork"):
+        return {m: evaluate_one(config, m, imputed) for m in config.methods}
+    # loaded here, so that the commands and runs that start no pool never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    rank = {m: i for i, m in enumerate(_LONGEST_FIRST)}
+    order = sorted(config.methods, key=lambda m: rank.get(m, len(rank)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {m: pool.submit(_evaluate_in_worker, config, m, imputed) for m in order}
+        evaluated = {}
+        try:
+            for method in config.methods:
+                outcome, caught = futures[method].result()
+                for message, category in caught:
+                    warnings.warn(message, category)
+                evaluated[method] = outcome, None
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return evaluated
+
+
 def run_benchmark(
-    records: list[SurveillanceRecord], signal_kind: str, config: PipelineConfig | None = None
+    records: list[SurveillanceRecord],
+    signal_kind: str,
+    config: PipelineConfig | None = None,
+    jobs: int | None = None,
 ) -> BenchmarkReport:
-    """Execute the full workflow on one signal kind; fully seed-deterministic."""
+    """Execute the full workflow on one signal kind; fully seed-deterministic.
+
+    ``jobs`` caps the worker processes (see ``worker_count``; 1 runs every
+    method in this process).  The report does not depend on it.
+    """
     config = config or PipelineConfig()
+    workers = worker_count(jobs, len(config.methods))
     series = _signal_series(records, signal_kind, config)
     usable = sum(1 for s in series if s.value is not None)
     if usable < 5:
@@ -213,7 +291,7 @@ def run_benchmark(
     imputed = impute_linear(series)
     n = len(imputed)
 
-    evaluated = {m: evaluate_one(config, m, imputed) for m in config.methods}
+    evaluated = _evaluate_methods(config, imputed, workers)
     outcomes = tuple(outcome for outcome, _ in evaluated.values())
     succeeded = [o for o in outcomes if o.ok]
     if len(succeeded) < 3:
@@ -227,6 +305,8 @@ def run_benchmark(
     optimal_outcome, optimal_loocv = evaluated[optimal]
     optimal_spec = SmootherSpec(optimal, optimal_outcome.params)
     smoothed = apply_smoother(optimal_spec, imputed)
+    if optimal_loocv is None:  # evaluated in a worker
+        optimal_loocv = build_loocv_matrix(optimal_spec, imputed)
     lower, upper = confidence_band(optimal_loocv, config.band_level)
 
     regression = _regression_fit(records, smoothed)

@@ -291,9 +291,9 @@ class TestBenchmarkCommand:
         configs = []
         real = cli.run_benchmark
 
-        def capture(records, kind, config):
+        def capture(records, kind, config, **kwargs):
             configs.append(config)
-            return real(records, kind, config)
+            return real(records, kind, config, **kwargs)
 
         monkeypatch.setattr(cli, "run_benchmark", capture)
         cfg = tmp_path / "cfg.json"
@@ -315,6 +315,53 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert "--seed" in err
         assert "SMOOTHBENCH_SEED" in err
+
+    @pytest.mark.parametrize("objective", ["aic", "combined"])
+    def test_job_count_never_changes_the_outputs(self, tmp_path, objective):
+        path = tmp_path / "site.csv"
+        write_surveillance_csv(bundled_records(n=30), str(path))
+        argv = ["benchmark", "--input", str(path), "--signal", "both", "--f-nh4", "10.71",
+                "--include-loocv", "--objective", objective, "--ga-pop", "4", "--ga-iters", "1"]
+        outs = {}
+        for jobs in ("1", "2", None):
+            out = tmp_path / f"jobs-{jobs}"
+            assert main(argv + ["--out", str(out)] + (["--jobs", jobs] if jobs else [])) == 0
+            outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(outs["1"]) == 5
+        assert outs["2"] == outs["1"]
+        assert outs[None] == outs["1"]
+        report = json.loads(outs["1"]["report.json"])
+        assert len(report["reports"][0]["methods"]) == len(MethodId)
+        assert "jobs" not in report["reports"][0]["provenance"]["config"]
+
+    @pytest.mark.parametrize("command", ["benchmark", "regress"])
+    def test_jobs_below_1_exits_1_before_any_ga(self, surveillance_csv, tmp_path, monkeypatch,
+                                                  capsys, command):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran")
+
+        monkeypatch.setattr(pipeline, "calibrate", no_ga)
+        out = tmp_path / ("bench" if command == "benchmark" else "fit.csv")
+        rc = main([command, "--input", surveillance_csv, "--f-nh4", "10.71",
+                   "--out", str(out), "--jobs", "0"])
+        assert rc == 1
+        assert "jobs must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_jobs_reach_run_benchmark(self, surveillance_csv, tmp_path, monkeypatch):
+        jobs = []
+        real = cli.run_benchmark
+
+        def capture(records, kind, config, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return real(records, kind, config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_benchmark", capture)
+        base = ["--input", surveillance_csv, "--f-nh4", "10.71", "--methods", "tuk,fft,sma",
+                "--ga-pop", "4", "--ga-iters", "1"]
+        assert main(["benchmark", *base, "--signal", "both", "--out", str(tmp_path / "b"),
+                     "--jobs", "3"]) == 0
+        assert main(["regress", *base, "--out", str(tmp_path / "fit.csv")]) == 0
+        assert jobs == [3, 3, None]
 
 
 class TestRegressCommand:
@@ -340,9 +387,9 @@ class TestRegressCommand:
         configs = []
         real = cli.run_benchmark
 
-        def capture(records, kind, config):
+        def capture(records, kind, config, **kwargs):
             configs.append(config)
-            return real(records, kind, config)
+            return real(records, kind, config, **kwargs)
 
         monkeypatch.setattr(cli, "run_benchmark", capture)
         rc = main(["regress", "--input", surveillance_csv, "--f-nh4", "10.71",
@@ -645,13 +692,15 @@ class TestScipyLoadsOnFirstUse:
         assert loaded == "[]"
 
     def test_full_benchmark_loads_no_interpolate_or_special(self, tmp_path):
+        # one job, so that every method runs in this interpreter
         path = tmp_path / "site.csv"
         write_surveillance_csv(bundled_records(n=30), str(path))
         loaded = run_fresh(
             "from smoothbench.cli import main\n"
             f"assert main(['benchmark', '--input', {str(path)!r}, '--signal', 'raw',\n"
-            f"             '--out', {str(tmp_path / 'bench')!r},\n"
+            f"             '--out', {str(tmp_path / 'bench')!r}, '--jobs', '1',\n"
             "             '--ga-pop', '4', '--ga-iters', '1']) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'special'])))\n"
         )
@@ -671,3 +720,28 @@ class TestScipyLoadsOnFirstUse:
             "print(apply_to_values(spec, y).tobytes().hex())\n"
         )
         assert smoothed == apply_to_values(spec, GUARD_SERIES).tobytes().hex()
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_import_before_numpy_sets_one_openblas_thread(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = _import_path()
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = (
+            "import os, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import smoothbench\n"
+            "assert 'numpy' in sys.modules\n"
+            "tasks = '/proc/self/task'\n"
+            "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else 1\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        value, threads = done.stdout.split()
+        assert value == expected
+        if preset is None:
+            assert threads == "1"  # numpy's OpenBLAS started no thread of its own

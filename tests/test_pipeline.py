@@ -1,3 +1,5 @@
+import multiprocessing
+import time
 import warnings
 from dataclasses import replace
 from datetime import date, timedelta
@@ -214,6 +216,55 @@ class TestEvaluateOne:
             assert got == outcome
             assert loocv.matrix.tolist() == pl.build_loocv_matrix(
                 SmootherSpec(method, outcome.params), imputed).matrix.tolist()
+
+
+class TestWorkerPool:
+    def test_worker_count_caps_jobs_at_the_method_count(self):
+        assert pl.worker_count(10**6, 13) == 13
+        assert pl.worker_count(2, 13) == 2
+        assert pl.worker_count(1, 3) == 1
+        assert 1 <= pl.worker_count(None, 13) <= 13
+        assert pl.worker_count(None, 1) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_1_rejected(self, jobs):
+        with pytest.raises(InputError, match=f"jobs must be at least 1, got {jobs}"):
+            pl.worker_count(jobs, 13)
+
+    def test_warnings_come_in_method_order(self, bundled, monkeypatch):
+        # pol is submitted before ker and ker's failure is delayed, so pol's
+        # warning is raised first in its worker; ker's still comes first here
+        real = pl.build_loocv_matrix
+
+        def sabotage(spec, series):
+            if spec.method is MethodId.KER:
+                time.sleep(0.5)
+            if spec.method in (MethodId.KER, MethodId.POL):
+                raise SeriesTooShort(f"{spec.method.value} sabotaged for the test")
+            return real(spec, series)
+
+        monkeypatch.setattr(pl, "build_loocv_matrix", sabotage)
+        methods = (MethodId.TUK, MethodId.FFT, MethodId.KER, MethodId.SMA, MethodId.POL)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_benchmark(bundled, "raw", tiny_config(methods=methods), jobs=2)
+        excluded = [str(w.message) for w in caught if "failed and is excluded" in str(w.message)]
+        assert [text.split()[1] for text in excluded] == ["ker", "pol"]
+        assert all(w.category is UserWarning for w in caught)
+        assert [o.ok for o in report.outcomes] == [True, True, False, True, False]
+
+    def test_no_worker_outlives_a_run(self, bundled, monkeypatch):
+        config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA))
+        run_benchmark(bundled, "raw", config, jobs=2)
+        assert multiprocessing.active_children() == []
+
+        def singular(spec, series):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(pl, "build_loocv_matrix", singular)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            run_benchmark(bundled, "raw", config, jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestRawAndNormalized:
