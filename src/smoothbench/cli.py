@@ -10,7 +10,8 @@ Every option gets its value, type and default from argparse.  The keys of a
 explicit ones, so the order is explicit flag > config file > environment
 (SMOOTHBENCH_SEED is --seed's default) > built-in default, and a config value
 is checked exactly like the flag it names.  The NH4 load resolves as --f-nh4 >
---load-table > the reference table.
+--load-table > the reference table.  ``benchmark`` and ``regress`` run the
+methods in one worker process per CPU this process may use.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .csvio import (
 )
 from .errors import EmptyInput, InputError, SmoothbenchError
 from .normalization import reference_nh4_load
-from .pipeline import PipelineConfig, fit_loads, normalized_loads, run_benchmark
+from .pipeline import PipelineConfig, fit_loads, normalized_loads, run_benchmark, worker_count
 from .reportio import read_reports, write_reports
 from .smoothers import PARAM_SPECS, MethodId, apply_smoother, make_spec
 from .timeseries import TimeSeries, build_series, impute_linear
@@ -131,14 +132,6 @@ def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int,
-        help="worker processes for the methods (default: the CPUs this process may use, "
-        "at most one per method); the report is the same for every value",
-    )
-
-
 def _add_nh4_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f-nh4", type=float, help="specific NH4 load in g/person/day")
     parser.add_argument("--load-table", help="biomarker load table CSV")
@@ -221,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'standard' adds it (default: %(default)s)",
     )
     p.add_argument("--include-loocv", action="store_true")
-    _add_jobs_flag(p)
     _add_ga_flags(p)
     _add_common(p)
 
@@ -238,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=_method_list, default=PipelineConfig.methods,
                    help="method filter for the internal benchmark (default: all)")
     p.add_argument("--out", default="-")
-    _add_jobs_flag(p)
     _add_ga_flags(p)
     _add_common(p)
 
@@ -450,7 +441,7 @@ def cmd_benchmark(args) -> int:
     kinds = ("raw", "normalized") if args.signal == "both" else (args.signal,)
     reports = []
     for kind in kinds:
-        report = run_benchmark(records, kind, config, jobs=args.jobs)
+        report = run_benchmark(records, kind, config, jobs=worker_count(len(config.methods)))
         reports.append(report)
         print(
             f"{kind}: optimal={report.optimal_method.value} "
@@ -488,7 +479,9 @@ def cmd_regress(args) -> int:
         source = "raw normalized loads"
     else:
         config = _pipeline_config(args, f_nh4=_f_nh4(args, site))
-        report = run_benchmark(records, args.signal, config, jobs=args.jobs)
+        report = run_benchmark(
+            records, args.signal, config, jobs=worker_count(len(config.methods))
+        )
         loads = TimeSeries.from_pairs(zip(report.timestamps, report.smoothed))
         source = f"benchmark optimal={report.optimal_method.value}"
 

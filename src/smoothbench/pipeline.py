@@ -6,19 +6,22 @@ band -> report.  ``evaluate_one`` calibrates and scores one method and shares
 no state with the others: per-method GA seeds are derived by hashing the
 master seed with the method code, so dropping one method never perturbs the
 others.  ``run_benchmark`` runs it for the methods in up to ``jobs`` forked
-worker processes, longest jobs first, and merges the outcomes and the
-warnings each worker caught in the order of ``config.methods``, so the
-report and the warnings are the same for every job count.  A worker returns no LOOCV matrix: the
-parent rebuilds the optimal method's.  Methods that fail are excluded from
-clustering with a warning instead of aborting the run.  ``normalized_loads``
-and ``fit_loads`` are the one producer each of the NH4-normalized series and
-the load-incidence fit.
+worker processes (by default one: in the calling process), longest jobs
+first, and merges the outcomes and the warnings each worker caught in the
+order of ``config.methods``, so the report and the warnings are the same for
+every job count.  It forks only from a process that runs one thread, and
+otherwise runs every method in-process.  The optimal method's LOOCV matrix is
+rebuilt once, after the methods are clustered.  Methods that fail are
+excluded from clustering with a warning instead of aborting the run.
+``normalized_loads`` and ``fit_loads`` are the one producer each of the
+NH4-normalized series and the load-incidence fit.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
@@ -41,7 +44,6 @@ from .errors import (
     SmoothbenchError,
 )
 from .evaluation import (
-    LoocvMatrix,
     PerformanceIndex,
     build_loocv_matrix,
     confidence_band,
@@ -186,13 +188,11 @@ def _signal_series(
     return normalized_loads(records, config.f_nh4)
 
 
-def evaluate_one(
-    config: PipelineConfig, method: MethodId, imputed: TimeSeries
-) -> tuple[MethodOutcome, LoocvMatrix | None]:
+def evaluate_one(config: PipelineConfig, method: MethodId, imputed: TimeSeries) -> MethodOutcome:
     """GA-calibrate (if parametric) and LOOCV-score one method; shares no state.
 
     A SmoothbenchError is not raised: it is warned about and recorded in the
-    outcome, and the matrix is None.
+    outcome.
     """
     parametric = bool(PARAM_SPECS[method])
     seed = method_seed(config.ga.seed, method) if parametric else None
@@ -210,21 +210,30 @@ def evaluate_one(
     except SmoothbenchError as exc:
         warnings.warn(f"method {method.value} failed and is excluded: {exc}")
         error = f"{type(exc).__name__}: {exc}"
-        return MethodOutcome(method, ga_seed=seed, ga_evaluations=evaluations, error=error), None
-    return MethodOutcome(method, spec.params, index, seed, evaluations), loocv
+        return MethodOutcome(method, ga_seed=seed, ga_evaluations=evaluations, error=error)
+    return MethodOutcome(method, spec.params, index, seed, evaluations)
 
 
-def worker_count(jobs: int | None, methods: int) -> int:
-    """Worker processes for ``methods`` jobs: ``jobs``, by default the CPUs
-    this process may use, and never more than ``methods``."""
-    if jobs is None:
-        try:
-            jobs = len(os.sched_getaffinity(0))
-        except AttributeError:  # a platform without CPU affinity
-            jobs = os.cpu_count() or 1
-    elif jobs < 1:
-        raise InputError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, methods)
+def worker_count(methods: int) -> int:
+    """Worker processes for ``methods`` jobs: the CPUs this process may use,
+    never more than ``methods``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, methods)
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one thread, so that it may fork safely.
+
+    A BLAS library's native threads count too, so Linux's own count of the
+    process's threads is read where there is one.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
 
 
 def _evaluate_in_worker(
@@ -233,23 +242,24 @@ def _evaluate_in_worker(
     """``evaluate_one`` in a worker: its outcome and the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcome, _ = evaluate_one(config, method, imputed)
+        outcome = evaluate_one(config, method, imputed)
     return outcome, [(str(w.message), w.category) for w in caught]
 
 
 def _evaluate_methods(
-    config: PipelineConfig, imputed: TimeSeries, workers: int
-) -> dict[MethodId, tuple[MethodOutcome, LoocvMatrix | None]]:
+    config: PipelineConfig, imputed: TimeSeries, jobs: int
+) -> tuple[MethodOutcome, ...]:
     """``evaluate_one`` for every method, in the order of ``config.methods``.
 
-    With more than one worker (and ``fork`` available) the methods run in a
-    pool of forked processes; their matrices are then None, and the warnings
+    With more than one job, ``fork`` available and no other thread in this
+    process, the methods run in a pool of forked processes, and the warnings
     each caught are raised again here in that order.  The first exception in
     that order cancels the jobs not yet started and is raised once the
     running ones end, so no worker outlives the call.
     """
-    if workers == 1 or not hasattr(os, "fork"):
-        return {m: evaluate_one(config, m, imputed) for m in config.methods}
+    workers = min(jobs, len(config.methods))
+    if workers == 1 or not hasattr(os, "fork") or not _single_threaded():
+        return tuple(evaluate_one(config, m, imputed) for m in config.methods)
     # loaded here, so that the commands and runs that start no pool never load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -258,32 +268,33 @@ def _evaluate_methods(
     order = sorted(config.methods, key=lambda m: rank.get(m, len(rank)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = {m: pool.submit(_evaluate_in_worker, config, m, imputed) for m in order}
-        evaluated = {}
+        outcomes = []
         try:
             for method in config.methods:
                 outcome, caught = futures[method].result()
                 for message, category in caught:
                     warnings.warn(message, category)
-                evaluated[method] = outcome, None
+                outcomes.append(outcome)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return evaluated
+    return tuple(outcomes)
 
 
 def run_benchmark(
     records: list[SurveillanceRecord],
     signal_kind: str,
     config: PipelineConfig | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> BenchmarkReport:
     """Execute the full workflow on one signal kind; fully seed-deterministic.
 
-    ``jobs`` caps the worker processes (see ``worker_count``; 1 runs every
-    method in this process).  The report does not depend on it.
+    ``jobs`` caps the worker processes; 1, the default, runs every method in
+    this process.  The report does not depend on it.
     """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     config = config or PipelineConfig()
-    workers = worker_count(jobs, len(config.methods))
     series = _signal_series(records, signal_kind, config)
     usable = sum(1 for s in series if s.value is not None)
     if usable < 5:
@@ -291,8 +302,7 @@ def run_benchmark(
     imputed = impute_linear(series)
     n = len(imputed)
 
-    evaluated = _evaluate_methods(config, imputed, workers)
-    outcomes = tuple(outcome for outcome, _ in evaluated.values())
+    outcomes = _evaluate_methods(config, imputed, jobs)
     succeeded = [o for o in outcomes if o.ok]
     if len(succeeded) < 3:
         raise EvaluationFailure(
@@ -302,11 +312,10 @@ def run_benchmark(
         [o.index for o in succeeded], standardize=config.standardize
     )
     optimal = cluster.optimal
-    optimal_outcome, optimal_loocv = evaluated[optimal]
-    optimal_spec = SmootherSpec(optimal, optimal_outcome.params)
+    optimal_params = next(o.params for o in succeeded if o.method is optimal)
+    optimal_spec = SmootherSpec(optimal, optimal_params)
     smoothed = apply_smoother(optimal_spec, imputed)
-    if optimal_loocv is None:  # evaluated in a worker
-        optimal_loocv = build_loocv_matrix(optimal_spec, imputed)
+    optimal_loocv = build_loocv_matrix(optimal_spec, imputed)
     lower, upper = confidence_band(optimal_loocv, config.band_level)
 
     regression = _regression_fit(records, smoothed)

@@ -1,3 +1,7 @@
+# smoothbench before numpy, so that numpy starts one OpenBLAS thread and this
+# process stays single-threaded: the worker pool forks from no other.
+import smoothbench  # noqa: F401, I001
+
 import numpy as np
 import pytest
 

@@ -317,37 +317,29 @@ class TestBenchmarkCommand:
         assert "SMOOTHBENCH_SEED" in err
 
     @pytest.mark.parametrize("objective", ["aic", "combined"])
-    def test_job_count_never_changes_the_outputs(self, tmp_path, objective):
+    def test_cpu_count_never_changes_the_outputs(self, tmp_path, monkeypatch, objective):
         path = tmp_path / "site.csv"
         write_surveillance_csv(bundled_records(n=30), str(path))
         argv = ["benchmark", "--input", str(path), "--signal", "both", "--f-nh4", "10.71",
                 "--include-loocv", "--objective", objective, "--ga-pop", "4", "--ga-iters", "1"]
         outs = {}
-        for jobs in ("1", "2", None):
-            out = tmp_path / f"jobs-{jobs}"
-            assert main(argv + ["--out", str(out)] + (["--jobs", jobs] if jobs else [])) == 0
-            outs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert len(outs["1"]) == 5
-        assert outs["2"] == outs["1"]
-        assert outs[None] == outs["1"]
-        report = json.loads(outs["1"]["report.json"])
+        for cpus in (1, 2, None):  # one worker, two, or one per CPU of this machine
+            if cpus is not None:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus),
+                                    raising=False)
+            out = tmp_path / f"cpus-{cpus}"
+            assert main(argv + ["--out", str(out)]) == 0
+            outs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+            monkeypatch.undo()
+        assert len(outs[1]) == 5
+        assert outs[2] == outs[1]
+        assert outs[None] == outs[1]
+        report = json.loads(outs[1]["report.json"])
         assert len(report["reports"][0]["methods"]) == len(MethodId)
         assert "jobs" not in report["reports"][0]["provenance"]["config"]
 
-    @pytest.mark.parametrize("command", ["benchmark", "regress"])
-    def test_jobs_below_1_exits_1_before_any_ga(self, surveillance_csv, tmp_path, monkeypatch,
-                                                  capsys, command):
-        def no_ga(*args, **kwargs):
-            raise AssertionError("the GA ran")
-
-        monkeypatch.setattr(pipeline, "calibrate", no_ga)
-        out = tmp_path / ("bench" if command == "benchmark" else "fit.csv")
-        rc = main([command, "--input", surveillance_csv, "--f-nh4", "10.71",
-                   "--out", str(out), "--jobs", "0"])
-        assert rc == 1
-        assert "jobs must be at least 1, got 0" in capsys.readouterr().err
-
-    def test_jobs_reach_run_benchmark(self, surveillance_csv, tmp_path, monkeypatch):
+    def test_one_worker_per_cpu_at_most_one_per_method(self, surveillance_csv, tmp_path,
+                                                       monkeypatch):
         jobs = []
         real = cli.run_benchmark
 
@@ -356,12 +348,12 @@ class TestBenchmarkCommand:
             return real(records, kind, config, **kwargs)
 
         monkeypatch.setattr(cli, "run_benchmark", capture)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10**6), raising=False)
         base = ["--input", surveillance_csv, "--f-nh4", "10.71", "--methods", "tuk,fft,sma",
                 "--ga-pop", "4", "--ga-iters", "1"]
-        assert main(["benchmark", *base, "--signal", "both", "--out", str(tmp_path / "b"),
-                     "--jobs", "3"]) == 0
+        assert main(["benchmark", *base, "--signal", "both", "--out", str(tmp_path / "b")]) == 0
         assert main(["regress", *base, "--out", str(tmp_path / "fit.csv")]) == 0
-        assert jobs == [3, 3, None]
+        assert jobs == [3, 3, 3]
 
 
 class TestRegressCommand:
@@ -692,14 +684,15 @@ class TestScipyLoadsOnFirstUse:
         assert loaded == "[]"
 
     def test_full_benchmark_loads_no_interpolate_or_special(self, tmp_path):
-        # one job, so that every method runs in this interpreter
+        # one worker, so that every method runs in this interpreter
         path = tmp_path / "site.csv"
         write_surveillance_csv(bundled_records(n=30), str(path))
         loaded = run_fresh(
-            "from smoothbench.cli import main\n"
-            f"assert main(['benchmark', '--input', {str(path)!r}, '--signal', 'raw',\n"
-            f"             '--out', {str(tmp_path / 'bench')!r}, '--jobs', '1',\n"
-            "             '--ga-pop', '4', '--ga-iters', '1']) == 0\n"
+            "from smoothbench import cli\n"
+            "cli.worker_count = lambda methods: 1\n"
+            f"assert cli.main(['benchmark', '--input', {str(path)!r}, '--signal', 'raw',\n"
+            f"                 '--out', {str(tmp_path / 'bench')!r},\n"
+            "                 '--ga-pop', '4', '--ga-iters', '1']) == 0\n"
             "assert 'scipy.linalg' in sys.modules\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'special'])))\n"

@@ -1,4 +1,6 @@
 import multiprocessing
+import os
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -200,58 +202,94 @@ class TestEvaluateOne:
         config = tiny_config()
         imputed = impute_linear(build_series(bundled, "c_virus"))
         with pytest.warns(UserWarning, match="method sma failed and is excluded"):
-            outcome, loocv = pl.evaluate_one(config, MethodId.SMA, imputed)
-        assert loocv is None
+            outcome = pl.evaluate_one(config, MethodId.SMA, imputed)
         assert outcome.error == "SeriesTooShort: sabotaged for the test"
         assert (outcome.params, outcome.index) == (None, None)
         assert outcome.ga_seed == method_seed(config.ga.seed, MethodId.SMA)
         assert outcome.ga_evaluations > 0
 
     def test_run_benchmark_maps_evaluate_one(self, bundled):
-        config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL))
+        config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL),
+                             include_loocv=True)
         report = run_benchmark(bundled, "raw", config)
         imputed = impute_linear(build_series(bundled, "c_virus"))
         for method, got in zip(config.methods, report.outcomes):
-            outcome, loocv = pl.evaluate_one(config, method, imputed)
-            assert got == outcome
-            assert loocv.matrix.tolist() == pl.build_loocv_matrix(
-                SmootherSpec(method, outcome.params), imputed).matrix.tolist()
+            assert got == pl.evaluate_one(config, method, imputed)
+        optimal = SmootherSpec(report.optimal_method, report.optimal_params)
+        assert report.loocv_optimal == tuple(
+            tuple(row) for row in pl.build_loocv_matrix(optimal, imputed).matrix)
+
+
+def _sabotage_ker_and_pol(monkeypatch):
+    """ker and pol fail, naming the process they ran in; ker fails late."""
+    real = pl.build_loocv_matrix
+
+    def sabotage(spec, series):
+        if spec.method is MethodId.KER:
+            time.sleep(0.5)
+        if spec.method in (MethodId.KER, MethodId.POL):
+            raise SeriesTooShort(f"sabotaged in process {os.getpid()}")
+        return real(spec, series)
+
+    monkeypatch.setattr(pl, "build_loocv_matrix", sabotage)
+
+
+def _excluded(bundled, jobs):
+    """(method code, process id) of each excluded method's warning, and every
+    warning's category, from a five-method run with ker and pol sabotaged."""
+    methods = (MethodId.TUK, MethodId.FFT, MethodId.KER, MethodId.SMA, MethodId.POL)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_benchmark(bundled, "raw", tiny_config(methods=methods), jobs=jobs)
+    assert [o.ok for o in report.outcomes] == [True, True, False, True, False]
+    texts = [str(w.message).split() for w in caught if "failed and is excluded" in str(w.message)]
+    return [(text[1], int(text[-1])) for text in texts], {w.category for w in caught}
 
 
 class TestWorkerPool:
-    def test_worker_count_caps_jobs_at_the_method_count(self):
-        assert pl.worker_count(10**6, 13) == 13
-        assert pl.worker_count(2, 13) == 2
-        assert pl.worker_count(1, 3) == 1
-        assert 1 <= pl.worker_count(None, 13) <= 13
-        assert pl.worker_count(None, 1) == 1
+    def test_worker_count_caps_the_cpus_at_the_method_count(self, monkeypatch):
+        # len(range(...)) counts a million CPUs without holding them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10**6), raising=False)
+        assert pl.worker_count(13) == 13
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert pl.worker_count(13) == 2
+        assert pl.worker_count(1) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
+        assert pl.worker_count(13) == 13
 
     @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_1_rejected(self, jobs):
+    def test_jobs_below_1_rejected_before_any_ga(self, bundled, monkeypatch, jobs):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran")
+
+        monkeypatch.setattr(pl, "calibrate", no_ga)
         with pytest.raises(InputError, match=f"jobs must be at least 1, got {jobs}"):
-            pl.worker_count(jobs, 13)
+            run_benchmark(bundled, "raw", tiny_config(), jobs=jobs)
 
     def test_warnings_come_in_method_order(self, bundled, monkeypatch):
         # pol is submitted before ker and ker's failure is delayed, so pol's
         # warning is raised first in its worker; ker's still comes first here
-        real = pl.build_loocv_matrix
+        assert pl._single_threaded(), "a second thread in the test process stops the pool"
+        _sabotage_ker_and_pol(monkeypatch)
+        excluded, categories = _excluded(bundled, jobs=2)
+        assert [code for code, _ in excluded] == ["ker", "pol"]
+        assert os.getpid() not in {pid for _, pid in excluded}
+        assert categories == {UserWarning}
 
-        def sabotage(spec, series):
-            if spec.method is MethodId.KER:
-                time.sleep(0.5)
-            if spec.method in (MethodId.KER, MethodId.POL):
-                raise SeriesTooShort(f"{spec.method.value} sabotaged for the test")
-            return real(spec, series)
-
-        monkeypatch.setattr(pl, "build_loocv_matrix", sabotage)
-        methods = (MethodId.TUK, MethodId.FFT, MethodId.KER, MethodId.SMA, MethodId.POL)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = run_benchmark(bundled, "raw", tiny_config(methods=methods), jobs=2)
-        excluded = [str(w.message) for w in caught if "failed and is excluded" in str(w.message)]
-        assert [text.split()[1] for text in excluded] == ["ker", "pol"]
-        assert all(w.category is UserWarning for w in caught)
-        assert [o.ok for o in report.outcomes] == [True, True, False, True, False]
+    def test_a_process_with_threads_runs_the_methods_itself(self, bundled, monkeypatch):
+        # forking a process that has other threads can deadlock the child
+        _sabotage_ker_and_pol(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            excluded, categories = _excluded(bundled, jobs=2)
+        finally:
+            release.set()
+            waiter.join()
+        assert excluded == [("ker", os.getpid()), ("pol", os.getpid())]
+        assert categories == {UserWarning}
 
     def test_no_worker_outlives_a_run(self, bundled, monkeypatch):
         config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA))
