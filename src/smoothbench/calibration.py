@@ -9,7 +9,9 @@ odd-window genes snapped to the nearest odd value whenever a genome is
 created, so every evaluated genome is feasible.
 
 All randomness flows from one seeded generator; for a fixed (method, series,
-config, objective) the full trace is reproducible.
+config, objective) the full trace is reproducible.  The GA draws that
+generator's doubles in blocks (``_BlockDraws``), which hands out exactly the
+stream of one generator call per double, so blocks change no run.
 """
 from __future__ import annotations
 
@@ -132,21 +134,19 @@ class RouletteWheel:
         self.population = population
         self.cumulative: "list[float] | None" = None
         self.total = 0.0
-        fitnesses = [ind.fitness for ind in population]
-        finite = [f for f in fitnesses if math.isfinite(f)]
-        if not finite:
+        fitnesses = np.array([ind.fitness for ind in population])
+        finite = fitnesses[np.isfinite(fitnesses)]
+        if not finite.size:
             return
-        max_f = max(finite)
-        min_f = min(finite)
+        max_f = float(finite.max())
+        min_f = float(finite.min())
         eps = 1e-12 * (1.0 + abs(max_f) + abs(min_f))
-        weights = np.empty(len(population))
-        for i, f in enumerate(fitnesses):
-            if f == math.inf:
-                weights[i] = 0.0
-            else:
-                clamped = min_f - 1.0 if f == -math.inf else f
-                weights[i] = max_f - clamped + eps
-        self.total = float(weights.sum())
+        clamped = np.where(fitnesses == -math.inf, min_f - 1.0, fitnesses)
+        # a weight past the largest double is inf, as it was in scalar
+        # arithmetic; inf - inf arises only in the weightless +inf slots
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.where(fitnesses == math.inf, 0.0, (max_f - clamped) + eps)
+            self.total = float(weights.sum())
         if 0.0 < self.total < math.inf:
             self.cumulative = np.cumsum(weights).tolist()
 
@@ -185,6 +185,57 @@ def two_point_crossover(
     return child_a, child_b
 
 
+# doubles drawn at a time by _BlockDraws
+DRAW_BLOCK = 256
+
+
+class _BlockDraws:
+    """The GA's view of a numpy Generator, with its doubles drawn in blocks.
+
+    It hands out exactly the values, in the same order, that the same calls
+    on the generator itself would.  ``random`` returns the next double of a
+    block drawn by one ``random(DRAW_BLOCK)`` call, and ``uniform`` is
+    numpy's own scalar formula on it.  ``integers`` and ``choice`` go to the
+    generator, after putting it where the doubles handed out so far would
+    have left it: back to the state saved before the block, then that many
+    doubles on.  (PCG64's ``advance`` would clear the buffered 32-bit half
+    that ``integers`` and ``choice`` may leave, so it is not used.)  The
+    doubles of a block past the last one handed out are drawn but not used,
+    so the generator must not be drawn from directly afterwards.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._state: dict = {}
+        self._block: list[float] = []
+        self._used = 0
+
+    def random(self) -> float:
+        used = self._used
+        if used == len(self._block):
+            self._state = self._rng.bit_generator.state
+            self._block = self._rng.random(DRAW_BLOCK).tolist()
+            used = 0
+        self._used = used + 1
+        return self._block[used]
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def _synced(self) -> np.random.Generator:
+        if self._used < len(self._block):
+            self._rng.bit_generator.state = self._state
+            self._rng.random(self._used)
+        self._block, self._used = [], 0
+        return self._rng
+
+    def integers(self, *args, **kwargs):
+        return self._synced().integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        return self._synced().choice(*args, **kwargs)
+
+
 def _random_genome(bounds: Sequence[ParamSpec], rng: np.random.Generator) -> list[float]:
     return [rng.uniform(b.lo, b.hi) for b in bounds]
 
@@ -217,8 +268,10 @@ class _FitnessCache:
 
     Each key holds its genome's evaluation result, or None when the
     evaluation raised a SmoothbenchError; ``evaluations`` counts the misses.
-    A miss first looks up ``shared_key(genome)``: genomes with the same
-    shared key define the same smoother, so they share one evaluation.
+    A genome is stored under itself as well as under its quantized key, so a
+    genome seen before is found without quantizing it again.  A miss first
+    looks up ``shared_key(genome)``: genomes with the same shared key define
+    the same smoother, so they share one evaluation.
     """
 
     def __init__(
@@ -233,22 +286,26 @@ class _FitnessCache:
         self.evaluations = 0
 
     def __call__(self, genome: tuple[float, ...]):
-        key = _quantize(genome)
         try:
-            return self._store[key]
+            return self._store[genome]
         except KeyError:
             pass
-        self.evaluations += 1
-        shared = self._shared_key(genome)
-        try:
-            result = self._shared[shared]
-        except KeyError:
+        key = _quantize(genome)
+        if key in self._store:
+            result = self._store[key]
+        else:
+            self.evaluations += 1
+            shared = self._shared_key(genome)
             try:
-                result = self._evaluate(genome)
-            except SmoothbenchError:
-                result = None
-            self._shared[shared] = result
-        self._store[key] = result
+                result = self._shared[shared]
+            except KeyError:
+                try:
+                    result = self._evaluate(genome)
+                except SmoothbenchError:
+                    result = None
+                self._shared[shared] = result
+            self._store[key] = result
+        self._store[genome] = result
         return result
 
 
@@ -269,7 +326,7 @@ def calibrate(
     if not PARAM_SPECS[method]:
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
     bounds = search_bounds(method, len(series))
-    rng = np.random.default_rng(config.seed)
+    rng = _BlockDraws(np.random.default_rng(config.seed))
 
     if callable(objective):
         # a callable may read every gene, so genomes share nothing

@@ -10,9 +10,10 @@ worker processes (by default one: in the calling process), longest jobs
 first, and merges the outcomes and the warnings each worker caught in the
 order of ``config.methods``, so the report and the warnings are the same for
 every job count.  It forks only from a process that runs one thread, and
-otherwise runs every method in-process.  The optimal method's LOOCV matrix is
-rebuilt once, after the methods are clustered.  Methods that fail are
-excluded from clustering with a warning instead of aborting the run.
+otherwise runs every method in-process; a worker exits once its parent is
+gone.  The optimal method's LOOCV matrix is rebuilt once, after the methods
+are clustered.  Methods that fail are excluded from clustering with a
+warning instead of aborting the run.
 ``normalized_loads`` and ``fit_loads`` are the one producer each of the
 NH4-normalized series and the load-incidence fit.
 """
@@ -22,6 +23,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
@@ -246,6 +248,22 @@ def _evaluate_in_worker(
     return outcome, [(str(w.message), w.category) for w in caught]
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: end this process once ``parent`` is no longer its parent.
+
+    A parent that is killed runs no cleanup, and its workers would finish
+    their jobs and then wait for more for good; a thread that watches the
+    parent's id ends them instead.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _evaluate_methods(
     config: PipelineConfig, imputed: TimeSeries, jobs: int
 ) -> tuple[MethodOutcome, ...]:
@@ -255,7 +273,8 @@ def _evaluate_methods(
     process, the methods run in a pool of forked processes, and the warnings
     each caught are raised again here in that order.  The first exception in
     that order cancels the jobs not yet started and is raised once the
-    running ones end, so no worker outlives the call.
+    running ones end, so no worker outlives the call; a worker whose parent
+    is killed exits by itself.
     """
     workers = min(jobs, len(config.methods))
     if workers == 1 or not hasattr(os, "fork") or not _single_threaded():
@@ -266,7 +285,12 @@ def _evaluate_methods(
 
     rank = {m: i for i, m in enumerate(_LONGEST_FIRST)}
     order = sorted(config.methods, key=lambda m: rank.get(m, len(rank)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    ) as pool:
         futures = {m: pool.submit(_evaluate_in_worker, config, m, imputed) for m in order}
         outcomes = []
         try:

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothbench.calibration as cal
@@ -103,12 +104,44 @@ class TestRouletteSelect:
         seen = {pop.index(RouletteWheel(pop).pick(gen)) for _ in range(100)}
         assert seen == {0, 1, 2}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_total_falls_back_to_uniform(self):
         pop = [Individual((float(i),), fitness=f) for i, f in enumerate((-1e308, 0.0, 1e308))]
         wheel = RouletteWheel(pop)
         assert wheel.total == math.inf and wheel.cumulative is None
         gen = np.random.default_rng(5)
         assert {pop.index(wheel.pick(gen)) for _ in range(100)} == {0, 1, 2}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fits=st.lists(
+            st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1e308])),
+            min_size=1, max_size=30,
+        )
+    )
+    @example(fits=[math.inf, 1e308])  # eps overflows, so the +inf slot computes inf - inf
+    def test_weights_match_the_scalar_loop(self, fits):
+        """The vectorized weights, total and cumulative sums equal the scalar loop's."""
+        cumulative, total = None, 0.0
+        finite = [f for f in fits if math.isfinite(f)]
+        if finite:
+            max_f, min_f = max(finite), min(finite)
+            eps = 1e-12 * (1.0 + abs(max_f) + abs(min_f))
+            weights = np.empty(len(fits))
+            for i, f in enumerate(fits):
+                if f == math.inf:
+                    weights[i] = 0.0
+                else:
+                    clamped = min_f - 1.0 if f == -math.inf else f
+                    weights[i] = max_f - clamped + eps
+            with np.errstate(over="ignore"):
+                total = float(weights.sum())
+            if 0.0 < total < math.inf:
+                cumulative = np.cumsum(weights).tolist()
+        wheel = RouletteWheel([Individual((float(i),), fitness=f) for i, f in enumerate(fits)])
+        assert repr(wheel.total) == repr(total)
+        assert repr(wheel.cumulative) == repr(cumulative)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -576,3 +609,279 @@ class TestDiagonalObjectives:
         for objective in ("aic", "mae"):
             assert math.isfinite(evaluate_method(spec, series, objective=objective))
             assert math.isfinite(calibrate(MethodId.SMA, series, config, objective).fitness)
+
+
+def _draw(gen, call):
+    """Make one generator call of the GA's kinds; ("random", k) makes k draws."""
+    kind, arg = call
+    if kind == "random":
+        return [gen.random() for _ in range(arg)]
+    if kind == "uniform":
+        return gen.uniform(*arg)
+    if kind == "integers":
+        return gen.integers(arg)
+    return gen.choice(np.arange(1, arg), size=2, replace=False)
+
+
+_BLOCK_EDGES = [cal.DRAW_BLOCK - 1, cal.DRAW_BLOCK, cal.DRAW_BLOCK + 1]
+# (lo, hi) with lo <= hi, as every ParamSpec has them: floats or integers
+_BOUNDS = st.one_of(
+    st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
+    st.tuples(st.integers(-50, 50), st.integers(0, 50)),
+).map(lambda lo_width: (lo_width[0], lo_width[0] + lo_width[1]))
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(1, 3) | st.sampled_from(_BLOCK_EDGES)),
+        st.tuples(st.just("uniform"), _BOUNDS),
+        st.tuples(st.just("integers"), st.integers(1, 200)),
+        st.tuples(st.just("choice"), st.integers(3, 5)),
+    ),
+    max_size=12,
+)
+
+
+class TestBlockDraws:
+    """Block draws hand out the plain generator's stream and leave its state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
+    def test_same_values_and_state_as_the_plain_generator(self, seed, calls):
+        plain = np.random.default_rng(seed)
+        blocks = cal._BlockDraws(np.random.default_rng(seed))
+        for call in calls:
+            got, want = _draw(blocks, call), _draw(plain, call)
+            assert repr(got) == repr(want), call
+            if call[0] in ("integers", "choice"):
+                assert blocks._rng.bit_generator.state == plain.bit_generator.state
+        assert blocks._synced().bit_generator.state == plain.bit_generator.state
+        assert blocks.random() == plain.random()
+
+    @pytest.mark.parametrize("count", [0, 1] + _BLOCK_EDGES + [2 * cal.DRAW_BLOCK + 1])
+    def test_sync_keeps_the_buffered_half_word(self, count):
+        # choice leaves PCG64 holding half of a 64-bit draw; the doubles that
+        # follow and the sync after them must keep it
+        plain = np.random.default_rng(11)
+        blocks = cal._BlockDraws(np.random.default_rng(11))
+        for gen in (plain, blocks):
+            gen.choice(np.arange(1, 4), size=2, replace=False)
+        assert plain.bit_generator.state["has_uint32"] == 1
+        for _ in range(count):
+            assert blocks.random() == plain.random()
+        assert blocks._synced().bit_generator.state == plain.bit_generator.state
+        assert blocks.integers(1000) == plain.integers(1000)
+
+
+def _holey_objective(genome):
+    """A fixed objective of plain float arithmetic, +inf or -inf on some genomes."""
+    s = 0.0
+    for i, g in enumerate(genome):
+        d = g - 0.7 * (i + 2)
+        s += d * d * (i + 1)
+    code = int(s * 97.0) % 23
+    if code < 6:
+        return math.inf
+    if code == 11 and int(s * 7919.0) % 13 == 0:
+        return -math.inf
+    return s
+
+
+# generations per population size: each run crosses many draw blocks
+FROZEN_ITERATIONS = {2: 200, 7: 60, 100: 8}
+# (method, seed, population) -> (params, fitness, evaluations, sha256 of
+# repr(history)) of calibrate on _holey_objective, recorded when the GA made
+# one generator call per double
+FROZEN_GA_RUNS = {
+    ("spl", 0, 2): ((1.0956934985716344,), 0.09260244681157179, 20,
+        "2227449b651a89971290b9d8d3db51e419174f0b47bfc428054b7c5ccaee5479"),
+    ("spl", 0, 7): ((1.6673500553109282,), 0.0714760520747564, 43,
+        "c7688af6769ae32c1be3eac763137ca2a65b39ca82490b93367330d1c1abae93"),
+    ("spl", 0, 100): ((1.1477996577931124,), 0.06360501260927115, 189,
+        "5fae4aed49dca237be01ae6acc490f61f34dbe2a71132f6aa01e2e8e674c4c46"),
+    ("spl", 1, 2): ((1.1135146565270153,), 0.08207385202483396, 15,
+        "25977d4603a00883ba3c7cb54cae255e1fad2de137462aa6f65f5b9e700cc7f5"),
+    ("spl", 1, 7): ((0.9733635759871264,), 0.18201863829449239, 37,
+        "9bcda692e861360372d8b59fe768bcdda470916ff78c8528272dbde00f65088e"),
+    ("spl", 1, 100): ((1.1512252214638465,), 0.061888890435712156, 172,
+        "f64bf67ca1b7af178f66373e8bfa7fe41bb7f826961c1f6ad2dcfee73dfd3c01"),
+    ("spl", 20261019, 2): ((1.8822146732209522,), 0.23253099106958974, 23,
+        "975ba8ed32427d0df382e8c3ba935be7ee607aa3351aec3f79401728ae1678d2"),
+    ("spl", 20261019, 7): ((1.6795716594158865,), 0.07816031274855248, 33,
+        "43174b9d2d53140e945ef0ce2071162843da78bbff8a48944d55c91b53aa70f9"),
+    ("spl", 20261019, 100): ((2.901880730647899,), -math.inf, 169,
+        "565d75942571423477770e5dc95cf1a534a8208ead8dd013e115c1c48ddef2d2"),
+    ("ker", 0, 2): ((1.6806911267458575,), 0.0787875086338591, 20,
+        "6809042fb3ee335642a28fcf15cdf18d1f45713b37e131cf11e5dc763911a7db"),
+    ("ker", 0, 7): ((0.6570125375210264,), 0.5520303694009441, 43,
+        "36603af8fd522c811e30d6729369a0d71ecfe7aa45c421b33880e5f8f41da26e"),
+    ("ker", 0, 100): ((1.1280474564455854,), 0.07395818594571575, 189,
+        "f46ab19c2b4d34b08c886cd99bd2fe0f8f8c4579f7f076f79ceac7e68faacd6e"),
+    ("ker", 1, 2): ((1.1228499479749892,), 0.07681215133746616, 15,
+        "6afef15d0c9b9bf8e072a2a85d512262a5f4fb66600f274f3d40769badb28ad8"),
+    ("ker", 1, 7): ((1.1498915376463619,), 0.06255424294090117, 37,
+        "565e7de55a0e18915d857549423dcf970c599d6fe4caf8044f99fdb704f14485"),
+    ("ker", 1, 100): ((1.1498915376463619,), 0.06255424294090117, 172,
+        "ce6801688f8fa8e7217d0ddb152ac0e2ab191d83613318757991e2aa2790baa5"),
+    ("ker", 20261019, 2): ((1.0705992509657467,), 0.10850485346432706, 21,
+        "a5e1792d6c83a9b1d806d016e1271d61887ca8df1fdb63a6227c7690b9ac2d47"),
+    ("ker", 20261019, 7): ((1.0877245030348408,), 0.09751598600483709, 33,
+        "c44ec7056f13d36a38980dc03111fa6f22d81a65f6d253ecf211d6f5ae3daadb"),
+    ("ker", 20261019, 100): ((6.941352297863223,), -math.inf, 169,
+        "565d75942571423477770e5dc95cf1a534a8208ead8dd013e115c1c48ddef2d2"),
+    ("sma", 0, 2): ((3.0,), 2.5600000000000005, 10,
+        "88705c46b7231d1055284609713e9e4a2c290cd5c3c7264e96597a7dbfaa86cc"),
+    ("sma", 0, 7): ((3.0,), 2.5600000000000005, 10,
+        "ffc205b027ecc4a0bd8a0b77cd208d9ca56f3e0474f00e87d5d5eb43735fbcca"),
+    ("sma", 0, 100): ((3.0,), 2.5600000000000005, 10,
+        "2dd03f95fdbb83ec13f92bdba13634c427e0a2058a578467d69d70ccaec606d1"),
+    ("sma", 1, 2): ((3.0,), 2.5600000000000005, 8,
+        "b69c5a697b5960ae005365b30126d5fa83165d4a15a55ed6a309f900385ceee1"),
+    ("sma", 1, 7): ((3.0,), 2.5600000000000005, 10,
+        "b2ad27b16c8a951a0195587ffb4f0cdddda7709c00c18293a186c826a9f430f7"),
+    ("sma", 1, 100): ((3.0,), 2.5600000000000005, 10,
+        "2dd03f95fdbb83ec13f92bdba13634c427e0a2058a578467d69d70ccaec606d1"),
+    ("sma", 20261019, 2): ((3.0,), 2.5600000000000005, 9,
+        "4973080fd1a086dc42387b1f9dab9dea8d05123ab5a9e536f528e1ea706eb13f"),
+    ("sma", 20261019, 7): ((3.0,), 2.5600000000000005, 10,
+        "4417f67ceacaefb631f4bf8431e602f0826a91ee5cf68599b599b38d511346ea"),
+    ("sma", 20261019, 100): ((3.0,), 2.5600000000000005, 10,
+        "2dd03f95fdbb83ec13f92bdba13634c427e0a2058a578467d69d70ccaec606d1"),
+    ("rrm", 0, 2): ((3.0,), 2.5600000000000005, 10,
+        "88705c46b7231d1055284609713e9e4a2c290cd5c3c7264e96597a7dbfaa86cc"),
+    ("rrm", 0, 7): ((3.0,), 2.5600000000000005, 10,
+        "ffc205b027ecc4a0bd8a0b77cd208d9ca56f3e0474f00e87d5d5eb43735fbcca"),
+    ("rrm", 0, 100): ((3.0,), 2.5600000000000005, 10,
+        "2dd03f95fdbb83ec13f92bdba13634c427e0a2058a578467d69d70ccaec606d1"),
+    ("rrm", 1, 2): ((3.0,), 2.5600000000000005, 8,
+        "b69c5a697b5960ae005365b30126d5fa83165d4a15a55ed6a309f900385ceee1"),
+    ("rrm", 1, 7): ((3.0,), 2.5600000000000005, 10,
+        "b2ad27b16c8a951a0195587ffb4f0cdddda7709c00c18293a186c826a9f430f7"),
+    ("rrm", 1, 100): ((3.0,), 2.5600000000000005, 10,
+        "2dd03f95fdbb83ec13f92bdba13634c427e0a2058a578467d69d70ccaec606d1"),
+    ("rrm", 20261019, 2): ((3.0,), 2.5600000000000005, 9,
+        "4973080fd1a086dc42387b1f9dab9dea8d05123ab5a9e536f528e1ea706eb13f"),
+    ("rrm", 20261019, 7): ((3.0,), 2.5600000000000005, 10,
+        "4417f67ceacaefb631f4bf8431e602f0826a91ee5cf68599b599b38d511346ea"),
+    ("rrm", 20261019, 100): ((3.0,), 2.5600000000000005, 10,
+        "2dd03f95fdbb83ec13f92bdba13634c427e0a2058a578467d69d70ccaec606d1"),
+    ("sup", 0, 2): ((1.058889084153547,), 0.1163566569096059, 23,
+        "bee03967b4fe3a167d476e5def0e8a76d6a3a74ebbb9c3b9fc556c0f84bbce2c"),
+    ("sup", 0, 7): ((8.277629198311454,), -math.inf, 43,
+        "3e068cdc2b721f966a53ad2e8c301504154cbdf935c51f9e7390a856718fb102"),
+    ("sup", 0, 100): ((1.149326332809052,), 0.06283728742295815, 189,
+        "240b981a9c2f7bd554a754fecf77b9e377b4f90312f0a22b0501b9afb40aea58"),
+    ("sup", 1, 2): ((1.0244131138007828,), 0.14106550908482365, 15,
+        "3dab8e398cec4e9e9887bba2a3b8c6234cc43555defae82be0755219b5054c64"),
+    ("sup", 1, 7): ((1.0815954185604848,), 0.10138147748167281, 37,
+        "399b8b7a313a2ec98324c8831237f2233b380275e0792e1b8d741c8aa6546105"),
+    ("sup", 1, 100): ((9.699254132161325,), -math.inf, 172,
+        "565d75942571423477770e5dc95cf1a534a8208ead8dd013e115c1c48ddef2d2"),
+    ("sup", 20261019, 2): ((0.7524635978790251,), 0.41930339207177686, 21,
+        "9dcbfce01c17bb680ee366aa3fbb7c8e89128ce3c6594450628f581e5a55015d"),
+    ("sup", 20261019, 7): ((0.9537294185075551,), 0.1991574319056048, 33,
+        "b8629942576cb5ef79e57a8da51a09c268f8a168a8c6e16f3991c2b9c4505f4c"),
+    ("sup", 20261019, 100): ((1.146663422018096,), 0.06417942174358128, 169,
+        "249bef5a85936ced790d783615155e21a971b82d437b8f251d01a0b97d2bdd98"),
+    ("pol", 0, 2): ((0.9883300092039617,), 0.16947218132201014, 20,
+        "86933bae465c3906c2d0316528c2fe152abf80d74b6d1cf8be871d4fcbe8a9cf"),
+    ("pol", 0, 7): ((0.967790396549445,), 0.18680514131488593, 43,
+        "e36630cba05dc898c282ac8640c51fc66d523ce97a3c303efba810546746e325"),
+    ("pol", 0, 100): ((0.8072071306424268,), -math.inf, 189,
+        "565d75942571423477770e5dc95cf1a534a8208ead8dd013e115c1c48ddef2d2"),
+    ("pol", 1, 2): ((0.966578120598905,), 0.18785452554357723, 15,
+        "f54e49aa00215af18818bab3be29c6653892d260d2ac75114b4085822aa1d244"),
+    ("pol", 1, 7): ((0.966578120598905,), 0.18785452554357723, 37,
+        "d48833aa0b6f59dadedcdb865e185b91863a366eda5a1e6f33226fc817f7166f"),
+    ("pol", 1, 100): ((0.9914810792757737,), 0.16688770858968666, 172,
+        "4cfaf96579e7a599d190de4bdfec992fce6210a83348b8e78d0f4e73113ed050"),
+    ("pol", 20261019, 2): ((0.9841897966036718,), 0.17289812524849577, 21,
+        "ecf1fd1d991d1fe109a8491a4a4eb0b3b3b2c16be260e91cb5673440f878c240"),
+    ("pol", 20261019, 7): ((0.9716323692008336,), 0.18349882711649085, 33,
+        "3e86a972c2b8f4a53640405b89f5ad899acac99ccf6d2779203a4121e8f41b70"),
+    ("pol", 20261019, 100): ((0.48768436662206216,), -math.inf, 169,
+        "565d75942571423477770e5dc95cf1a534a8208ead8dd013e115c1c48ddef2d2"),
+    ("sgf", 0, 2): ((5.0, 3.0), 14.580000000000002, 14,
+        "fbbdd335a75cce15c58d8cbe83b7aeff84c5f37e1eae21ada09344e81bf0d195"),
+    ("sgf", 0, 7): ((5.0, 2.0), 12.98, 20,
+        "a36df4eef2988c61c1b272bd27aee2e78a3db1a14f0860d685fe95da24899f5d"),
+    ("sgf", 0, 100): ((5.0, 2.0), 12.98, 51,
+        "71e9b79c2152071cccfe69f6a2f753b74fc7d1c7a707119bbcafe80e6a417fc1"),
+    ("sgf", 1, 2): ((7.0, 2.0), 31.379999999999995, 14,
+        "67588b806aa330de127e44ff95246658855bf1ca8072431b04b4b041c58bcb1b"),
+    ("sgf", 1, 7): ((5.0, 2.0), 12.98, 30,
+        "9d02b7fe70ffbefc0db2460443d3e07928e07998a3126979cf64aa47f25694cb"),
+    ("sgf", 1, 100): ((5.0, 2.0), 12.98, 51,
+        "0ac2132ef3ab06cb3ef3f82e80913c5f4929887070e32c26f8e0eaa41bc957b3"),
+    ("sgf", 20261019, 2): ((5.0, 2.0), 12.98, 17,
+        "669f89f666ef750d1375a67a47291d66cfdc8ac384cc37b2ca365fd0cdc3a481"),
+    ("sgf", 20261019, 7): ((5.0, 2.0), 12.98, 22,
+        "10f701f8fdf3fa6af15934cefb2b427771fdc1bc0712afa0558d6da4c5535562"),
+    ("sgf", 20261019, 100): ((5.0, 2.0), 12.98, 50,
+        "0ac2132ef3ab06cb3ef3f82e80913c5f4929887070e32c26f8e0eaa41bc957b3"),
+    ("ari", 0, 2): ((1.0, 1.0), 2.5799999999999983, 7,
+        "bf5f1c445c8ce31fdb924040a15d4dd23dc6d5fbb546ef1f9a911f758aa75fb2"),
+    ("ari", 0, 7): ((1.0, 1.0), 2.5799999999999983, 8,
+        "f086b3b86d30c28b4db0823b0d7168f96c1ad969b1eae02bd92b0d87c85bc9b7"),
+    ("ari", 0, 100): ((1.0, 1.0), 2.5799999999999983, 10,
+        "64e9f15528edadb8f08b326d8882b71d1455243d1dda94aec31b2b9e599fffed"),
+    ("ari", 1, 2): ((1.0, 1.0), 2.5799999999999983, 8,
+        "8444a9f9ca96015f6cd301fede3ed078cc811131ce2db1f43a3f4cc21e1740f1"),
+    ("ari", 1, 7): ((1.0, 1.0), 2.5799999999999983, 9,
+        "c80d83856b35b2c59bb40c0890b0ae0b220c545a0a7b86364756d8ba0700b49e"),
+    ("ari", 1, 100): ((1.0, 1.0), 2.5799999999999983, 10,
+        "64e9f15528edadb8f08b326d8882b71d1455243d1dda94aec31b2b9e599fffed"),
+    ("ari", 20261019, 2): ((1.0, 1.0), 2.5799999999999983, 7,
+        "baf67fa180f7b06deeefcd7df4a3fb3487aad2cbf1be44446ac9fb36a1ac32ff"),
+    ("ari", 20261019, 7): ((1.0, 1.0), 2.5799999999999983, 10,
+        "e548defa8a4327a28c249de6842a1d627464106aef04744c7cee9a9e4a0f19fd"),
+    ("ari", 20261019, 100): ((1.0, 1.0), 2.5799999999999983, 10,
+        "64e9f15528edadb8f08b326d8882b71d1455243d1dda94aec31b2b9e599fffed"),
+    ("adp", 0, 2): ((5.0, 2.0, 2.0), 14.899999999999999, 19,
+        "0b49168b1bdfcf99f9d7e96f39aaf7d8c4822e3bde00ed57bb674ba491e6b332"),
+    ("adp", 0, 7): ((5.0, 2.0, 2.0), 14.899999999999999, 35,
+        "1a0753a0282887948b7d10ec3fdecea96822f745860fae03802a3dc6395bd926"),
+    ("adp", 0, 100): ((5.0, 2.0, 2.0), 14.899999999999999, 112,
+        "f429a84ba08740927397fbb3422b0f0437ba4a02a4b3e0f00794a6cf93e305b4"),
+    ("adp", 1, 2): ((7.0, 2.0, 3.0), 31.499999999999996, 21,
+        "2d079e61b1dbd53ae566266044f404b1f2bf3b0f9b9c0684c0e6b239d184613f"),
+    ("adp", 1, 7): ((7.0, 2.0, 3.0), 31.499999999999996, 33,
+        "3a1037b9c219362723c2f2ab8ef60eed592a57a8fad5546c9eba079142633a8d"),
+    ("adp", 1, 100): ((5.0, 2.0, 2.0), 14.899999999999999, 110,
+        "f429a84ba08740927397fbb3422b0f0437ba4a02a4b3e0f00794a6cf93e305b4"),
+    ("adp", 20261019, 2): ((5.0, 2.0, 2.0), 14.899999999999999, 20,
+        "d6ba8f9663e7b9cfae77a81b61a072e9519f40e11be183092a52632c9d29cb5c"),
+    ("adp", 20261019, 7): ((5.0, 2.0, 2.0), 14.899999999999999, 35,
+        "af3fd34d7cbd4516c85ae118e0a5783a118342f5e978aa05495b2434d0be2594"),
+    ("adp", 20261019, 100): ((5.0, 2.0, 2.0), 14.899999999999999, 114,
+        "f429a84ba08740927397fbb3422b0f0437ba4a02a4b3e0f00794a6cf93e305b4"),
+    ("gam", 0, 2): ((5.0, 2.0636080188514248, 0.0, 1.0), 61.482648752583835, 37,
+        "7be1cf4e89932699ec0b34b9f030428b3b3afcc3211238673fb601b3d1a968de"),
+    ("gam", 0, 7): ((4.0, 1.8973400091153652, 0.0, 1.0), -math.inf, 99,
+        "f345d316f9fa4e5752dda583fc9cf75360a7fa166a8a53e9633e8821695aa2a1"),
+    ("gam", 0, 100): ((34.0, -0.6071481164478971, 0.0, 1.0), -math.inf, 462,
+        "565d75942571423477770e5dc95cf1a534a8208ead8dd013e115c1c48ddef2d2"),
+    ("gam", 1, 2): ((5.0, 2.1455336061537897, 0.0, 1.0), 61.484146618578734, 44,
+        "9834f85db165c12889f135ddb0e47f6558ecd7850c10d73219070848f32794a5"),
+    ("gam", 1, 7): ((9.0, 1.1025520933837862, 0.0, 1.0), 108.26980465282612, 74,
+        "bbcaba343fae1b1e2dcf9fdf3018d2c3fe3f3ed3a41c789a7c4656c87f72a933"),
+    ("gam", 1, 100): ((6.0, -2.601315696819011, 0.0, 0.0), -math.inf, 440,
+        "b8ef200a4d4bbab7875845c4cc747771318006dc3bb7ed4311c92e9f4ffb6119"),
+    ("gam", 20261019, 2): ((9.0, 1.9072581187380724, 0.0, 1.0), 106.35429886558477, 31,
+        "781c0d7ad1dedf442e6b62b2dc1c6135b9af52a5773018fa376f54497a3c2697"),
+    ("gam", 20261019, 7): ((5.0, -2.0350335558765424, 0.0, 1.0), -math.inf, 81,
+        "b970fbe920baff5d87410a0cbbe740e89b7b5f47e2f3baacfa07c18afb740a14"),
+    ("gam", 20261019, 100): ((24.0, 0.45656496463638785, 0.0, 1.0), -math.inf, 458,
+        "b1d4dd7f44dec37ec3745121bf0a8f37f781541a06577d7c785bbfa46eefd276"),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(FROZEN_GA_RUNS), ids=lambda key: "-".join(map(str, key)))
+def test_ga_run_is_frozen(key):
+    method, seed, population = key
+    config = GaConfig(population, FROZEN_ITERATIONS[population], seed)
+    series = TimeSeries.from_values(np.arange(60.0))
+    result = calibrate(MethodId(method), series, config, _holey_objective)
+    params, fitness, evaluations, digest = FROZEN_GA_RUNS[key]
+    assert (result.spec.params, result.fitness, result.evaluations) == (
+        params, fitness, evaluations)
+    assert hashlib.sha256(repr(result.history).encode()).hexdigest() == digest

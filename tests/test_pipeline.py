@@ -1,5 +1,9 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import warnings
@@ -303,6 +307,57 @@ class TestWorkerPool:
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             run_benchmark(bundled, "raw", config, jobs=2)
         assert multiprocessing.active_children() == []
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_workers_exit_when_their_parent_is_killed(tmp_path):
+    # every method names its process in tmp_path and sleeps; the run is then
+    # killed as a deadline kills it, so no cleanup runs in the parent
+    script = textwrap.dedent(f"""
+        import os, time
+        import smoothbench.pipeline as pl
+        from smoothbench.calibration import GaConfig
+        from smoothbench.smoothers import MethodId
+        from smoothbench.synthetic import bundled_records
+
+        def slow(config, method, imputed):
+            open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+            time.sleep(60)
+
+        pl.evaluate_one = slow
+        config = pl.PipelineConfig(ga=GaConfig(population_size=2, iterations=0),
+                                   methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA))
+        pl.run_benchmark(bundled_records(), "raw", config, jobs=2)
+    """)
+    src = os.path.dirname(os.path.dirname(pl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+    try:
+        deadline = time.monotonic() + 30.0
+        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    workers = {int(name) for name in os.listdir(tmp_path)}
+    try:
+        assert len(workers) == 2 and proc.pid not in workers
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 class TestRawAndNormalized:
