@@ -12,10 +12,17 @@ All randomness flows from one seeded generator; for a fixed (method, series,
 config, objective) the full trace is reproducible.  The GA draws that
 generator's doubles in blocks (``_BlockDraws``), which hands out exactly the
 stream of one generator call per double, so blocks change no run.
+
+A box of integer genes holds finitely many genomes.  Once the fitness cache
+has scored all of them, none failed and none scored NaN, no later generation
+can beat the best genome strictly or add an evaluation, so the GA stops and
+repeats the best fitness in ``history`` for each generation it would still
+have run: the result is exactly that of the full run.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -113,6 +120,14 @@ def search_bounds(method: MethodId, n: int) -> tuple[ParamSpec, ...]:
     if need > n:
         raise SeriesTooShort(f"{method.value} needs at least {need} points, got {n}")
     return tuple(bounds)
+
+
+def _box_size(method: MethodId, bounds: Sequence[ParamSpec]) -> int | None:
+    """Distinct genomes the GA can create in ``bounds``; None if a gene is continuous."""
+    grids = [b.grid() for b in bounds]
+    if None in grids:
+        return None
+    return len({_quantize(constrain(method, list(g))) for g in itertools.product(*grids)})
 
 
 def repair_genome(
@@ -326,6 +341,7 @@ def calibrate(
     if not PARAM_SPECS[method]:
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
     bounds = search_bounds(method, len(series))
+    box = _box_size(method, bounds)
     rng = _BlockDraws(np.random.default_rng(config.seed))
 
     if callable(objective):
@@ -380,6 +396,17 @@ def calibrate(
     elite_count = config.elite_count
     child_count = config.population_size - elite_count
     for gen in range(config.iterations):
+        # cache.evaluations counts the distinct genomes scored, so it reaches
+        # box exactly when the cache holds the whole box
+        if cache.evaluations == box:
+            results = cache._shared.values()
+            if all(r is not None and not math.isnan(fitness_of(r)) for r in results):
+                end = config.iterations
+                if config.patience is not None:
+                    end = min(end, last_improvement + config.patience)
+                history.extend([best_fitness] * (end - gen))
+                break
+            box = None  # a failure or a NaN could still change the run: keep going
         elite = sorted(population, key=lambda ind: ind.fitness)[:elite_count]
         wheel = RouletteWheel(population)
         children: list[Individual] = []

@@ -53,13 +53,25 @@ def finite_aic_features(indices: Sequence[PerformanceIndex]) -> np.ndarray:
     return rows
 
 
+def _column_std(rows: np.ndarray) -> np.ndarray:
+    """``rows.std(axis=0)``; a column whose squares overflow is scaled by its
+    largest magnitude first, and only such a column leaves numpy's bits."""
+    with np.errstate(over="ignore"):
+        std = rows.std(axis=0)
+    for j in np.flatnonzero(np.isinf(std)):
+        scale = np.abs(rows[:, j]).max()
+        if np.isfinite(scale):
+            std[j] = (rows[:, j] / scale).std() * scale
+    return std
+
+
 def standardize_scores(
     indices: Sequence[PerformanceIndex], standardize: bool = True
 ) -> list[MethodScore]:
     rows = finite_aic_features(indices)
     if standardize:
         mean = rows.mean(axis=0)
-        std = rows.std(axis=0)
+        std = _column_std(rows)
         std[std == 0.0] = 1.0
         z = (rows - mean) / std
     else:

@@ -5,7 +5,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import InsufficientData, SeriesTooShort
+from ..errors import EvaluationFailure, InsufficientData, SeriesTooShort
 from ..timeseries import TimeSeries
 from .autoregressive import ar_smoother
 from .basic import repeated_running_median, simple_moving_average, tukey_3r
@@ -130,19 +130,25 @@ def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
     """Run a smoother over gap-free values: one series (T,) or a stack (B, T).
 
     Each row of a stack is smoothed on its own and the result has the shape
-    of ``y``; row b equals the 1-D call on ``y[b]`` bit for bit.
+    of ``y``; row b equals the 1-D call on ``y[b]`` bit for bit.  A float
+    overflow inside the smoother (Python's ``OverflowError``, or numpy's
+    ``FloatingPointError`` under ``np.errstate(raise)``) is an
+    ``EvaluationFailure``: the values are beyond the method's arithmetic.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected values of shape (T,) or (B, T), got {y.shape}")
     params = _checked_params(spec, y.shape[-1])
     row = _METHODS[spec.method]
-    if y.ndim == 1 or row.stacked:
-        return row.smoother(y, *params)
-    out = np.empty_like(y)
-    for b, values in enumerate(y):
-        out[b] = row.smoother(values, *params)
-    return out
+    try:
+        if y.ndim == 1 or row.stacked:
+            return row.smoother(y, *params)
+        out = np.empty_like(y)
+        for b, values in enumerate(y):
+            out[b] = row.smoother(values, *params)
+        return out
+    except (OverflowError, FloatingPointError) as exc:
+        raise EvaluationFailure(f"{spec.method.value} failed on these values: {exc}") from exc
 
 
 def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":

@@ -10,6 +10,7 @@ criterion (0 for the parameter-less methods up to 4 for the additive model).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,6 +65,13 @@ class ParamSpec:
             v = min(max(v, self.lo), self.hi)
             return float(int(v))
         return v
+
+    def grid(self) -> "tuple[float, ...] | None":
+        """Every value ``repair`` can return, in order; None for a continuous gene."""
+        if not (self.integer or self.odd):
+            return None
+        span = range(math.ceil(self.lo), math.floor(self.hi) + 1)
+        return tuple(float(x) for x in span if self.is_valid(x))
 
     def is_valid(self, x: float) -> bool:
         if not self.lo <= x <= self.hi:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -885,3 +886,214 @@ def test_ga_run_is_frozen(key):
     assert (result.spec.params, result.fitness, result.evaluations) == (
         params, fitness, evaluations)
     assert hashlib.sha256(repr(result.history).encode()).hexdigest() == digest
+
+
+def _reference_calibrate(method, series, config, objective):
+    """``calibrate``'s GA loop without the full-box stop, on a callable
+    objective: the same operators and draws, always every generation."""
+    method = MethodId(method)
+    bounds = search_bounds(method, len(series))
+    rng = cal._BlockDraws(np.random.default_rng(config.seed))
+    cache = cal._FitnessCache(objective)
+    population = [
+        Individual(repair_genome(method, bounds, cal._random_genome(bounds, rng)))
+        for _ in range(config.population_size)
+    ]
+
+    def evaluate_population(pop):
+        failures = 0
+        for ind in pop:
+            result = cache(ind.genome)
+            if result is None:
+                ind.fitness = math.inf
+                failures += 1
+            else:
+                ind.fitness = float(result)
+        if failures > cal.MAX_FAILURE_FRACTION * config.population_size:
+            raise EvaluationFailure(
+                f"{failures}/{len(pop)} evaluations failed for {method.value}; "
+                "population is not viable"
+            )
+
+    evaluate_population(population)
+    best = min(population, key=lambda ind: ind.fitness)
+    best_genome, best_fitness = best.genome, best.fitness
+    history = [best_fitness]
+    last_improvement = 0
+    elite_count = config.elite_count
+    child_count = config.population_size - elite_count
+    for gen in range(config.iterations):
+        elite = sorted(population, key=lambda ind: ind.fitness)[:elite_count]
+        wheel = RouletteWheel(population)
+        children = []
+        while len(children) < child_count:
+            pa = wheel.pick(rng)
+            pb = wheel.pick(rng)
+            if rng.random() < cal.CROSSOVER_RATE:
+                ga, gb = two_point_crossover(pa.genome, pb.genome, rng)
+            else:
+                ga, gb = pa.genome, pb.genome
+            for genome in (ga, gb):
+                if len(children) >= child_count:
+                    break
+                mutated = cal._mutate(genome, bounds, cal.MUTATION_RATE, rng)
+                children.append(Individual(constrain(method, mutated)))
+        evaluate_population(children)
+        population = elite + children
+        gen_best = min(population, key=lambda ind: ind.fitness)
+        if gen_best.fitness < best_fitness:
+            best_genome, best_fitness = gen_best.genome, gen_best.fitness
+            last_improvement = gen + 1
+        history.append(best_fitness)
+        if config.patience is not None and (gen + 1) - last_improvement >= config.patience:
+            break
+    if not math.isfinite(best_fitness) and best_fitness > 0:
+        raise EvaluationFailure(f"no viable parameter vector found for {method.value}")
+    return CalibrationResult(SmootherSpec(method, best_genome), best_fitness,
+                             tuple(history), cache.evaluations)
+
+
+DISCRETE_METHODS = [MethodId.SMA, MethodId.RRM, MethodId.SGF, MethodId.ARI, MethodId.ADP]
+
+
+def _surrogate(kind, salt):
+    """A fixed objective on integer genomes with many ties.
+
+    ``plain`` returns finite values only, ``inf`` returns +inf or -inf on
+    some genomes, ``fail`` raises a SmoothbenchError on some and ``nan``
+    returns NaN on some; the last two must keep the GA from stopping early.
+    """
+    def objective(genome):
+        code = (int(sum(g * (i + 3) ** 2 for i, g in enumerate(genome))) * 2654435761
+                + salt) % 29
+        if kind == "inf" and code in (0, 1):
+            return math.inf if code else -math.inf
+        if kind == "fail" and code == 0:
+            raise InvalidParams("synthetic failure")
+        if kind == "nan" and code == 0:
+            return math.nan
+        return code * 0.37 - salt % 5
+
+    return objective
+
+
+def _outcome(run, *args):
+    try:
+        result = run(*args)
+    except EvaluationFailure as exc:
+        return ("raised", str(exc))
+    # repr keeps NaN comparable and tells -0.0 from 0.0
+    return repr((result.spec, result.fitness, result.history, result.evaluations))
+
+
+def _wheel_counter(monkeypatch) -> list:
+    """Count the generations calibrate runs: one RouletteWheel each."""
+    built = []
+
+    class CountingWheel(RouletteWheel):
+        def __init__(self, population):
+            built.append(len(population))
+            super().__init__(population)
+
+    monkeypatch.setattr(cal, "RouletteWheel", CountingWheel)
+    return built
+
+
+def _feasible_box(method, n):
+    """Every valid spec in the GA's search bounds for a length-n series, by brute force."""
+    ranges = [range(int(b.lo), int(b.hi) + 1) for b in search_bounds(method, n)]
+    box = set()
+    for raw in itertools.product(*ranges):
+        try:
+            spec = SmootherSpec(method, raw)
+        except InvalidParams:
+            continue
+        if required_length(spec) <= n:
+            box.add(spec.params)
+    return box
+
+
+class TestFullBoxStop:
+    """Once the cache holds every genome of an integer box, the GA stops
+    with the full run's result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        method=st.sampled_from(DISCRETE_METHODS),
+        n=st.sampled_from([7, 12, 60]),
+        seed=st.integers(0, 2**32 - 1),
+        population=st.integers(2, 100),
+        iterations=st.integers(0, 300),
+        patience=st.none() | st.integers(1, 20),
+        kind=st.sampled_from(["plain", "inf", "fail", "nan"]),
+        salt=st.integers(0, 1000),
+    )
+    @example(method=MethodId.SGF, n=60, seed=0, population=100, iterations=250,
+             patience=None, kind="inf", salt=3)
+    @example(method=MethodId.SMA, n=60, seed=1, population=2, iterations=300,
+             patience=7, kind="inf", salt=0)
+    def test_matches_the_full_run(self, method, n, seed, population, iterations, patience,
+                                  kind, salt):
+        series = TimeSeries.from_values(np.arange(float(n)))
+        config = GaConfig(population, iterations, seed, patience)
+        objective = _surrogate(kind, salt)
+        assert _outcome(calibrate, method, series, config, objective) == _outcome(
+            _reference_calibrate, method, series, config, objective)
+
+    @pytest.mark.parametrize("patience", [None, 20])
+    @pytest.mark.parametrize("method", DISCRETE_METHODS[:4], ids=lambda m: m.value)
+    def test_stop_fires(self, method, patience, monkeypatch):
+        series = TimeSeries.from_values(np.arange(60.0))
+        config = GaConfig(100, 60, 7, patience)
+        objective = _surrogate("plain", 1)
+        want = _reference_calibrate(method, series, config, objective)
+        built = _wheel_counter(monkeypatch)
+        got = calibrate(method, series, config, objective)
+        assert got == want
+        assert len(built) < len(want.history) - 1
+        assert got.evaluations == cal._box_size(method, search_bounds(method, 60))
+
+    @pytest.mark.parametrize("kind", ["fail", "nan"])
+    def test_failure_or_nan_in_the_box_runs_every_generation(self, kind, monkeypatch):
+        series = TimeSeries.from_values(np.arange(60.0))
+        config = GaConfig(100, 30, 5)
+        objective = _surrogate(kind, 2)
+        built = _wheel_counter(monkeypatch)
+        result = calibrate(MethodId.SMA, series, config, objective)
+        assert result.evaluations == 10  # the whole box, from the first population
+        assert len(built) == 30 and len(result.history) == 31
+
+    def test_continuous_box_runs_every_generation(self, monkeypatch):
+        built = _wheel_counter(monkeypatch)
+        calibrate(MethodId.GAM, TimeSeries.from_values(np.arange(60.0)), GaConfig(4, 20, 0),
+                  _holey_objective)
+        assert len(built) == 20
+
+    @pytest.mark.parametrize("method, n, size", [
+        (MethodId.SGF, 60, 52), (MethodId.SMA, 7, 3), (MethodId.ARI, 7, 4),
+        (MethodId.ADP, 60, 156)])
+    def test_box_is_every_genome_the_ga_creates(self, method, n, size):
+        seen = set()
+
+        def record(genome):
+            seen.add(genome)
+            return 1.0
+
+        bounds = search_bounds(method, n)
+        assert cal._box_size(method, bounds) == size == len(_feasible_box(method, n))
+        result = calibrate(method, TimeSeries.from_values(np.arange(float(n))),
+                           GaConfig(50, 2000, 3), record)
+        assert seen == _feasible_box(method, n)
+        assert result.evaluations == size
+        if method is MethodId.SMA:
+            assert seen == {(3.0,), (5.0,), (7.0,)}
+
+    @pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
+    def test_param_grid_is_what_repair_returns(self, method):
+        for b in PARAM_SPECS[method]:
+            grid = b.grid()
+            if not b.integer:
+                assert grid is None
+                continue
+            assert grid == tuple(sorted({b.repair(x) for x in np.linspace(b.lo, b.hi, 2001)}))
+            assert all(b.is_valid(g) for g in grid)

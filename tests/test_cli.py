@@ -469,6 +469,19 @@ class TestExitCodes:
         assert "internal error" not in done.stderr
         assert "overflow encountered" not in done.stderr
 
+    def test_kalman_overflow_exits_2_as_error(self, tmp_path, capsys):
+        """KAL's variance grid past the largest double fails the method, not the program."""
+        path = tmp_path / "big.csv"
+        values = ["0", "1", "0", "6e153", "0", "1", "2"]
+        path.write_text("date,value\n" + "".join(
+            f"2021-01-{day:02d},{v}\n" for day, v in enumerate(values, start=1)))
+        rc = main(["smooth", "--method", "kal", "--input", str(path),
+                   "--out", str(tmp_path / "kal.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: EvaluationFailure:" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("flags, message", [
         (["--ga-pop", "1"], "population_size"),
         (["--ga-iters", "-3"], "iterations"),

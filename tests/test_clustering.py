@@ -119,6 +119,22 @@ class TestStandardize:
         aics = [s.features[2] for s in scores]
         assert aics[0] == 40.0  # min finite - 10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_var_column_keeps_its_spread(self):
+        # the squares of VAR deviations near 1e196 pass the largest double
+        var = [1.0, 3.0, 2.0, 7.0]
+        indices = [index_for(m, v * 1e196, 1.0 + i, 10.0 * i)
+                   for i, (m, v) in enumerate(zip(("sma", "tuk", "fft", "spl"), var))]
+        z = np.array([s.z_features for s in standardize_scores(indices)])
+        assert np.all(np.isfinite(z))
+        assert np.any(z[:, 0] != 0.0)
+        want = (np.array(var) - np.mean(var)) / np.std(var)
+        np.testing.assert_allclose(z[:, 0], want, rtol=1e-12)
+        # the columns that do not overflow keep numpy's own bits
+        rows = np.array([pi.features() for pi in indices])
+        plain = (rows[:, 1:] - rows[:, 1:].mean(axis=0)) / rows[:, 1:].std(axis=0)
+        assert z[:, 1:].tolist() == plain.tolist()
+
     def test_all_equal_column_yields_zeros(self):
         indices = [index_for(m, 5.0, 1.0 * i, 7.0) for i, m in enumerate(("sma", "tuk", "fft"))]
         scores = standardize_scores(indices)

@@ -27,7 +27,7 @@ from smoothbench.reportio import (
 )
 from smoothbench.smoothers import MethodId, SmootherSpec
 from smoothbench.synthetic import DEFAULT_F_NH4, bundled_records, catchment_suite
-from smoothbench.timeseries import SurveillanceRecord, build_series, impute_linear
+from smoothbench.timeseries import SurveillanceRecord, TimeSeries, build_series, impute_linear
 
 TINY = dict(ga=GaConfig(population_size=8, iterations=3))
 
@@ -211,6 +211,13 @@ class TestEvaluateOne:
         assert (outcome.params, outcome.index) == (None, None)
         assert outcome.ga_seed == method_seed(config.ga.seed, MethodId.SMA)
         assert outcome.ga_evaluations > 0
+
+    def test_kalman_overflow_excludes_the_method(self):
+        imputed = TimeSeries.from_values([0.0, 1.0, 0.0, 6e153, 0.0, 1.0, 2.0])
+        with np.errstate(all="ignore"), pytest.warns(
+                UserWarning, match="method kal failed and is excluded"):
+            outcome = pl.evaluate_one(tiny_config(), MethodId.KAL, imputed)
+        assert outcome.error.startswith("EvaluationFailure: kal")
 
     def test_run_benchmark_maps_evaluate_one(self, bundled):
         config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL),

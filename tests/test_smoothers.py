@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothbench.errors import InsufficientData, InvalidParams, SeriesTooShort
+from smoothbench.errors import EvaluationFailure, InsufficientData, InvalidParams, SeriesTooShort
 from smoothbench.smoothers import (
     K_PARAMS,
     PARAM_SPECS,
@@ -348,6 +348,19 @@ class TestKalman:
         assert required_length(spec) > 4
         with pytest.raises(SeriesTooShort):
             apply_to_values(spec, np.array([1.0, 2.0, 3.0, 4.0]))
+
+    def test_overflow_is_an_evaluation_failure(self):
+        # the variance grid of a series this wide passes the largest double
+        y = np.array([0.0, 1.0, 0.0, 6e153, 0.0, 1.0, 2.0])
+        with np.errstate(all="ignore"):
+            for values in (y, np.vstack([y, y])):
+                with pytest.raises(EvaluationFailure, match="kal"):
+                    apply_to_values(default_spec(MethodId.KAL), values)
+
+    def test_raised_floating_point_error_is_an_evaluation_failure(self):
+        with np.errstate(over="raise"):
+            with pytest.raises(EvaluationFailure, match="sma"):
+                apply_to_values(SmootherSpec(MethodId.SMA, (3.0,)), np.full(6, 1e308))
 
 
 class TestFourier:
