@@ -58,10 +58,10 @@ def _column_std(rows: np.ndarray) -> np.ndarray:
     largest magnitude first, and only such a column leaves numpy's bits."""
     with np.errstate(over="ignore"):
         std = rows.std(axis=0)
+    # an inf std comes only from finite values (an inf value gives NaN)
     for j in np.flatnonzero(np.isinf(std)):
         scale = np.abs(rows[:, j]).max()
-        if np.isfinite(scale):
-            std[j] = (rows[:, j] / scale).std() * scale
+        std[j] = (rows[:, j] / scale).std() * scale
     return std
 
 
