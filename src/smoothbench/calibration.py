@@ -9,9 +9,7 @@ odd-window genes snapped to the nearest odd value whenever a genome is
 created, so every evaluated genome is feasible.
 
 All randomness flows from one seeded generator; for a fixed (method, series,
-config, objective) the full trace is reproducible.  The GA draws that
-generator's doubles in blocks (``_BlockDraws``), which hands out exactly the
-stream of one generator call per double, so blocks change no run.
+config, objective) the full trace is reproducible.
 
 A box of integer genes holds finitely many genomes.  Once the fitness cache
 has scored all of them, none failed and none scored NaN, no later generation
@@ -36,6 +34,7 @@ from .errors import (
     SeriesTooShort,
     SmoothbenchError,
 )
+from .clustering import column_std
 from .evaluation import PerformanceIndex, evaluate_method
 from .smoothers import (
     PARAM_SPECS,
@@ -200,57 +199,6 @@ def two_point_crossover(
     return child_a, child_b
 
 
-# doubles drawn at a time by _BlockDraws
-DRAW_BLOCK = 256
-
-
-class _BlockDraws:
-    """The GA's view of a numpy Generator, with its doubles drawn in blocks.
-
-    It hands out exactly the values, in the same order, that the same calls
-    on the generator itself would.  ``random`` returns the next double of a
-    block drawn by one ``random(DRAW_BLOCK)`` call, and ``uniform`` is
-    numpy's own scalar formula on it.  ``integers`` and ``choice`` go to the
-    generator, after putting it where the doubles handed out so far would
-    have left it: back to the state saved before the block, then that many
-    doubles on.  (PCG64's ``advance`` would clear the buffered 32-bit half
-    that ``integers`` and ``choice`` may leave, so it is not used.)  The
-    doubles of a block past the last one handed out are drawn but not used,
-    so the generator must not be drawn from directly afterwards.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._state: dict = {}
-        self._block: list[float] = []
-        self._used = 0
-
-    def random(self) -> float:
-        used = self._used
-        if used == len(self._block):
-            self._state = self._rng.bit_generator.state
-            self._block = self._rng.random(DRAW_BLOCK).tolist()
-            used = 0
-        self._used = used + 1
-        return self._block[used]
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def _synced(self) -> np.random.Generator:
-        if self._used < len(self._block):
-            self._rng.bit_generator.state = self._state
-            self._rng.random(self._used)
-        self._block, self._used = [], 0
-        return self._rng
-
-    def integers(self, *args, **kwargs):
-        return self._synced().integers(*args, **kwargs)
-
-    def choice(self, *args, **kwargs):
-        return self._synced().choice(*args, **kwargs)
-
-
 def _random_genome(bounds: Sequence[ParamSpec], rng: np.random.Generator) -> list[float]:
     return [rng.uniform(b.lo, b.hi) for b in bounds]
 
@@ -342,7 +290,7 @@ def calibrate(
         raise NonParametricMethod(f"{method.value} has no parameters to calibrate")
     bounds = search_bounds(method, len(series))
     box = _box_size(method, bounds)
-    rng = _BlockDraws(np.random.default_rng(config.seed))
+    rng = np.random.default_rng(config.seed)
 
     if callable(objective):
         # a callable may read every gene, so genomes share nothing
@@ -454,7 +402,8 @@ def _combined_fitness(
     if not triples:
         raise EvaluationFailure(f"no viable individual to baseline {method.value}")
     arr = np.asarray(triples)
-    z_stats = [(float(arr[:, i].mean()), float(arr[:, i].std()) or 1.0) for i in range(3)]
+    # column_std of an (N, 1) column is the 1-D std, bit for bit, unless it overflows
+    z_stats = [(float(c.mean()), float(column_std(c[:, None])[0]) or 1.0) for c in arr.T]
 
     def fitness(pi: PerformanceIndex) -> float:
         feats = (pi.mae, pi.var, _clamp_aic(pi.aic))

@@ -53,7 +53,7 @@ def finite_aic_features(indices: Sequence[PerformanceIndex]) -> np.ndarray:
     return rows
 
 
-def _column_std(rows: np.ndarray) -> np.ndarray:
+def column_std(rows: np.ndarray) -> np.ndarray:
     """``rows.std(axis=0)``; a column whose squares overflow is scaled by its
     largest magnitude first, and only such a column leaves numpy's bits."""
     with np.errstate(over="ignore"):
@@ -71,7 +71,7 @@ def standardize_scores(
     rows = finite_aic_features(indices)
     if standardize:
         mean = rows.mean(axis=0)
-        std = _column_std(rows)
+        std = column_std(rows)
         std[std == 0.0] = 1.0
         z = (rows - mean) / std
     else:

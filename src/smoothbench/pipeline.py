@@ -63,6 +63,7 @@ from .smoothers import (
 from .timeseries import SurveillanceRecord, TimeSeries, build_series, impute_linear
 
 SIGNAL_KINDS = ("raw", "normalized")
+MAX_MAGNITUDE = 1e150  # past it, sums of squares of the values near the largest double
 
 # Workers take the longest jobs first, so that no long one starts last: these
 # methods by their measured cost at T=365, then the rest in their given order.
@@ -194,12 +195,14 @@ def evaluate_one(config: PipelineConfig, method: MethodId, imputed: TimeSeries) 
     """GA-calibrate (if parametric) and LOOCV-score one method; shares no state.
 
     A SmoothbenchError is not raised: it is warned about and recorded in the
-    outcome.
+    outcome.  No method is scored on values past ``MAX_MAGNITUDE``.
     """
     parametric = bool(PARAM_SPECS[method])
     seed = method_seed(config.ga.seed, method) if parametric else None
     evaluations = 0
     try:
+        if max(map(abs, imputed.values().tolist())) > MAX_MAGNITUDE:
+            raise EvaluationFailure(f"{method.value} is not scored on values past {MAX_MAGNITUDE:g}")
         if parametric:
             result = calibrate(
                 method, imputed, replace(config.ga, seed=seed), objective=config.objective

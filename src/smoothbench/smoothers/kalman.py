@@ -98,6 +98,8 @@ def _fit_variances(y: np.ndarray, sample_var: np.ndarray) -> tuple[np.ndarray, n
     return log_q, log_r
 
 
+# a fit past the largest double raises; the front door makes it an EvaluationFailure
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def fit_kalman_local_level(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit (q, r) by maximum likelihood and return (smoothed, q, r).
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from smoothbench.errors import (
     NonParametricMethod,
     SeriesTooShort,
 )
-from smoothbench.evaluation import ZERO_RESIDUAL_SSE, build_loocv_matrix, evaluate_method
+from smoothbench.evaluation import (
+    ZERO_RESIDUAL_SSE,
+    PerformanceIndex,
+    build_loocv_matrix,
+    evaluate_method,
+)
 from smoothbench.smoothers import (
     PARAM_SPECS,
     PARAMETRIC_METHODS,
@@ -233,6 +239,17 @@ class TestRepair:
         assert gam[0].hi == 20
         ari = search_bounds(MethodId.ARI, 9)
         assert ari[0].hi == 3
+
+
+@pytest.mark.xfail(strict=True, reason="search_bounds shrinks one gene at a time to a "
+                   "rectangle and drops ari (order 3, differences 0) at T=7")
+def test_search_bounds_hold_every_ari_spec_that_fits():
+    bounds = search_bounds(MethodId.ARI, 7)
+    grids = [b.grid() for b in PARAM_SPECS[MethodId.ARI]]
+    fits = [g for g in itertools.product(*grids)
+            if required_length(SmootherSpec(MethodId.ARI, g)) <= 7]
+    outside = [g for g in fits if not all(b.is_valid(x) for b, x in zip(bounds, g))]
+    assert not outside
 
 
 @pytest.mark.parametrize("method", PARAMETRIC_METHODS, ids=lambda m: m.value)
@@ -444,6 +461,27 @@ class TestCalibrate:
         assert result.evaluations > 0
         assert len(calls) == result.evaluations
 
+    def test_combined_baseline_keeps_numpy_bits(self, rng):
+        baseline = [PerformanceIndex("ker", 1, *rng.uniform(0.1, 9.0, 2), rng.normal(40.0, 9.0))
+                    for _ in range(37)] + [None]
+        arr = np.array([(pi.mae, pi.var, pi.aic) for pi in baseline[:-1]])
+        stats = [(float(arr[:, i].mean()), float(arr[:, i].std())) for i in range(3)]
+        fitness = cal._combined_fitness(MethodId.KER, baseline)
+        for pi in baseline[:-1]:
+            z = [(f - mu) / sd for f, (mu, sd) in zip((pi.mae, pi.var, pi.aic), stats)]
+            assert fitness(pi) == sum(z) / 3.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_combined_baseline_keeps_an_overflowing_var_spread(self):
+        # the squares of VAR deviations near 1e196 pass the largest double
+        var = [1.0, 3.0, 2.0, 7.0]
+        baseline = [PerformanceIndex("sma", 1, 1.0 + i, v * 1e196, 10.0 * i)
+                    for i, v in enumerate(var)]
+        fitness = cal._combined_fitness(MethodId.SMA, baseline)
+        high, low = (replace(baseline[0], var=v * 1e196) for v in (7.0, 1.0))
+        np.testing.assert_allclose(fitness(high) - fitness(low), 6.0 / np.std(var) / 3.0,
+                                   rtol=1e-12)
+
 
 def _counting_evaluate_method(monkeypatch) -> list:
     """Record the spec of every evaluate_method call the GA makes."""
@@ -612,66 +650,6 @@ class TestDiagonalObjectives:
             assert math.isfinite(calibrate(MethodId.SMA, series, config, objective).fitness)
 
 
-def _draw(gen, call):
-    """Make one generator call of the GA's kinds; ("random", k) makes k draws."""
-    kind, arg = call
-    if kind == "random":
-        return [gen.random() for _ in range(arg)]
-    if kind == "uniform":
-        return gen.uniform(*arg)
-    if kind == "integers":
-        return gen.integers(arg)
-    return gen.choice(np.arange(1, arg), size=2, replace=False)
-
-
-_BLOCK_EDGES = [cal.DRAW_BLOCK - 1, cal.DRAW_BLOCK, cal.DRAW_BLOCK + 1]
-# (lo, hi) with lo <= hi, as every ParamSpec has them: floats or integers
-_BOUNDS = st.one_of(
-    st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
-    st.tuples(st.integers(-50, 50), st.integers(0, 50)),
-).map(lambda lo_width: (lo_width[0], lo_width[0] + lo_width[1]))
-_CALLS = st.lists(
-    st.one_of(
-        st.tuples(st.just("random"), st.integers(1, 3) | st.sampled_from(_BLOCK_EDGES)),
-        st.tuples(st.just("uniform"), _BOUNDS),
-        st.tuples(st.just("integers"), st.integers(1, 200)),
-        st.tuples(st.just("choice"), st.integers(3, 5)),
-    ),
-    max_size=12,
-)
-
-
-class TestBlockDraws:
-    """Block draws hand out the plain generator's stream and leave its state."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
-    def test_same_values_and_state_as_the_plain_generator(self, seed, calls):
-        plain = np.random.default_rng(seed)
-        blocks = cal._BlockDraws(np.random.default_rng(seed))
-        for call in calls:
-            got, want = _draw(blocks, call), _draw(plain, call)
-            assert repr(got) == repr(want), call
-            if call[0] in ("integers", "choice"):
-                assert blocks._rng.bit_generator.state == plain.bit_generator.state
-        assert blocks._synced().bit_generator.state == plain.bit_generator.state
-        assert blocks.random() == plain.random()
-
-    @pytest.mark.parametrize("count", [0, 1] + _BLOCK_EDGES + [2 * cal.DRAW_BLOCK + 1])
-    def test_sync_keeps_the_buffered_half_word(self, count):
-        # choice leaves PCG64 holding half of a 64-bit draw; the doubles that
-        # follow and the sync after them must keep it
-        plain = np.random.default_rng(11)
-        blocks = cal._BlockDraws(np.random.default_rng(11))
-        for gen in (plain, blocks):
-            gen.choice(np.arange(1, 4), size=2, replace=False)
-        assert plain.bit_generator.state["has_uint32"] == 1
-        for _ in range(count):
-            assert blocks.random() == plain.random()
-        assert blocks._synced().bit_generator.state == plain.bit_generator.state
-        assert blocks.integers(1000) == plain.integers(1000)
-
-
 def _holey_objective(genome):
     """A fixed objective of plain float arithmetic, +inf or -inf on some genomes."""
     s = 0.0
@@ -686,7 +664,7 @@ def _holey_objective(genome):
     return s
 
 
-# generations per population size: each run crosses many draw blocks
+# generations per population size: each run makes a long stream of draws
 FROZEN_ITERATIONS = {2: 200, 7: 60, 100: 8}
 # (method, seed, population) -> (params, fitness, evaluations, sha256 of
 # repr(history)) of calibrate on _holey_objective, recorded when the GA made
@@ -893,7 +871,7 @@ def _reference_calibrate(method, series, config, objective):
     objective: the same operators and draws, always every generation."""
     method = MethodId(method)
     bounds = search_bounds(method, len(series))
-    rng = cal._BlockDraws(np.random.default_rng(config.seed))
+    rng = np.random.default_rng(config.seed)
     cache = cal._FitnessCache(objective)
     population = [
         Individual(repair_genome(method, bounds, cal._random_genome(bounds, rng)))

@@ -1,19 +1,25 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import smoothbench
 import smoothbench.cli as cli
 import smoothbench.pipeline as pipeline
-from smoothbench.calibration import GaConfig
+from smoothbench.calibration import OBJECTIVES, GaConfig
 from smoothbench.cli import main
 from smoothbench.csvio import (
+    SURVEILLANCE_COLUMNS,
     UnitConfig,
     fmt,
     read_series_csv,
@@ -469,18 +475,19 @@ class TestExitCodes:
         assert "internal error" not in done.stderr
         assert "overflow encountered" not in done.stderr
 
-    def test_kalman_overflow_exits_2_as_error(self, tmp_path, capsys):
-        """KAL's variance grid past the largest double fails the method, not the program."""
+    def test_kalman_overflow_exits_2_as_error(self, tmp_path):
+        """KAL's variance grid past the largest double fails the method, not the
+        program, and numpy prints no warning first."""
         path = tmp_path / "big.csv"
         values = ["0", "1", "0", "6e153", "0", "1", "2"]
         path.write_text("date,value\n" + "".join(
             f"2021-01-{day:02d},{v}\n" for day, v in enumerate(values, start=1)))
-        rc = main(["smooth", "--method", "kal", "--input", str(path),
-                   "--out", str(tmp_path / "kal.csv")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "error: EvaluationFailure:" in err
-        assert "internal error" not in err
+        done = run_cli("smooth", "--method", "kal", "--input", str(path),
+                       "--out", str(tmp_path / "kal.csv"))
+        assert done.returncode == 2
+        assert "error: EvaluationFailure:" in done.stderr
+        assert "internal error" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     @pytest.mark.parametrize("flags, message", [
         (["--ga-pop", "1"], "population_size"),
@@ -751,3 +758,78 @@ class TestBlasThreads:
         assert value == expected
         if preset is None:
             assert threads == "1"  # numpy's OpenBLAS started no thread of its own
+
+
+# a cell of a generated surveillance file: missing, zero or 1e-300..1e300
+_CELL = st.one_of(st.none(), st.just(0.0), st.floats(1e-300, 1e300))
+
+
+@st.composite
+def _surveillance_rows(draw):
+    """(step in days, rows of (virus, flow, nh4) in file units), T from 3 to 24."""
+    n = draw(st.integers(3, 24))
+    step = draw(st.sampled_from([1, 3, 7]))
+    cells = st.tuples(_CELL, _CELL, st.one_of(st.just(0.0), _CELL))
+    if draw(st.booleans()):
+        rows = [draw(cells)] * n
+    else:
+        rows = draw(st.lists(cells, min_size=n, max_size=n))
+    return step, rows
+
+
+def _write_surveillance(path, step, rows):
+    start = date(2021, 1, 1)
+    lines = [",".join(SURVEILLANCE_COLUMNS)]
+    for i, cells in enumerate(rows):
+        day = start + timedelta(days=step * i)
+        lines.append(",".join([day.isoformat(), "A"] + ["" if c is None else repr(c)
+                                                        for c in cells]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# the KAL repro: 6e153 copies/L after the unit factor, which no method is scored on
+_KAL_OVERFLOW = (1, [(v, 5e5, 30.0) for v in (0.0, 1e-3, 0.0, 6e150, 0.0, 1e-3, 2e-3)])
+# VAR features near 1e196, whose squares overflow in the z-scores of the
+# clustering and of the combined objective
+_VAR_OVERFLOW = (1, [(1e96 * (1.0 + (i * 7) % 5), 5e5, 30.0) for i in range(12)])
+
+
+class TestErrorContract:
+    """Every run ends in exit 0, 1 with ``error:`` or 2 with ``error: <Type>:``,
+    and prints no numpy RuntimeWarning."""
+
+    @staticmethod
+    def _check(argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert "internal error:" not in err, err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (
+            [str(w.message) for w in caught])
+        if rc == 1:
+            assert re.search(r"^error: ", err, re.MULTILINE), err
+        elif rc == 2:
+            assert re.search(r"^error: \w+: ", err, re.MULTILINE), err
+        else:
+            assert rc == 0, err
+        return rc
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=_surveillance_rows())
+    @example(site=_KAL_OVERFLOW)
+    @example(site=_VAR_OVERFLOW)
+    def test_benchmark_and_report(self, site, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "worker_count", lambda methods: 1)
+        path = tmp_path / "site.csv"
+        _write_surveillance(path, *site)
+        for objective in OBJECTIVES:
+            for signal in ("raw", "normalized", "both"):
+                out = tmp_path / f"{objective}-{signal}"
+                rc = self._check(["benchmark", "--input", str(path), "--out", str(out),
+                                  "--signal", signal, "--objective", objective,
+                                  "--ga-pop", "3", "--ga-iters", "1"], capsys)
+                if rc == 0:
+                    self._check(["report", "--report", str(out / "report.json"),
+                                 "--out", str(out / "again")], capsys)

@@ -219,6 +219,22 @@ class TestEvaluateOne:
             outcome = pl.evaluate_one(tiny_config(), MethodId.KAL, imputed)
         assert outcome.error.startswith("EvaluationFailure: kal")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", list(MethodId), ids=lambda m: m.value)
+    def test_values_up_to_max_magnitude_are_scored(self, method):
+        # a spike at the bound: every sum of squares stays below the largest double
+        y = np.zeros(24)
+        y[11] = pl.MAX_MAGNITUDE
+        config = tiny_config(objective="combined")
+        outcome = pl.evaluate_one(config, method, TimeSeries.from_values(y))
+        assert outcome.ok, outcome.error
+        y[11] = np.nextafter(pl.MAX_MAGNITUDE, np.inf)
+        with pytest.warns(UserWarning, match=f"method {method.value} failed and is excluded"):
+            outcome = pl.evaluate_one(config, method, TimeSeries.from_values(y))
+        assert outcome.error == (
+            f"EvaluationFailure: {method.value} is not scored on values past 1e+150")
+        assert outcome.ga_evaluations == 0
+
     def test_run_benchmark_maps_evaluate_one(self, bundled):
         config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.SPL),
                              include_loocv=True)
