@@ -3,7 +3,9 @@
 Importing the package loads numpy, the series types and the smoother catalog.
 The evaluation, calibration and pipeline layers load on first attribute
 access.  Only ``spl``, and ``gam`` with ``auto_penalty``, load scipy, on their
-first call, and then only ``scipy.linalg``.
+first call, and then only ``scipy.linalg``.  A benchmark run with a worker
+pool runs the two in one worker, so ``scipy.linalg`` loads in that worker
+alone, never in the parent.
 
 Importing it before numpy sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is
 already set: the benchmark runs one method per worker process, so more BLAS

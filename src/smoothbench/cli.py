@@ -39,7 +39,14 @@ from .csvio import (
 )
 from .errors import EmptyInput, InputError, SmoothbenchError
 from .normalization import reference_nh4_load
-from .pipeline import PipelineConfig, fit_loads, normalized_loads, run_benchmark, worker_count
+from .pipeline import (
+    PipelineConfig,
+    check_magnitude,
+    fit_loads,
+    normalized_loads,
+    run_benchmark,
+    worker_count,
+)
 from .reportio import read_reports, write_reports
 from .smoothers import PARAM_SPECS, MethodId, apply_smoother, make_spec
 from .timeseries import TimeSeries, build_series, impute_linear
@@ -387,6 +394,7 @@ def cmd_smooth(args) -> int:
     spec = make_spec(args.method, dict(args.param))
     series = _input_series(args)
     gap_free = impute_linear(series)
+    check_magnitude(args.method, gap_free, "smoothed")
     smoothed = apply_smoother(spec, gap_free)
     params_text = ",".join(f"{k}={v:g}" for k, v in spec.named_params().items()) or "none"
     rows = [

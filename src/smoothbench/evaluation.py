@@ -193,10 +193,8 @@ def confidence_band(
     """Pointwise percentile envelope of the LOOCV replicates."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    p_lo = (1.0 - level) / 2.0
-    p_hi = (1.0 + level) / 2.0
-    lower = [percentile(row, p_lo) for row in loocv.matrix]
-    upper = [percentile(row, p_hi) for row in loocv.matrix]
+    lower = percentile(loocv.matrix, (1.0 - level) / 2.0)
+    upper = percentile(loocv.matrix, (1.0 + level) / 2.0)
     return loocv.source.with_values(lower), loocv.source.with_values(upper)
 
 

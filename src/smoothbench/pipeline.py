@@ -6,14 +6,18 @@ band -> report.  ``evaluate_one`` calibrates and scores one method and shares
 no state with the others: per-method GA seeds are derived by hashing the
 master seed with the method code, so dropping one method never perturbs the
 others.  ``run_benchmark`` runs it for the methods in up to ``jobs`` forked
-worker processes (by default one: in the calling process), longest jobs
-first, and merges the outcomes and the warnings each worker caught in the
-order of ``config.methods``, so the report and the warnings are the same for
-every job count.  It forks only from a process that runs one thread, and
+worker processes (by default one: in the calling process), one job of
+``_JOBS`` per worker at a time, longest first, and merges the outcomes and
+the warnings each worker caught in the order of ``config.methods``, so the
+report and the warnings are the same for every job count.  SPL and GAM, the
+methods that load ``scipy.linalg``, share a job, so that one process of a
+run at most loads it.  Each method's worker also finishes it: its full-series
+smooth and its confidence band (and under ``include_loocv`` its LOOCV
+matrix), so after clustering the parent only picks the optimal method's and
+runs no smoother.  It forks only from a process that runs one thread, and
 otherwise runs every method in-process; a worker exits once its parent is
-gone.  The optimal method's LOOCV matrix is rebuilt once, after the methods
-are clustered.  Methods that fail are excluded from clustering with a
-warning instead of aborting the run.
+gone.  Methods that fail are excluded from clustering with a warning instead
+of aborting the run.
 ``normalized_loads`` and ``fit_loads`` are the one producer each of the
 NH4-normalized series and the load-incidence fit.
 """
@@ -27,6 +31,8 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
+
+import numpy as np
 
 from . import __version__
 from .calibration import (
@@ -46,6 +52,7 @@ from .errors import (
     SmoothbenchError,
 )
 from .evaluation import (
+    LoocvMatrix,
     PerformanceIndex,
     build_loocv_matrix,
     confidence_band,
@@ -65,11 +72,13 @@ from .timeseries import SurveillanceRecord, TimeSeries, build_series, impute_lin
 SIGNAL_KINDS = ("raw", "normalized")
 MAX_MAGNITUDE = 1e150  # past it, sums of squares of the values near the largest double
 
-# Workers take the longest jobs first, so that no long one starts last: these
-# methods by their measured cost at T=365, then the rest in their given order.
-_LONGEST_FIRST = (
-    MethodId.SUP, MethodId.RRM, MethodId.POL, MethodId.GAM, MethodId.SPL,
-    MethodId.ADP, MethodId.KER, MethodId.SGF, MethodId.ARI,
+# The jobs of a worker pool, longest first, so that no long one starts last:
+# methods by their measured cost at T=365.  SPL and GAM are the methods that
+# load scipy.linalg, so one worker runs the two back to back and imports it
+# once.  Each method not listed is a job of its own, after these.
+_JOBS = (
+    (MethodId.SUP,), (MethodId.RRM,), (MethodId.SPL, MethodId.GAM), (MethodId.POL,),
+    (MethodId.ADP,), (MethodId.KER,), (MethodId.SGF,), (MethodId.ARI,),
 )
 
 
@@ -140,6 +149,24 @@ class MethodOutcome:
 
 
 @dataclass(frozen=True)
+class MethodSmooth:
+    """What the report takes from a scored method when it is the optimal one.
+
+    Its full-series smooth and the bounds of its confidence band, and its
+    LOOCV matrix under ``include_loocv``; or ``error``, the exception that
+    stopped them.  ``caught`` holds the warnings they raised, as (message,
+    category), for the parent to raise if the method is optimal.
+    """
+
+    smoothed: np.ndarray | None
+    lower: np.ndarray | None
+    upper: np.ndarray | None
+    loocv: np.ndarray | None
+    error: Exception | None
+    caught: tuple[tuple[str, type[Warning]], ...]
+
+
+@dataclass(frozen=True)
 class BenchmarkReport:
     site: str
     signal_kind: str
@@ -191,18 +218,31 @@ def _signal_series(
     return normalized_loads(records, config.f_nh4)
 
 
-def evaluate_one(config: PipelineConfig, method: MethodId, imputed: TimeSeries) -> MethodOutcome:
-    """GA-calibrate (if parametric) and LOOCV-score one method; shares no state.
+def check_magnitude(method: MethodId, series: TimeSeries, action: str = "scored") -> None:
+    """Raise EvaluationFailure if ``series`` holds a value past ``MAX_MAGNITUDE``.
+
+    No method is scored or smoothed on such values: their sums of squares
+    overflow.
+    """
+    if max(map(abs, series.values().tolist())) > MAX_MAGNITUDE:
+        raise EvaluationFailure(
+            f"{method.value} is not {action} on values past {MAX_MAGNITUDE:g}")
+
+
+def evaluate_one(
+    config: PipelineConfig, method: MethodId, imputed: TimeSeries
+) -> tuple[MethodOutcome, MethodSmooth | None]:
+    """GA-calibrate (if parametric), LOOCV-score and finish one method; shares no state.
 
     A SmoothbenchError is not raised: it is warned about and recorded in the
-    outcome.  No method is scored on values past ``MAX_MAGNITUDE``.
+    outcome, whose smooth is then None.  No method is scored on values past
+    ``MAX_MAGNITUDE``.
     """
     parametric = bool(PARAM_SPECS[method])
     seed = method_seed(config.ga.seed, method) if parametric else None
     evaluations = 0
     try:
-        if max(map(abs, imputed.values().tolist())) > MAX_MAGNITUDE:
-            raise EvaluationFailure(f"{method.value} is not scored on values past {MAX_MAGNITUDE:g}")
+        check_magnitude(method, imputed)
         if parametric:
             result = calibrate(
                 method, imputed, replace(config.ga, seed=seed), objective=config.objective
@@ -215,8 +255,38 @@ def evaluate_one(config: PipelineConfig, method: MethodId, imputed: TimeSeries) 
     except SmoothbenchError as exc:
         warnings.warn(f"method {method.value} failed and is excluded: {exc}")
         error = f"{type(exc).__name__}: {exc}"
-        return MethodOutcome(method, ga_seed=seed, ga_evaluations=evaluations, error=error)
-    return MethodOutcome(method, spec.params, index, seed, evaluations)
+        return MethodOutcome(method, ga_seed=seed, ga_evaluations=evaluations, error=error), None
+    outcome = MethodOutcome(method, spec.params, index, seed, evaluations)
+    return outcome, _finish(config, spec, imputed, loocv)
+
+
+def _finish(
+    config: PipelineConfig, spec: SmootherSpec, imputed: TimeSeries, loocv: LoocvMatrix
+) -> MethodSmooth:
+    """The report's share of a scored method, from the LOOCV matrix that VAR read.
+
+    What it raises is held, not raised: it matters only if the method turns
+    out optimal, and must not change the method's outcome.
+    """
+    smoothed = lower = upper = matrix = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            smoothed = apply_smoother(spec, imputed).values()
+            lower, upper = (b.values() for b in confidence_band(loocv, config.band_level))
+            if config.include_loocv:
+                matrix = loocv.matrix
+        except Exception as exc:
+            error = exc
+    warned = tuple((str(w.message), w.category) for w in caught)
+    return MethodSmooth(smoothed, lower, upper, matrix, error, warned)
+
+
+def _jobs(methods: tuple[MethodId, ...]) -> list[tuple[MethodId, ...]]:
+    """``methods`` as the jobs of a pool: those of ``_JOBS``, then one per other method."""
+    listed = {m for job in _JOBS for m in job}
+    jobs = [tuple(m for m in job if m in methods) for job in _JOBS]
+    return [job for job in jobs if job] + [(m,) for m in methods if m not in listed]
 
 
 def worker_count(methods: int) -> int:
@@ -242,13 +312,17 @@ def _single_threaded() -> bool:
 
 
 def _evaluate_in_worker(
-    config: PipelineConfig, method: MethodId, imputed: TimeSeries
-) -> tuple[MethodOutcome, list[tuple[str, type[Warning]]]]:
-    """``evaluate_one`` in a worker: its outcome and the warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = evaluate_one(config, method, imputed)
-    return outcome, [(str(w.message), w.category) for w in caught]
+    config: PipelineConfig, job: tuple[MethodId, ...], imputed: TimeSeries
+) -> list[tuple[tuple[MethodOutcome, MethodSmooth | None], list[tuple[str, type[Warning]]]]]:
+    """``evaluate_one`` for each method of ``job`` in a worker: its result and
+    the warnings it raised."""
+    done = []
+    for method in job:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = evaluate_one(config, method, imputed)
+        done.append((result, [(str(w.message), w.category) for w in caught]))
+    return done
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -269,43 +343,45 @@ def _exit_with_parent(parent: int) -> None:
 
 def _evaluate_methods(
     config: PipelineConfig, imputed: TimeSeries, jobs: int
-) -> tuple[MethodOutcome, ...]:
+) -> list[tuple[MethodOutcome, MethodSmooth | None]]:
     """``evaluate_one`` for every method, in the order of ``config.methods``.
 
-    With more than one job, ``fork`` available and no other thread in this
-    process, the methods run in a pool of forked processes, and the warnings
-    each caught are raised again here in that order.  The first exception in
-    that order cancels the jobs not yet started and is raised once the
-    running ones end, so no worker outlives the call; a worker whose parent
-    is killed exits by itself.
+    With more than one job of ``_jobs`` and of ``jobs``, ``fork`` available
+    and no other thread in this process, the jobs run in a pool of at most
+    ``jobs`` forked processes, and the warnings each method caught are
+    raised again here in that order.  The first exception in that order
+    (an exception ends its job's later methods) cancels the jobs not yet
+    started and is raised once the running ones end, so no worker outlives
+    the call; a worker whose parent is killed exits by itself.
     """
-    workers = min(jobs, len(config.methods))
+    pool_jobs = _jobs(config.methods)
+    workers = min(jobs, len(pool_jobs))
     if workers == 1 or not hasattr(os, "fork") or not _single_threaded():
-        return tuple(evaluate_one(config, m, imputed) for m in config.methods)
+        return [evaluate_one(config, m, imputed) for m in config.methods]
     # loaded here, so that the commands and runs that start no pool never load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    rank = {m: i for i, m in enumerate(_LONGEST_FIRST)}
-    order = sorted(config.methods, key=lambda m: rank.get(m, len(rank)))
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_exit_with_parent,
         initargs=(os.getpid(),),
     ) as pool:
-        futures = {m: pool.submit(_evaluate_in_worker, config, m, imputed) for m in order}
-        outcomes = []
+        futures = [pool.submit(_evaluate_in_worker, config, job, imputed) for job in pool_jobs]
+        where = {m: (f, i) for job, f in zip(pool_jobs, futures) for i, m in enumerate(job)}
+        results = []
         try:
             for method in config.methods:
-                outcome, caught = futures[method].result()
+                future, slot = where[method]
+                result, caught = future.result()[slot]
                 for message, category in caught:
                     warnings.warn(message, category)
-                outcomes.append(outcome)
+                results.append(result)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return tuple(outcomes)
+    return results
 
 
 def run_benchmark(
@@ -329,7 +405,8 @@ def run_benchmark(
     imputed = impute_linear(series)
     n = len(imputed)
 
-    outcomes = _evaluate_methods(config, imputed, jobs)
+    results = _evaluate_methods(config, imputed, jobs)
+    outcomes = tuple(outcome for outcome, _ in results)
     succeeded = [o for o in outcomes if o.ok]
     if len(succeeded) < 3:
         raise EvaluationFailure(
@@ -339,13 +416,14 @@ def run_benchmark(
         [o.index for o in succeeded], standardize=config.standardize
     )
     optimal = cluster.optimal
-    optimal_params = next(o.params for o in succeeded if o.method is optimal)
-    optimal_spec = SmootherSpec(optimal, optimal_params)
-    smoothed = apply_smoother(optimal_spec, imputed)
-    optimal_loocv = build_loocv_matrix(optimal_spec, imputed)
-    lower, upper = confidence_band(optimal_loocv, config.band_level)
+    optimal_params, finished = next(
+        (o.params, smooth) for o, smooth in results if o.method is optimal)
+    for message, category in finished.caught:
+        warnings.warn(message, category)
+    if finished.error is not None:
+        raise finished.error
 
-    regression = _regression_fit(records, smoothed)
+    regression = _regression_fit(records, imputed.with_values(finished.smoothed))
 
     per_method_counts = {
         o.method.value: {"ga_evaluations": o.ga_evaluations, "final_loocv_builds": int(o.ok)}
@@ -372,7 +450,7 @@ def run_benchmark(
 
     loocv_payload = None
     if config.include_loocv:
-        loocv_payload = tuple(tuple(row) for row in optimal_loocv.matrix)
+        loocv_payload = tuple(tuple(row) for row in finished.loocv)
 
     return BenchmarkReport(
         site=records[0].site,
@@ -383,10 +461,10 @@ def run_benchmark(
         outcomes=outcomes,
         cluster=cluster,
         optimal_method=optimal,
-        optimal_params=optimal_spec.params,
-        smoothed=tuple(smoothed.values()),
-        band_lower=tuple(lower.values()),
-        band_upper=tuple(upper.values()),
+        optimal_params=optimal_params,
+        smoothed=tuple(finished.smoothed),
+        band_lower=tuple(finished.lower),
+        band_upper=tuple(finished.upper),
         band_level=config.band_level,
         regression=regression,
         provenance=provenance,

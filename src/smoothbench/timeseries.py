@@ -167,24 +167,32 @@ def impute_linear(series: TimeSeries) -> TimeSeries:
     return series.with_values(filled)
 
 
-def percentile(values: Sequence[float], p: float) -> float:
+def percentile(values: "Sequence[float] | np.ndarray", p: float) -> "float | np.ndarray":
     """Linear-interpolated order statistic with the inclusive convention.
 
     The rank is ``p * (n - 1)``; fractional ranks interpolate between the
     neighbouring order statistics, so ``p=0`` is the minimum and ``p=1`` the
-    maximum.
+    maximum.  A sequence gives a float; a 2-D array gives an array of its
+    rows' values, read from one sort of every row, each the same bits as the
+    row alone gives.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptyInput("percentile of an empty sequence")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    ordered = np.sort(arr)
-    rank = p * (arr.size - 1)
+    ordered = np.sort(arr, axis=-1)
+    rank = p * (arr.shape[-1] - 1)
     lo = int(math.floor(rank))
     hi = int(math.ceil(rank))
-    if lo == hi or ordered[lo] == ordered[hi]:
-        return float(ordered[lo])
-    frac = rank - lo
-    value = ordered[lo] + frac * (ordered[hi] - ordered[lo])
-    return float(min(max(value, ordered[lo]), ordered[hi]))
+    low = value = ordered[..., lo]
+    if lo != hi:
+        high = ordered[..., hi]
+        tied = low == high
+        # the gap only where the order statistics differ, as a row alone computes it
+        gap = np.subtract(high, low, out=np.zeros_like(low), where=~tied)
+        value = low + (rank - lo) * gap
+        value = np.where(low > value, low, value)
+        value = np.where(high < value, high, value)
+        value = np.where(tied, low, value)
+    return float(value) if arr.ndim == 1 else value

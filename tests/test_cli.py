@@ -327,20 +327,24 @@ class TestBenchmarkCommand:
         path = tmp_path / "site.csv"
         write_surveillance_csv(bundled_records(n=30), str(path))
         argv = ["benchmark", "--input", str(path), "--signal", "both", "--f-nh4", "10.71",
-                "--include-loocv", "--objective", objective, "--ga-pop", "4", "--ga-iters", "1"]
-        outs = {}
-        for cpus in (1, 2, None):  # one worker, two, or one per CPU of this machine
-            if cpus is not None:
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus),
-                                    raising=False)
-            out = tmp_path / f"cpus-{cpus}"
-            assert main(argv + ["--out", str(out)]) == 0
-            outs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
-            monkeypatch.undo()
-        assert len(outs[1]) == 5
-        assert outs[2] == outs[1]
-        assert outs[None] == outs[1]
+                "--objective", objective, "--ga-pop", "4", "--ga-iters", "1"]
+        # the workers hand back each method's smooth and band, and its LOOCV matrix
+        for loocv in ([], ["--include-loocv"]):
+            outs = {}
+            for cpus in (1, 2, 3, None):  # one to three workers, or one per CPU here
+                if cpus is not None:
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus),
+                                        raising=False)
+                out = tmp_path / f"cpus-{cpus}{''.join(loocv)}"
+                assert main(argv + loocv + ["--out", str(out)]) == 0
+                outs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+                monkeypatch.undo()
+            assert len(outs[1]) == 5
+            assert outs[2] == outs[1]
+            assert outs[3] == outs[1]
+            assert outs[None] == outs[1]
         report = json.loads(outs[1]["report.json"])
+        assert report["reports"][0]["loocv_optimal"] is not None
         assert len(report["reports"][0]["methods"]) == len(MethodId)
         assert "jobs" not in report["reports"][0]["provenance"]["config"]
 
@@ -487,6 +491,25 @@ class TestExitCodes:
         assert done.returncode == 2
         assert "error: EvaluationFailure:" in done.stderr
         assert "internal error" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("method, params", [
+        ("gam", ["--param", "basis_dim=10", "--param", "log10_penalty=0", "--param", "family=0",
+                 "--param", "auto_penalty=1"]),
+        ("sgf", ["--param", "window=5", "--param", "degree=2"]),
+    ])
+    def test_smooth_past_max_magnitude_exits_2_as_error(self, tmp_path, method, params):
+        """``smooth`` is bounded as the benchmark's scoring is: on values near
+        1e200 GAM's GCV and SGF's window SSE would overflow."""
+        path = tmp_path / "huge.csv"
+        path.write_text("date,value\n" + "".join(
+            f"2021-01-{day:02d},{v!r}\n"
+            for day, v in enumerate(np.linspace(1e200, 2.2e200, 20).tolist(), start=1)))
+        done = run_cli("smooth", "--method", method, *params, "--input", str(path),
+                       "--out", str(tmp_path / "out.csv"))
+        assert done.returncode == 2
+        assert f"error: EvaluationFailure: {method} is not smoothed on values past 1e+150" in (
+            done.stderr)
         assert "RuntimeWarning" not in done.stderr
 
     @pytest.mark.parametrize("flags, message", [
@@ -833,3 +856,16 @@ class TestErrorContract:
                 if rc == 0:
                     self._check(["report", "--report", str(out / "report.json"),
                                  "--out", str(out / "again")], capsys)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=_surveillance_rows())
+    @example(site=_KAL_OVERFLOW)
+    def test_smooth(self, site, tmp_path, capsys):
+        path = tmp_path / "site.csv"
+        _write_surveillance(path, *site)
+        for method in MethodId:
+            params = [f"--param={name}={value!r}"
+                      for name, value in default_spec(method).named_params().items()]
+            self._check(["smooth", "--method", method.value, *params, "--input", str(path),
+                         "--out", str(tmp_path / "smoothed.csv")], capsys)

@@ -206,7 +206,8 @@ class TestEvaluateOne:
         config = tiny_config()
         imputed = impute_linear(build_series(bundled, "c_virus"))
         with pytest.warns(UserWarning, match="method sma failed and is excluded"):
-            outcome = pl.evaluate_one(config, MethodId.SMA, imputed)
+            outcome, smooth = pl.evaluate_one(config, MethodId.SMA, imputed)
+        assert smooth is None
         assert outcome.error == "SeriesTooShort: sabotaged for the test"
         assert (outcome.params, outcome.index) == (None, None)
         assert outcome.ga_seed == method_seed(config.ga.seed, MethodId.SMA)
@@ -216,7 +217,7 @@ class TestEvaluateOne:
         imputed = TimeSeries.from_values([0.0, 1.0, 0.0, 6e153, 0.0, 1.0, 2.0])
         with np.errstate(all="ignore"), pytest.warns(
                 UserWarning, match="method kal failed and is excluded"):
-            outcome = pl.evaluate_one(tiny_config(), MethodId.KAL, imputed)
+            outcome, _ = pl.evaluate_one(tiny_config(), MethodId.KAL, imputed)
         assert outcome.error.startswith("EvaluationFailure: kal")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -226,11 +227,11 @@ class TestEvaluateOne:
         y = np.zeros(24)
         y[11] = pl.MAX_MAGNITUDE
         config = tiny_config(objective="combined")
-        outcome = pl.evaluate_one(config, method, TimeSeries.from_values(y))
+        outcome, _ = pl.evaluate_one(config, method, TimeSeries.from_values(y))
         assert outcome.ok, outcome.error
         y[11] = np.nextafter(pl.MAX_MAGNITUDE, np.inf)
         with pytest.warns(UserWarning, match=f"method {method.value} failed and is excluded"):
-            outcome = pl.evaluate_one(config, method, TimeSeries.from_values(y))
+            outcome, _ = pl.evaluate_one(config, method, TimeSeries.from_values(y))
         assert outcome.error == (
             f"EvaluationFailure: {method.value} is not scored on values past 1e+150")
         assert outcome.ga_evaluations == 0
@@ -241,7 +242,7 @@ class TestEvaluateOne:
         report = run_benchmark(bundled, "raw", config)
         imputed = impute_linear(build_series(bundled, "c_virus"))
         for method, got in zip(config.methods, report.outcomes):
-            assert got == pl.evaluate_one(config, method, imputed)
+            assert got == pl.evaluate_one(config, method, imputed)[0]
         optimal = SmootherSpec(report.optimal_method, report.optimal_params)
         assert report.loocv_optimal == tuple(
             tuple(row) for row in pl.build_loocv_matrix(optimal, imputed).matrix)
@@ -330,6 +331,101 @@ class TestWorkerPool:
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
             run_benchmark(bundled, "raw", config, jobs=2)
         assert multiprocessing.active_children() == []
+
+    def test_spl_and_gam_share_a_job_after_sup_and_rrm(self):
+        methods = (MethodId.TUK, MethodId.GAM, MethodId.RRM, MethodId.SPL, MethodId.SUP,
+                   MethodId.KAL)
+        assert pl._jobs(methods) == [
+            (MethodId.SUP,), (MethodId.RRM,), (MethodId.SPL, MethodId.GAM),
+            (MethodId.TUK,), (MethodId.KAL,)]
+        assert pl._jobs((MethodId.GAM, MethodId.TUK, MethodId.FFT)) == [
+            (MethodId.GAM,), (MethodId.TUK,), (MethodId.FFT,)]
+
+    def test_no_more_workers_than_jobs(self, bundled, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        config = tiny_config(methods=(MethodId.SPL, MethodId.GAM, MethodId.TUK))
+        report = run_benchmark(bundled, "raw", config, jobs=3)
+        assert len(forks) == 2
+        assert report.outcomes == run_benchmark(bundled, "raw", config).outcomes
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failed_finish_counts_only_for_the_optimal_method(self, bundled, monkeypatch,
+                                                               jobs):
+        # each method's worker smooths it in full, but what that raises or warns
+        # is the run's only if the method is optimal, as when the parent smoothed it
+        config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA, MethodId.KER))
+        clean = run_benchmark(bundled, "raw", config)
+        real = pl.apply_smoother
+
+        def sabotage(method):
+            def smooth(spec, series):
+                if spec.method is method:
+                    warnings.warn(f"finishing {method.value}", RuntimeWarning)
+                    raise SeriesTooShort(f"{method.value} sabotaged")
+                return real(spec, series)
+
+            monkeypatch.setattr(pl, "apply_smoother", smooth)
+
+        sabotage(next(m for m in config.methods if m is not clean.optimal_method))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_benchmark(bundled, "raw", config, jobs=jobs) == clean
+        assert [str(w.message) for w in caught] == []
+        sabotage(clean.optimal_method)
+        with pytest.warns(RuntimeWarning, match=f"finishing {clean.optimal_method.value}"), \
+                pytest.raises(SeriesTooShort, match="sabotaged"):
+            run_benchmark(bundled, "raw", config, jobs=jobs)
+
+
+@pytest.mark.parametrize("seed, optimal", [(0, "spl"), (3, "gam")])
+def test_scipy_linalg_loads_in_one_worker_only(tmp_path, seed, optimal):
+    # a new interpreter, so that nothing has loaded scipy before the run
+    log = tmp_path / "calls"
+    script = textwrap.dedent(f"""
+        import os, sys
+        import smoothbench.pipeline as pl
+        from smoothbench.calibration import GaConfig
+        from smoothbench.smoothers import MethodId
+        from smoothbench.synthetic import bundled_records
+
+        evaluate_one = pl.evaluate_one
+
+        def recorded(config, method, imputed):
+            result = evaluate_one(config, method, imputed)
+            with open({str(log)!r}, "a") as handle:
+                handle.write(f"{{method.value}} {{os.getpid()}} {{'scipy.linalg' in sys.modules}}\\n")
+            return result
+
+        pl.evaluate_one = recorded
+        methods = tuple(MethodId(code) for code in ("spl", "gam", "sma", "tuk", "fft"))
+        config = pl.PipelineConfig(ga=GaConfig(population_size=4, iterations=1, seed={seed}),
+                                   methods=methods)
+        report = pl.run_benchmark(bundled_records(n=30), "raw", config, jobs=2)
+        print(os.getpid(), report.optimal_method.value, "scipy" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(pl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    parent, best, parent_scipy = done.stdout.split()
+    assert (best, parent_scipy) == (optimal, "False")
+    calls = {code: (int(pid), loaded == "True")
+             for code, pid, loaded in (line.split() for line in log.read_text().splitlines())}
+    assert sorted(calls) == ["fft", "gam", "sma", "spl", "tuk"]
+    assert int(parent) not in {pid for pid, _ in calls.values()}
+    assert calls["spl"][0] == calls["gam"][0]
+    assert calls["spl"][1] and calls["gam"][1]
+    assert {pid for pid, loaded in calls.values() if loaded} == {calls["spl"][0]}
 
 
 def _running(pid):

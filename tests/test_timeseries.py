@@ -1,8 +1,9 @@
+import math
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothbench.errors import DuplicateTimestamp, EmptyInput, InsufficientData
@@ -167,3 +168,51 @@ class TestPercentile:
             assert percentile(values, p) == pytest.approx(
                 float(np.quantile(values, p)), rel=1e-12, abs=1e-12
             )
+
+
+def _row_percentile(row, p):
+    """The order statistic of one row, as a per-row loop computes it."""
+    ordered = np.sort(np.asarray(row, dtype=float))
+    rank = p * (ordered.size - 1)
+    lo, hi = int(math.floor(rank)), int(math.ceil(rank))
+    if lo == hi or ordered[lo] == ordered[hi]:
+        return float(ordered[lo])
+    value = ordered[lo] + (rank - lo) * (ordered[hi] - ordered[lo])
+    return float(min(max(value, ordered[lo]), ordered[hi]))
+
+
+# ties and signed zeros, or any magnitude from 1e-300 to 1e300
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 299)),
+)
+_LEVEL = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_P = st.one_of(
+    st.just(0.0), st.just(1.0), _LEVEL.map(lambda level: (1.0 - level) / 2.0),
+    _LEVEL.map(lambda level: (1.0 + level) / 2.0), st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """1 to 5 rows of T from 1 to 40 entries; a row may be constant."""
+    t = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            rows.append([draw(_ENTRY)] * t)
+        else:
+            rows.append(draw(st.lists(_ENTRY, min_size=t, max_size=t)))
+    return np.array(rows)
+
+
+class TestRowPercentiles:
+    @settings(max_examples=300)
+    @given(_matrices(), _P)
+    def test_each_row_as_alone(self, matrix, p):
+        rows = percentile(matrix, p)
+        alone = np.array([percentile(row, p) for row in matrix])
+        loop = np.array([_row_percentile(row, p) for row in matrix])
+        assert rows.shape == (len(matrix),)
+        assert rows.view(np.int64).tolist() == alone.view(np.int64).tolist()
+        assert rows.view(np.int64).tolist() == loop.view(np.int64).tolist()
