@@ -24,10 +24,9 @@ import warnings
 from . import __version__
 from .calibration import OBJECTIVES, PAPER_BUDGET, GaConfig, calibrate
 from .csvio import (
-    FLOW_UNIT_FACTORS,
-    NH4_UNIT_FACTORS,
+    NUMERIC_COLUMNS,
     OPTIONAL_COLUMNS,
-    VIRUS_UNIT_FACTORS,
+    UNIT_COLUMNS,
     UnitConfig,
     fmt,
     open_input,
@@ -51,13 +50,8 @@ from .reportio import read_reports, write_reports
 from .smoothers import PARAM_SPECS, MethodId, apply_smoother, make_spec
 from .timeseries import TimeSeries, build_series, impute_linear
 
-_FIELD_MAP = {
-    "virus": "c_virus",
-    "nh4": "c_nh4",
-    "flow": "q_flow",
-    "cases": "active_cases",
-    "incidence": "incidence_7d",
-}
+# --field: the short name of each numeric column, and its record field
+_FIELDS = {c.short: c.field for c in NUMERIC_COLUMNS}
 
 
 def _method_help() -> str:
@@ -109,10 +103,9 @@ def _seed(text: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (keys = flag names)")
-    for unit, factors in (("virus", VIRUS_UNIT_FACTORS), ("flow", FLOW_UNIT_FACTORS),
-                          ("nh4", NH4_UNIT_FACTORS)):
-        parser.add_argument(f"--{unit}-unit", choices=tuple(factors),
-                            default=getattr(UnitConfig, unit), help="(default: %(default)s)")
+    for c in UNIT_COLUMNS:
+        parser.add_argument(f"--{c.short}-unit", choices=tuple(c.units),
+                            default=getattr(UnitConfig, c.short), help="(default: %(default)s)")
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
@@ -182,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="method parameter (repeatable)",
     )
     p.add_argument("--input", required=True, help="series CSV (date,value) or surveillance CSV")
-    p.add_argument("--field", choices=sorted(_FIELD_MAP), default="virus")
+    p.add_argument("--field", choices=sorted(_FIELDS), default="virus")
     p.add_argument("--site")
     p.add_argument("--out", default="-")
     _add_common(p)
@@ -195,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--method", type=_method_id, required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--field", choices=sorted(_FIELD_MAP), default="virus")
+    p.add_argument("--field", choices=sorted(_FIELDS), default="virus")
     p.add_argument("--site")
     p.add_argument("--out", default="-")
     _add_ga_flags(p)
@@ -302,7 +295,7 @@ def _append_flags(parser: argparse.ArgumentParser, command: str) -> set[str]:
 
 
 def _units(args) -> UnitConfig:
-    return UnitConfig(virus=args.virus_unit, flow=args.flow_unit, nh4=args.nh4_unit)
+    return UnitConfig(**{c.short: getattr(args, f"{c.short}_unit") for c in UNIT_COLUMNS})
 
 
 def _sink(path: str):
@@ -345,7 +338,7 @@ def _input_series(args):
     columns = [c.strip() for c in header.strip().split(",")]
     if "value" in columns:
         return read_series_csv(args.input)
-    return build_series(_load_records(args), _FIELD_MAP[args.field])
+    return build_series(_load_records(args), _FIELDS[args.field])
 
 
 def _ga_config(args) -> GaConfig:
@@ -414,6 +407,7 @@ def cmd_calibrate(args) -> int:
     method = args.method
     config = _ga_config(args)
     gap_free = impute_linear(_input_series(args))
+    check_magnitude(method, gap_free, "calibrated")
     result = calibrate(method, gap_free, config, objective=args.objective)
     payload = {
         "method": method.value,

@@ -1,62 +1,73 @@
 """CSV schemas: surveillance input, biomarker load tables, plain series.
 
-Input columns default to the common reporting units (virus copies/ml, flow
-m3/d, NH4 mg/L) and are converted to the internal convention (copies/L, L/d,
-g/L) at ingestion; unit declarations can override the interpretation.  Empty
-cells mean missing.  All numbers are emitted with 17 significant digits so a
-read-back is bit-exact.
+A surveillance file holds ``date``, ``site`` and the columns of
+``NUMERIC_COLUMNS``, one row per numeric column in file order: its short name
+(the CLI's ``--field``), header, ``SurveillanceRecord`` field and unit factors.
+A column with unit factors is required, read in the unit ``UnitConfig`` names
+(by default the first: virus copies/ml, flow m3/d, NH4 mg/L) and converted to
+the internal convention (copies/L, L/d, g/L); the others are optional.  The
+reader, the writer and the CLI's flags derive from this table, so a new column
+is one row.  Empty cells mean missing.  All numbers are emitted with 17
+significant digits so a read-back is bit-exact.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, ParseError, SchemaError
 from .normalization import BiomarkerLoad
 from .timeseries import SurveillanceRecord, TimeSeries
 
-SURVEILLANCE_COLUMNS = (
-    "date",
-    "site",
-    "virus_copies_per_ml",
-    "flow_m3_per_d",
-    "nh4_mg_per_l",
-)
-OPTIONAL_COLUMNS = ("active_cases", "incidence_7d_per_100k")
-
-VIRUS_UNIT_FACTORS = {"copies_per_ml": 1000.0, "copies_per_l": 1.0}
-FLOW_UNIT_FACTORS = {"m3_per_d": 1000.0, "l_per_d": 1.0}
-NH4_UNIT_FACTORS = {"mg_per_l": 0.001, "g_per_l": 1.0}
-
 
 @dataclass(frozen=True)
-class UnitConfig:
-    """Interpretation of the numeric input columns."""
+class Column:
+    """One numeric column of the surveillance file."""
 
-    virus: str = "copies_per_ml"
-    flow: str = "m3_per_d"
-    nh4: str = "mg_per_l"
+    short: str
+    header: str
+    field: str
+    # unit name -> factor to the record's unit, the default unit first; None: optional, unitless
+    units: Mapping[str, float] | None = None
 
-    def __post_init__(self):
-        for value, table, name in (
-            (self.virus, VIRUS_UNIT_FACTORS, "virus"),
-            (self.flow, FLOW_UNIT_FACTORS, "flow"),
-            (self.nh4, NH4_UNIT_FACTORS, "nh4"),
-        ):
-            if value not in table:
-                raise SchemaError(f"unknown {name} unit {value!r}; expected {sorted(table)}")
 
-    @property
-    def factors(self) -> tuple[float, float, float]:
-        return (
-            VIRUS_UNIT_FACTORS[self.virus],
-            FLOW_UNIT_FACTORS[self.flow],
-            NH4_UNIT_FACTORS[self.nh4],
-        )
+NUMERIC_COLUMNS = (
+    Column("virus", "virus_copies_per_ml", "c_virus",
+           {"copies_per_ml": 1000.0, "copies_per_l": 1.0}),
+    Column("flow", "flow_m3_per_d", "q_flow", {"m3_per_d": 1000.0, "l_per_d": 1.0}),
+    Column("nh4", "nh4_mg_per_l", "c_nh4", {"mg_per_l": 0.001, "g_per_l": 1.0}),
+    Column("cases", "active_cases", "active_cases"),
+    Column("incidence", "incidence_7d_per_100k", "incidence_7d"),
+)
+UNIT_COLUMNS = tuple(c for c in NUMERIC_COLUMNS if c.units)
+SURVEILLANCE_COLUMNS = ("date", "site") + tuple(c.header for c in UNIT_COLUMNS)
+OPTIONAL_COLUMNS = tuple(c.header for c in NUMERIC_COLUMNS if not c.units)
+
+
+def _check_units(config) -> None:
+    for column in UNIT_COLUMNS:
+        unit = getattr(config, column.short)
+        if unit not in column.units:
+            raise SchemaError(
+                f"unknown {column.short} unit {unit!r}; expected {sorted(column.units)}")
+
+
+def _factor(config, column: Column) -> float:
+    """The factor from ``column``'s file unit to its record unit."""
+    return column.units[getattr(config, column.short)] if column.units else 1.0
+
+
+UnitConfig = make_dataclass(
+    "UnitConfig",
+    [(c.short, str, next(iter(c.units))) for c in UNIT_COLUMNS],
+    namespace={"__doc__": "Interpretation of the numeric input columns.",
+               "__module__": __name__, "__post_init__": _check_units, "factor": _factor},
+    frozen=True,
+)
 
 
 def fmt(x: float | None) -> str:
@@ -99,7 +110,6 @@ def read_surveillance_csv(
 ) -> list[SurveillanceRecord]:
     """Read the surveillance schema; rows come back in file order."""
     units = units or UnitConfig()
-    f_virus, f_flow, f_nh4 = units.factors
     with open_input(path) as handle:
         reader = csv.DictReader(_skip_comments(handle))
         if reader.fieldnames is None:
@@ -107,39 +117,19 @@ def read_surveillance_csv(
         missing = [c for c in SURVEILLANCE_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        has_cases = OPTIONAL_COLUMNS[0] in reader.fieldnames
-        has_incidence = OPTIONAL_COLUMNS[1] in reader.fieldnames
+        present = [(c, units.factor(c)) for c in NUMERIC_COLUMNS if c.header in reader.fieldnames]
         records = []
         for line, row in enumerate(reader, start=2):
             when = _parse_date(row["date"] or "", line)
             site = (row["site"] or "").strip()
             if not site:
                 raise ParseError(f"line {line}: empty site identifier")
-            virus = _parse_float(row["virus_copies_per_ml"] or "", "virus_copies_per_ml", line)
-            flow = _parse_float(row["flow_m3_per_d"] or "", "flow_m3_per_d", line)
-            nh4 = _parse_float(row["nh4_mg_per_l"] or "", "nh4_mg_per_l", line)
-            cases = (
-                _parse_float(row[OPTIONAL_COLUMNS[0]] or "", OPTIONAL_COLUMNS[0], line)
-                if has_cases
-                else None
-            )
-            incidence = (
-                _parse_float(row[OPTIONAL_COLUMNS[1]] or "", OPTIONAL_COLUMNS[1], line)
-                if has_incidence
-                else None
-            )
+            values = {}
+            for column, factor in present:
+                value = _parse_float(row[column.header] or "", column.header, line)
+                values[column.field] = None if value is None else value * factor
             try:
-                records.append(
-                    SurveillanceRecord(
-                        site=site,
-                        timestamp=when,
-                        c_virus=None if virus is None else virus * f_virus,
-                        q_flow=None if flow is None else flow * f_flow,
-                        c_nh4=None if nh4 is None else nh4 * f_nh4,
-                        active_cases=cases,
-                        incidence_7d=incidence,
-                    )
-                )
+                records.append(SurveillanceRecord(site=site, timestamp=when, **values))
             except ValueError as exc:
                 raise ParseError(f"line {line}: {exc}") from None
         if not records:
@@ -154,21 +144,13 @@ def write_surveillance_csv(
 ) -> None:
     """Echo records in the canonical schema (converting back to file units)."""
     units = units or UnitConfig()
-    f_virus, f_flow, f_nh4 = units.factors
-    rows = []
-    for r in records:
-        rows.append(
-            [
-                r.timestamp.isoformat(),
-                r.site,
-                fmt(None if r.c_virus is None else r.c_virus / f_virus),
-                fmt(None if r.q_flow is None else r.q_flow / f_flow),
-                fmt(None if r.c_nh4 is None else r.c_nh4 / f_nh4),
-                fmt(r.active_cases),
-                fmt(r.incidence_7d),
-            ]
-        )
-    write_table(sink, list(SURVEILLANCE_COLUMNS) + list(OPTIONAL_COLUMNS), rows)
+    factors = [(c.field, units.factor(c)) for c in NUMERIC_COLUMNS]
+    rows = [
+        [r.timestamp.isoformat(), r.site]
+        + [fmt(None if getattr(r, f) is None else getattr(r, f) / factor) for f, factor in factors]
+        for r in records
+    ]
+    write_table(sink, ["date", "site"] + [c.header for c in NUMERIC_COLUMNS], rows)
 
 
 def read_biomarker_table(path: str) -> dict[str, BiomarkerLoad]:

@@ -8,6 +8,7 @@ pipeline uses.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -82,7 +83,8 @@ def normalize_series(
 
     The two series must share identical timestamps.  A timestamp where either
     input is missing yields a missing output; a zero biomarker concentration
-    where the virus value is present is an error (division blows up).
+    where the virus value is present, or one so small that the load
+    overflows, is an error.
     """
     if f_nh4 <= 0:
         raise NonPositiveBiomarkerLoad(f"f_nh4 must be positive, got {f_nh4}")
@@ -97,5 +99,10 @@ def normalize_series(
             raise ZeroBiomarkerConcentration(
                 f"NH4 concentration is {sb.value} at {sv.timestamp} with virus value present"
             )
-        out.append(Sample(sv.timestamp, sv.value * f_nh4 / sb.value))
+        load = sv.value * f_nh4 / sb.value
+        if not math.isfinite(load):
+            raise ZeroBiomarkerConcentration(
+                f"NH4 concentration is {sb.value} at {sv.timestamp}: the normalized load overflows"
+            )
+        out.append(Sample(sv.timestamp, load))
     return TimeSeries(tuple(out))

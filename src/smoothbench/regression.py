@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDesign, InsufficientData
+from .errors import DegenerateDesign, EvaluationFailure, InsufficientData
 from .timeseries import TimeSeries
 
 
@@ -35,9 +35,21 @@ class LinearFit:
 
 
 def fit_linear(pairs: Sequence[LoadIncidencePair]) -> LinearFit:
-    """Ordinary least squares of incidence on load, closed form."""
+    """Ordinary least squares of incidence on load, closed form.
+
+    A fit whose sums or slope overflow is an ``EvaluationFailure``: the
+    values are beyond its arithmetic.
+    """
     if len(pairs) < 2:
         raise InsufficientData(f"need at least 2 pairs, got {len(pairs)}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _least_squares(pairs)
+    except FloatingPointError as exc:
+        raise EvaluationFailure(f"the linear fit overflows on these values: {exc}") from exc
+
+
+def _least_squares(pairs: Sequence[LoadIncidencePair]) -> LinearFit:
     x = np.array([p.load for p in pairs], dtype=float)
     y = np.array([p.incidence for p in pairs], dtype=float)
     x_mean = float(x.mean())
@@ -45,8 +57,8 @@ def fit_linear(pairs: Sequence[LoadIncidencePair]) -> LinearFit:
     sxx = float(((x - x_mean) ** 2).sum())
     if sxx == 0.0:
         raise DegenerateDesign("all load values identical; slope is undefined")
-    sxy = float(((x - x_mean) * (y - y_mean)).sum())
-    slope = sxy / sxx
+    sxy = ((x - x_mean) * (y - y_mean)).sum()  # a numpy scalar: its quotient raises too
+    slope = float(sxy / sxx)
     intercept = y_mean - slope * x_mean
     resid = y - (slope * x + intercept)
     sse = float(resid @ resid)

@@ -8,7 +8,7 @@ before any smoother runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Iterable, Sequence
 
@@ -21,8 +21,6 @@ from .errors import (
 )
 
 MISSING = None
-
-_RECORD_FIELDS = ("c_virus", "q_flow", "c_nh4", "active_cases", "incidence_7d")
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,12 @@ class SurveillanceRecord:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
+
+
+# the numeric fields, in declaration order
+_RECORD_FIELDS = tuple(
+    f.name for f in fields(SurveillanceRecord) if f.name not in ("site", "timestamp")
+)
 
 
 def build_series(records: Sequence[SurveillanceRecord], field: str) -> TimeSeries:

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -19,6 +19,7 @@ import smoothbench.pipeline as pipeline
 from smoothbench.calibration import OBJECTIVES, GaConfig
 from smoothbench.cli import main
 from smoothbench.csvio import (
+    NUMERIC_COLUMNS,
     SURVEILLANCE_COLUMNS,
     UnitConfig,
     fmt,
@@ -36,6 +37,7 @@ from smoothbench.smoothers import (
     make_spec,
 )
 from smoothbench.synthetic import bundled_records
+from smoothbench.timeseries import SurveillanceRecord
 
 
 @pytest.fixture
@@ -109,6 +111,23 @@ class TestReadSurveillanceCsv:
         assert record.c_virus == 100.0
         assert record.q_flow == 539500.0
         assert record.c_nh4 == 30.0
+
+    def test_table_names_each_record_field_once(self):
+        numeric = [f.name for f in fields(SurveillanceRecord)
+                   if f.name not in ("site", "timestamp")]
+        assert sorted(c.field for c in NUMERIC_COLUMNS) == sorted(numeric)
+
+    @pytest.mark.parametrize("first, second", [
+        (i, j) for i in range(len(NUMERIC_COLUMNS)) for j in range(i + 1, len(NUMERIC_COLUMNS))
+    ])
+    def test_first_bad_cell_in_file_order_is_reported(self, tmp_path, first, second):
+        path = tmp_path / "row.csv"
+        cells = ["bad" if k in (first, second) else "1" for k in range(len(NUMERIC_COLUMNS))]
+        path.write_text(",".join(["date", "site"] + [c.header for c in NUMERIC_COLUMNS])
+                        + "\n" + ",".join(["2020-10-01", "A"] + cells) + "\n")
+        header = NUMERIC_COLUMNS[first].header
+        with pytest.raises(ParseError, match=f"^line 2: cannot parse {header}='bad'"):
+            read_surveillance_csv(str(path))
 
     def test_round_trip_lossless(self, tmp_path, surveillance_csv):
         records = read_surveillance_csv(surveillance_csv)
@@ -789,10 +808,10 @@ _CELL = st.one_of(st.none(), st.just(0.0), st.floats(1e-300, 1e300))
 
 @st.composite
 def _surveillance_rows(draw):
-    """(step in days, rows of (virus, flow, nh4) in file units), T from 3 to 24."""
+    """(step in days, rows of (virus, flow, nh4, incidence) in file units), T from 3 to 24."""
     n = draw(st.integers(3, 24))
     step = draw(st.sampled_from([1, 3, 7]))
-    cells = st.tuples(_CELL, _CELL, st.one_of(st.just(0.0), _CELL))
+    cells = st.tuples(_CELL, _CELL, st.one_of(st.just(0.0), _CELL), _CELL)
     if draw(st.booleans()):
         rows = [draw(cells)] * n
     else:
@@ -802,7 +821,7 @@ def _surveillance_rows(draw):
 
 def _write_surveillance(path, step, rows):
     start = date(2021, 1, 1)
-    lines = [",".join(SURVEILLANCE_COLUMNS)]
+    lines = [",".join(SURVEILLANCE_COLUMNS + ("incidence_7d_per_100k",))]
     for i, cells in enumerate(rows):
         day = start + timedelta(days=step * i)
         lines.append(",".join([day.isoformat(), "A"] + ["" if c is None else repr(c)
@@ -811,10 +830,18 @@ def _write_surveillance(path, step, rows):
 
 
 # the KAL repro: 6e153 copies/L after the unit factor, which no method is scored on
-_KAL_OVERFLOW = (1, [(v, 5e5, 30.0) for v in (0.0, 1e-3, 0.0, 6e150, 0.0, 1e-3, 2e-3)])
+_KAL_OVERFLOW = (1, [(v, 5e5, 30.0, 10.0) for v in (0.0, 1e-3, 0.0, 6e150, 0.0, 1e-3, 2e-3)])
 # VAR features near 1e196, whose squares overflow in the z-scores of the
 # clustering and of the combined objective
-_VAR_OVERFLOW = (1, [(1e96 * (1.0 + (i * 7) % 5), 5e5, 30.0) for i in range(12)])
+_VAR_OVERFLOW = (1, [(1e96 * (1.0 + (i * 7) % 5), 5e5, 30.0, 10.0) for i in range(12)])
+# about 1e203 copies/L, past the bound that calibrate, as smooth, keeps
+_CALIBRATE_HUGE = (1, [((1 + 0.05 * i) * 1e200, 5e5, 30.0, 10.0) for i in range(20)])
+# an NH4 cell of 1e-300 mg/L, on which the normalized load overflows
+_NH4_NEAR_ZERO = (1, [(1e10 * (1 + 2 * i / 7), 100.0, 1e-300 if i == 4 else 30.0, 10.0 + i)
+                      for i in range(8)])
+_NH4_ERROR = "error: NH4 concentration is 1.0000000000000001e-303 at 2021-01-05: the normalized"
+# normalized loads near 4e205, whose squares overflow in the load-incidence fit
+_LOAD_OVERFLOW = (1, [(1e200 * (1 + 0.1 * i), 100.0, 30.0, 10.0 + i) for i in range(8)])
 
 
 class TestErrorContract:
@@ -843,6 +870,8 @@ class TestErrorContract:
     @given(site=_surveillance_rows())
     @example(site=_KAL_OVERFLOW)
     @example(site=_VAR_OVERFLOW)
+    @example(site=_NH4_NEAR_ZERO)
+    @example(site=_LOAD_OVERFLOW)
     def test_benchmark_and_report(self, site, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "worker_count", lambda methods: 1)
         path = tmp_path / "site.csv"
@@ -854,8 +883,12 @@ class TestErrorContract:
                                   "--signal", signal, "--objective", objective,
                                   "--ga-pop", "3", "--ga-iters", "1"], capsys)
                 if rc == 0:
-                    self._check(["report", "--report", str(out / "report.json"),
-                                 "--out", str(out / "again")], capsys)
+                    report = str(out / "report.json")
+                    self._check(["report", "--report", report, "--out", str(out / "again")],
+                                capsys)
+                    for kind in ("raw", "normalized") if signal == "both" else (signal,):
+                        self._check(["regress", "--input", str(path), "--report", report,
+                                     "--signal", kind, "--out", str(out / "fit.csv")], capsys)
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -869,3 +902,39 @@ class TestErrorContract:
                       for name, value in default_spec(method).named_params().items()]
             self._check(["smooth", "--method", method.value, *params, "--input", str(path),
                          "--out", str(tmp_path / "smoothed.csv")], capsys)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=_surveillance_rows())
+    @example(site=_CALIBRATE_HUGE)
+    @example(site=_NH4_NEAR_ZERO)
+    @example(site=_LOAD_OVERFLOW)
+    def test_calibrate_normalize_regress(self, site, tmp_path, capsys):
+        path = tmp_path / "site.csv"
+        _write_surveillance(path, *site)
+        out = str(tmp_path / "out")
+        for method in PARAMETRIC_METHODS:
+            self._check(["calibrate", "--method", method.value, "--input", str(path),
+                         "--ga-pop", "3", "--ga-iters", "1", "--out", out], capsys)
+        self._check(["normalize", "--input", str(path), "--out", out], capsys)
+        self._check(["regress", "--input", str(path), "--raw-loads", "--out", out], capsys)
+
+    @pytest.mark.parametrize("site, argv, code, message", [
+        (_CALIBRATE_HUGE, ["calibrate", "--method", "sgf", "--ga-pop", "4", "--ga-iters", "1"],
+         2, "error: EvaluationFailure: sgf is not calibrated on values past 1e+150"),
+        (_NH4_NEAR_ZERO, ["normalize", "--f-nh4", "10.71"], 1, _NH4_ERROR),
+        (_NH4_NEAR_ZERO, ["regress", "--raw-loads"], 1, _NH4_ERROR),
+        (_NH4_NEAR_ZERO, ["benchmark", "--signal", "normalized", "--ga-pop", "3",
+                          "--ga-iters", "1"], 1, _NH4_ERROR),
+        (_LOAD_OVERFLOW, ["regress", "--raw-loads", "--f-nh4", "10.71"],
+         2, "error: EvaluationFailure: the linear fit overflows"),
+    ], ids=["calibrate", "normalize", "regress-nh4", "benchmark-nh4", "regress-overflow"])
+    def test_pinned_repros(self, site, argv, code, message, tmp_path, capsys):
+        path = tmp_path / "site.csv"
+        _write_surveillance(path, *site)
+        argv = argv + ["--input", str(path), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

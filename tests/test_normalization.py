@@ -63,6 +63,12 @@ class TestNormalizeSeries:
         with pytest.raises(ZeroBiomarkerConcentration):
             normalize_series(virus, nh4, 10.71)
 
+    def test_load_overflow_names_the_date(self):
+        virus = TimeSeries.from_values([1e13, 1e13])
+        nh4 = TimeSeries.from_values([0.03, 1e-303])
+        with pytest.raises(ZeroBiomarkerConcentration, match="2020-10-02"):
+            normalize_series(virus, nh4, 10.71)
+
     def test_missing_propagates(self):
         virus = TimeSeries.from_values([1e5, None, 2e5])
         nh4 = TimeSeries.from_values([0.03, 0.03, None])

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoothbench.errors import DegenerateDesign, InsufficientData
+from smoothbench.errors import DegenerateDesign, EvaluationFailure, InsufficientData
 from smoothbench.regression import (
     LoadIncidencePair,
     fit_linear,
@@ -72,6 +76,33 @@ class TestFitLinear:
     def test_too_few(self):
         with pytest.raises(InsufficientData):
             fit_linear(pairs_from([1.0], [1.0]))
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([4e205, 4.4e205, 4.8e205], [10.0, 11.0, 12.0]),  # the sum of squared loads
+        ([0.0, 1e-160], [0.0, 1e300]),  # the slope, from a subnormal sum of squares
+        ([1.0, 2.0, 3.0], [1e200, 0.0, 1e200]),  # the squared incidence
+    ])
+    def test_overflow_is_evaluation_failure(self, xs, ys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailure, match="overflows"):
+                fit_linear(pairs_from(xs, ys))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(0, 1e150), st.floats(0, 1e150)), min_size=2,
+                    max_size=30))
+    def test_same_bits_as_the_unguarded_closed_form(self, rows):
+        """The overflow guard changes no digit of a fit that does not overflow."""
+        xs, ys = (np.array(col) for col in zip(*rows))
+        x_mean, y_mean = float(xs.mean()), float(ys.mean())
+        sxx = float(((xs - x_mean) ** 2).sum())
+        if sxx == 0.0:
+            return
+        slope = float(((xs - x_mean) * (ys - y_mean)).sum()) / sxx
+        if not np.isfinite(slope):
+            return
+        fit = fit_linear(pairs_from(xs, ys))
+        assert (fit.slope, fit.intercept) == (slope, y_mean - slope * x_mean)
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):
