@@ -5,10 +5,10 @@ A surveillance file holds ``date``, ``site`` and the columns of
 (the CLI's ``--field``), header, ``SurveillanceRecord`` field and unit factors.
 A column with unit factors is required, read in the unit ``UnitConfig`` names
 (by default the first: virus copies/ml, flow m3/d, NH4 mg/L) and converted to
-the internal convention (copies/L, L/d, g/L); the others are optional.  The
-reader, the writer and the CLI's flags derive from this table, so a new column
-is one row.  Empty cells mean missing.  All numbers are emitted with 17
-significant digits so a read-back is bit-exact.
+the internal convention (copies/L, L/d, g/L), where it must stay finite; the
+others are optional.  The reader, the writer and the CLI's flags derive from
+this table, so a new column is one row.  Empty cells mean missing.  All
+numbers are emitted with 17 significant digits so a read-back is bit-exact.
 """
 from __future__ import annotations
 
@@ -76,7 +76,8 @@ def fmt(x: float | None) -> str:
     return f"{x:.17g}"
 
 
-def _parse_float(cell: str, column: str, line: int) -> float | None:
+def _parse_float(cell: str, column: str, line: int, factor: float = 1.0) -> float | None:
+    """The cell's number times the unit ``factor``; None for an empty cell."""
     cell = cell.strip()
     if cell == "":
         return None
@@ -86,7 +87,9 @@ def _parse_float(cell: str, column: str, line: int) -> float | None:
         raise ParseError(f"line {line}: cannot parse {column}={cell!r} as a number") from None
     if not math.isfinite(value):
         raise ParseError(f"line {line}: {column}={cell!r} is not a finite number")
-    return value
+    if not math.isfinite(value * factor):
+        raise ParseError(f"line {line}: {column}={cell!r} overflows on its unit factor {factor:g}")
+    return value * factor
 
 
 def _parse_date(cell: str, line: int) -> date:
@@ -124,10 +127,10 @@ def read_surveillance_csv(
             site = (row["site"] or "").strip()
             if not site:
                 raise ParseError(f"line {line}: empty site identifier")
-            values = {}
-            for column, factor in present:
-                value = _parse_float(row[column.header] or "", column.header, line)
-                values[column.field] = None if value is None else value * factor
+            values = {
+                column.field: _parse_float(row[column.header] or "", column.header, line, factor)
+                for column, factor in present
+            }
             try:
                 records.append(SurveillanceRecord(site=site, timestamp=when, **values))
             except ValueError as exc:

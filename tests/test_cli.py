@@ -802,8 +802,9 @@ class TestBlasThreads:
             assert threads == "1"  # numpy's OpenBLAS started no thread of its own
 
 
-# a cell of a generated surveillance file: missing, zero or 1e-300..1e300
-_CELL = st.one_of(st.none(), st.just(0.0), st.floats(1e-300, 1e300))
+# a cell of a generated surveillance file: missing, zero, or positive from the
+# smallest subnormal to the largest finite double
+_CELL = st.one_of(st.none(), st.just(0.0), st.floats(5e-324, sys.float_info.max))
 
 
 @st.composite
@@ -842,6 +843,9 @@ _NH4_NEAR_ZERO = (1, [(1e10 * (1 + 2 * i / 7), 100.0, 1e-300 if i == 4 else 30.0
 _NH4_ERROR = "error: NH4 concentration is 1.0000000000000001e-303 at 2021-01-05: the normalized"
 # normalized loads near 4e205, whose squares overflow in the load-incidence fit
 _LOAD_OVERFLOW = (1, [(1e200 * (1 + 0.1 * i), 100.0, 30.0, 10.0 + i) for i in range(8)])
+# 1e306 copies/ml, finite in the file, is 1e309 copies/L after the unit factor
+_UNIT_OVERFLOW = (1, [(v, 100.0, 30.0, 10.0) for v in (1e306, 2e10, 3e10)])
+_UNIT_ERROR = "error: line 2: virus_copies_per_ml='1e+306' overflows on its unit factor 1000"
 
 
 class TestErrorContract:
@@ -909,10 +913,14 @@ class TestErrorContract:
     @example(site=_CALIBRATE_HUGE)
     @example(site=_NH4_NEAR_ZERO)
     @example(site=_LOAD_OVERFLOW)
+    @example(site=_UNIT_OVERFLOW)
     def test_calibrate_normalize_regress(self, site, tmp_path, capsys):
         path = tmp_path / "site.csv"
         _write_surveillance(path, *site)
         out = str(tmp_path / "out")
+        echo = str(tmp_path / "echo.csv")
+        if self._check(["ingest", "--input", str(path), "--out", echo], capsys) == 0:
+            assert self._check(["ingest", "--input", echo, "--out", out], capsys) == 0
         for method in PARAMETRIC_METHODS:
             self._check(["calibrate", "--method", method.value, "--input", str(path),
                          "--ga-pop", "3", "--ga-iters", "1", "--out", out], capsys)
@@ -928,7 +936,11 @@ class TestErrorContract:
                           "--ga-iters", "1"], 1, _NH4_ERROR),
         (_LOAD_OVERFLOW, ["regress", "--raw-loads", "--f-nh4", "10.71"],
          2, "error: EvaluationFailure: the linear fit overflows"),
-    ], ids=["calibrate", "normalize", "regress-nh4", "benchmark-nh4", "regress-overflow"])
+        (_UNIT_OVERFLOW, ["ingest"], 1, _UNIT_ERROR),
+        (_UNIT_OVERFLOW, ["smooth", "--method", "sma", "--param", "window=3"], 1, _UNIT_ERROR),
+        (_UNIT_OVERFLOW, ["normalize", "--f-nh4", "10.71"], 1, _UNIT_ERROR),
+    ], ids=["calibrate", "normalize", "regress-nh4", "benchmark-nh4", "regress-overflow",
+            "ingest-unit", "smooth-unit", "normalize-unit"])
     def test_pinned_repros(self, site, argv, code, message, tmp_path, capsys):
         path = tmp_path / "site.csv"
         _write_surveillance(path, *site)

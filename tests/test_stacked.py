@@ -17,6 +17,10 @@ of the deletion series.
 The window rules that SMA, RRM, SUP and ADP share (clipped boundary windows,
 prefix-sum window sums, ADP's F-test) are checked against copies of the
 per-smoother forms they replaced.
+
+RRM and TUK, whose fixpoint loop recomputes only the columns a pass can
+change, are checked against a copy of the loop that recomputed every column
+with ``np.median``.
 """
 import math
 from datetime import date, timedelta
@@ -585,7 +589,8 @@ def assert_window_rules_match_reference(stack: np.ndarray, window: int) -> None:
     for y in (stack, stack[0]):
         assert_bits_equal(simple_moving_average(y, window),
                           reference_moving_average(y, window), f"sma {window}")
-        assert_bits_equal(basic._running_median(y, window),
+        every = np.arange(y.shape[-1])
+        assert_bits_equal(basic._running_median(y, window, every),
                           reference_running_median(y, window), f"median {window}")
         k = min(window, y.shape[-1])
         if k < 3:
@@ -636,6 +641,131 @@ def test_boundary_windows_are_the_clipped_end_windows():
             want = {(j, max(0, j - half), min(n, j + half + 1))
                     for j in range(n) if j < half or j >= n - half}
             assert got == want, (n, half)
+
+
+# --- RRM and TUK against a copy of the loop that recomputed every column ---
+
+
+def reference_fixpoint(step, y, max_passes):
+    """The fixpoint loop that recomputed every column of every active row.
+
+    Also returns the number of passes each row ran.
+    """
+    cur = np.array(y, dtype=float)
+    rows = cur.reshape(-1, cur.shape[-1])
+    active = np.arange(len(rows))
+    passes = np.zeros(len(rows), dtype=int)
+    for _ in range(max_passes):
+        if not active.size:
+            break
+        passes[active] += 1
+        before = rows[active]
+        nxt = step(before)
+        moved = ~np.all(nxt == before, axis=-1)
+        rows[active[moved]] = nxt[moved]
+        active = active[moved]
+    return cur, passes
+
+
+def reference_median_of_three(rows):
+    nxt = rows.copy()
+    nxt[:, 1:-1] = np.median(sliding_window_view(rows, 3, axis=-1), axis=-1)
+    return nxt
+
+
+def assert_fixpoints_match_reference(stack: np.ndarray, window: int) -> np.ndarray:
+    """RRM at ``window`` and TUK on the stack and on its first row, bitwise.
+
+    Returns the number of passes each row of the stack ran in RRM.
+    """
+    for y in (stack[0], stack):
+        want, passes = reference_fixpoint(lambda rows: reference_running_median(rows, window),
+                                          y, basic.RRM_MAX_PASSES)
+        assert_bits_equal(basic.repeated_running_median(y, window), want, f"rrm {window}")
+        if y.shape[-1] >= 3:
+            want, _ = reference_fixpoint(reference_median_of_three, y, max(y.shape[-1], 8))
+            assert_bits_equal(basic.tukey_3r(y), want, "tuk")
+    return passes
+
+
+@st.composite
+def fixpoint_stacks(draw):
+    """An odd window of 3..21 points and a stack of 1 to 3 * window points.
+
+    The values are a scaled random walk, signed zeros among a few small
+    integers, or positive values near the largest double.
+    """
+    window = draw(st.sampled_from(range(3, 22, 2)))
+    n = draw(st.integers(1, 3 * window))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["walk", "signed_zeros", "huge"]))
+    if kind == "walk":
+        scale = 10.0 ** draw(st.integers(-3, 17))
+        y = scale * (np.cumsum(gen.normal(size=n)) + gen.standard_t(3, size=n))
+    elif kind == "signed_zeros":
+        y = gen.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=n)
+    else:
+        y = 1e308 * gen.uniform(0.9, 1.79, size=n)
+    with np.errstate(over="ignore"):
+        stack = deletion_stack(y) if n > 1 else y[None, :]
+    if kind == "signed_zeros":
+        stack = np.vstack((stack, gen.choice([-0.0, 0.0, 1.0], size=(3, n))))
+    return window, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixpoint_stacks())
+def test_fixpoints_match_the_every_column_loop(case):
+    window, stack = case
+    # near the largest double an even boundary window overflows to inf, as
+    # np.median's does
+    with np.errstate(over="ignore"):
+        assert_fixpoints_match_reference(stack, window)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_fixpoints_on_degenerate_inputs(name):
+    stack = deletion_stack(DEGENERATE[name])
+    for window in range(3, 22, 2):
+        assert_fixpoints_match_reference(stack, window)
+
+
+def test_rows_at_the_pass_cap_match(rng):
+    # RRM's even end windows keep most random rows moving until the cap
+    y = np.cumsum(rng.normal(size=30)) + rng.standard_t(3, size=30)
+    for window in (3, 5, 9, 21):
+        passes = assert_fixpoints_match_reference(deletion_stack(y), window)
+        assert (passes == basic.RRM_MAX_PASSES).any(), window
+
+
+def test_odd_windows_near_the_largest_double_do_not_overflow(rng):
+    # an odd window's median is its middle value, never a sum that overflows
+    y = 1.7e308 * rng.uniform(0.9, 1.0, size=(4, 40))
+    for window in range(3, 22, 2):
+        h = window // 2
+        interior = np.arange(h, 40 - h)
+        with np.errstate(over="raise"):
+            got = basic._running_median(y, window, interior)
+        with np.errstate(over="ignore"):  # the even end windows overflow
+            want = reference_running_median(y, window)[:, interior]
+        assert_bits_equal(got, want, f"median {window}")
+        assert np.isfinite(got).all()
+
+
+def test_later_passes_recompute_only_columns_near_a_change(monkeypatch, rng):
+    asked = []
+    median = basic._running_median
+
+    def recording(y, window, cols):
+        asked.append(len(cols))
+        return median(y, window, cols)
+
+    monkeypatch.setattr(basic, "_running_median", recording)
+    y = np.cumsum(rng.normal(size=60))
+    basic.repeated_running_median(deletion_stack(y), 5)
+    assert asked[0] == 60
+    assert max(asked[2:]) < 60
+    assert len(asked) == basic.RRM_MAX_PASSES
 
 
 def _sse_values(gen: np.random.Generator) -> np.ndarray:
