@@ -35,7 +35,7 @@ from .errors import (
     SmoothbenchError,
 )
 from .clustering import column_std
-from .evaluation import PerformanceIndex, evaluate_method
+from .evaluation import LoocvEvaluator, PerformanceIndex, evaluate_method
 from .smoothers import (
     PARAM_SPECS,
     MethodId,
@@ -274,7 +274,7 @@ class _FitnessCache:
 
 def calibrate(
     method: MethodId,
-    series: TimeSeries,
+    series: "TimeSeries | LoocvEvaluator",
     config: GaConfig | None = None,
     objective: "str | Callable[[tuple[float, ...]], float]" = "aic",
 ) -> CalibrationResult:
@@ -282,7 +282,9 @@ def calibrate(
 
     ``objective`` is one of {"aic", "mae", "combined"} (computed from the
     LOOCV evaluation) or a callable mapping a repaired parameter tuple to a
-    fitness value, lower is better (used for surrogate tests).
+    fitness value, lower is better (used for surrogate tests).  Every LOOCV
+    evaluation goes through one evaluator of ``method`` on ``series``:
+    ``series`` itself if it is one, else a new one.
     """
     method = MethodId(method)
     config = config or GaConfig()
@@ -301,9 +303,10 @@ def calibrate(
         # aic and mae read only the LOOCV diagonal, so the cache holds just
         # that number; combined z-scores all three indices
         read = None if objective == "combined" else objective
+        evaluator = LoocvEvaluator.of(method, series)
 
         def evaluate(genome: tuple[float, ...]) -> "PerformanceIndex | float":
-            return evaluate_method(SmootherSpec(method, genome), series, objective=read)
+            return evaluate_method(SmootherSpec(method, genome), evaluator, objective=read)
 
         def smoother_key(genome: tuple[float, ...]) -> tuple[float, ...]:
             return _quantize(effective_params(SmootherSpec(method, genome)))

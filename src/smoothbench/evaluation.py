@@ -14,17 +14,33 @@ method or ADP computes it without the full matrix, so a GA that scores
 genomes by AIC or MAE never builds a T x T matrix.  The full matrix is built
 when the VAR index or the confidence band first reads it.  ADP builds it from
 one window fit per (point, window slot), not from T deletion smooths.
+
+A :class:`LoocvEvaluator` holds one method's LOOCV inputs on one series: the
+values, their deletion imputations, the deletion stack and the method's
+``loocv_state`` (SUP's bass-free stage, ADP's table of diagonal window
+fits).  Each is computed once, when first read, and serves every parameter
+vector scored through the evaluator, so a GA run computes them once.  It
+stands in for its series wherever this module takes one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import EvaluationFailure, InsufficientData
-from .smoothers import SmootherSpec, deletion_loocv, linear_parts
+from .smoothers import (
+    MethodId,
+    SmootherSpec,
+    deletion_loocv,
+    deletion_stack,
+    linear_parts,
+    loocv_state,
+)
+from .smoothers.windows import read_only
 # perfbench's traced mode wraps these two names here, so they stay importable
 from .smoothers import apply_to_values, linear_operator  # noqa: F401
 from .timeseries import TimeSeries, percentile
@@ -38,14 +54,15 @@ class LoocvMatrix:
     ``diagonal`` is held from the start.  A matrix made by :meth:`deferred`
     is built the first time ``matrix`` is read and then kept; its builder is
     dropped, with whatever operator or deletion inputs the builder held.
+    ``source`` may be an evaluator, which stands for its series.
     """
 
-    def __init__(self, matrix, source: TimeSeries):
+    def __init__(self, matrix, source: "TimeSeries | LoocvEvaluator"):
         m = np.asarray(matrix, dtype=float)
         t = len(source)
         if m.shape != (t, t):
             raise ValueError(f"matrix shape {m.shape} does not match series length {t}")
-        self.source = source
+        self.source = source.series if isinstance(source, LoocvEvaluator) else source
         self.diagonal = np.diag(m)
         self._matrix = m
         self._build: "Callable[[], np.ndarray] | None" = None
@@ -116,51 +133,111 @@ def deletion_imputations(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return imp
 
 
-def build_loocv_matrix(spec: SmootherSpec, series: TimeSeries) -> LoocvMatrix:
-    """Delete, impute and re-smooth once per sample; columns stack the results.
+class LoocvEvaluator:
+    """The LOOCV of one method on one gap-free series, for any parameter vector.
 
-    Column t is the smoother applied to the series with x_t replaced by its
-    deletion imputation.  For a linear method (``linear_parts`` gives its
-    smooth, operator diagonal and operator builder) that is computed as a
-    rank-one update of one application (same map, fewer passes).  ADP's
-    ``deletion_loocv`` gives its diagonal and a builder of the matrix from one
-    window fit per (point, window slot).  The other data-adaptive methods
-    smooth the stack of all T deletion series in one call.  The diagonal is
-    computed now; for the linear methods and ADP the matrix, and with it a
-    linear method's dense operator, waits until it is read.
+    ``loocv(spec)`` is the LOOCV matrix of ``spec``, the same bits as
+    without the evaluator.  The values, their deletion imputations, the
+    deletion stack and the method's ``loocv_state`` are computed when first
+    read, kept read-only and shared by every later call; they live as long
+    as the evaluator.  A series with a gap raises InsufficientData on each
+    call, as the LOOCV of such a series does.
     """
-    if not series.is_gap_free():
-        raise InsufficientData("LOOCV input must be gap-free; impute first")
-    y = series.values()
-    parts = linear_parts(spec, y)  # raises SeriesTooShort first
-    imp = deletion_imputations(y, series.day_index())
-    if parts is not None:
-        # the direct algorithm gives the base application (bit-faithful for
-        # e.g. constants); the operator supplies the per-deletion correction,
-        # elementwise as in the matrix
-        base, operator_diagonal, operator_of = parts
-        step = imp - y
 
-        def matrix() -> np.ndarray:
-            # base[:, None] + operator * step[None, :], with one T x T temporary
-            out = operator_of() * step[None, :]
-            out += base[:, None]
-            return out
+    def __init__(self, method: MethodId, series: TimeSeries):
+        self.method = MethodId(method)
+        self.series = series
+        self._gap_free = series.is_gap_free()
 
-        return LoocvMatrix.deferred(series, base + operator_diagonal * step, matrix)
-    fast = deletion_loocv(spec, y, imp)
-    if fast is not None:
-        return LoocvMatrix.deferred(series, *fast)
-    return LoocvMatrix(_deletion_smooths(spec, y, imp), series)
+    @classmethod
+    def of(cls, method: MethodId, source: "TimeSeries | LoocvEvaluator") -> "LoocvEvaluator":
+        """``source`` if it is an evaluator, else a new evaluator of ``method`` on it."""
+        return source if isinstance(source, cls) else cls(method, source)
+
+    def __len__(self) -> int:
+        return len(self.series)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return read_only(self.series.values())
+
+    @cached_property
+    def imp(self) -> np.ndarray:
+        return read_only(deletion_imputations(self.y, self.series.day_index()))
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return read_only(deletion_stack(self.y, self.imp))
+
+    @cached_property
+    def state(self) -> object:
+        return loocv_state(self.method, self.y, self.imp)
+
+    def loocv(self, spec: SmootherSpec) -> LoocvMatrix:
+        """Delete, impute and re-smooth once per sample; columns stack the results.
+
+        Column t is the smoother applied to the series with x_t replaced by
+        its deletion imputation.  For a linear method (``linear_parts``
+        gives its smooth, operator diagonal and operator builder) that is
+        computed as a rank-one update of one application (same map, fewer
+        passes).  ADP's ``deletion_loocv`` gives its diagonal and a builder
+        of the matrix from one window fit per (point, window slot).  The
+        other data-adaptive methods smooth the deletion stack in one call.
+        The diagonal is computed now; for the linear methods and ADP the
+        matrix, and with it a linear method's dense operator, waits until it
+        is read.
+        """
+        if spec.method is not self.method:
+            raise ValueError(f"an evaluator of {self.method.value} cannot score {spec}")
+        if not self._gap_free:
+            raise InsufficientData("LOOCV input must be gap-free; impute first")
+        y = self.y
+        parts = linear_parts(spec, y)  # raises SeriesTooShort first
+        imp = self.imp
+        if parts is not None:
+            # the direct algorithm gives the base application (bit-faithful for
+            # e.g. constants); the operator supplies the per-deletion correction,
+            # elementwise as in the matrix
+            base, operator_diagonal, operator_of = parts
+            step = imp - y
+
+            def matrix() -> np.ndarray:
+                # base[:, None] + operator * step[None, :], with one T x T temporary
+                out = operator_of() * step[None, :]
+                out += base[:, None]
+                return out
+
+            return LoocvMatrix.deferred(self.series, base + operator_diagonal * step, matrix)
+        fast = deletion_loocv(spec, y, imp, self.state)
+        if fast is not None:
+            return LoocvMatrix.deferred(self.series, *fast)
+        return LoocvMatrix(_deletion_smooths(spec, y, imp, self.stack, self.state), self.series)
 
 
-def _deletion_smooths(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> np.ndarray:
-    """Column i: the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``."""
-    deleted = np.tile(y, (len(y), 1))  # row i: the series with x_i deleted
-    np.fill_diagonal(deleted, imp)
+def build_loocv_matrix(
+    spec: SmootherSpec, series: "TimeSeries | LoocvEvaluator"
+) -> LoocvMatrix:
+    """``spec``'s LOOCV matrix on ``series``, or on the series of an evaluator
+    of ``spec.method`` (see ``LoocvEvaluator.loocv``)."""
+    return LoocvEvaluator.of(spec.method, series).loocv(spec)
+
+
+def _deletion_smooths(
+    spec: SmootherSpec,
+    y: np.ndarray,
+    imp: np.ndarray,
+    stack: "np.ndarray | None" = None,
+    state: object = None,
+) -> np.ndarray:
+    """Column i: the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``.
+
+    ``stack`` is ``deletion_stack(y, imp)`` and ``state`` the method's
+    ``loocv_state``, where the caller keeps them.
+    """
+    stack = deletion_stack(y, imp) if stack is None else stack
     # the copy keeps the matrix C-contiguous: var_index sums its rows in
     # memory order, and a transposed view would change the last digits
-    return np.ascontiguousarray(apply_to_values(spec, deleted).T)
+    return np.ascontiguousarray(apply_to_values(spec, stack, state).T)
 
 
 def mae(loocv: LoocvMatrix) -> float:
@@ -215,15 +292,17 @@ def performance_index(
 
 def evaluate_method(
     spec: SmootherSpec,
-    series: TimeSeries,
+    series: "TimeSeries | LoocvEvaluator",
     standard_aic_sign: bool = False,
     objective: "str | None" = None,
 ) -> "PerformanceIndex | float":
     """LOOCV build plus all three indices, or only the one ``objective`` names.
 
-    ``objective`` "aic" or "mae" returns that index alone, read off the
-    diagonal and checked as PerformanceIndex checks it; the full matrix is
-    then never built, and VAR is neither computed nor checked.
+    ``series`` may be an evaluator of ``spec.method``, which keeps its LOOCV
+    inputs across calls.  ``objective`` "aic" or "mae" returns that index
+    alone, read off the diagonal and checked as PerformanceIndex checks it;
+    the full matrix is then never built, and VAR is neither computed nor
+    checked.
     """
     loocv = build_loocv_matrix(spec, series)
     if objective is None:

@@ -52,6 +52,7 @@ from .errors import (
     SmoothbenchError,
 )
 from .evaluation import (
+    LoocvEvaluator,
     LoocvMatrix,
     PerformanceIndex,
     build_loocv_matrix,
@@ -73,11 +74,13 @@ SIGNAL_KINDS = ("raw", "normalized")
 MAX_MAGNITUDE = 1e150  # past it, sums of squares of the values near the largest double
 
 # The jobs of a worker pool, longest first, so that no long one starts last:
-# methods by their measured cost at T=365.  SPL and GAM are the methods that
-# load scipy.linalg, so one worker runs the two back to back and imports it
-# once.  Each method not listed is a job of its own, after these.
+# two jobs keep their order unless their measured cost (in-process, scipy's
+# import included) ranks them the other way both at T=30 and at T=365.  SPL
+# and GAM are the methods that load scipy.linalg, so one worker runs the two
+# back to back and imports it once.  Each method not listed is a job of its
+# own, after these.
 _JOBS = (
-    (MethodId.SUP,), (MethodId.RRM,), (MethodId.SPL, MethodId.GAM), (MethodId.POL,),
+    (MethodId.SUP,), (MethodId.SPL, MethodId.GAM), (MethodId.RRM,), (MethodId.POL,),
     (MethodId.ADP,), (MethodId.KER,), (MethodId.SGF,), (MethodId.ARI,),
 )
 
@@ -234,7 +237,9 @@ def evaluate_one(
 ) -> tuple[MethodOutcome, MethodSmooth | None]:
     """GA-calibrate (if parametric), LOOCV-score and finish one method; shares no state.
 
-    A SmoothbenchError is not raised: it is warned about and recorded in the
+    The GA's evaluations and the final LOOCV build go through one
+    ``LoocvEvaluator``, so what they share is computed once.  A
+    SmoothbenchError is not raised: it is warned about and recorded in the
     outcome, whose smooth is then None.  No method is scored on values past
     ``MAX_MAGNITUDE``.
     """
@@ -243,14 +248,15 @@ def evaluate_one(
     evaluations = 0
     try:
         check_magnitude(method, imputed)
+        evaluator = LoocvEvaluator(method, imputed)
         if parametric:
             result = calibrate(
-                method, imputed, replace(config.ga, seed=seed), objective=config.objective
+                method, evaluator, replace(config.ga, seed=seed), objective=config.objective
             )
             spec, evaluations = result.spec, result.evaluations
         else:
             spec = default_spec(method)
-        loocv = build_loocv_matrix(spec, imputed)
+        loocv = build_loocv_matrix(spec, evaluator)
         index = performance_index(spec, loocv, config.standard_aic_sign)
     except SmoothbenchError as exc:
         warnings.warn(f"method {method.value} failed and is excluded: {exc}")

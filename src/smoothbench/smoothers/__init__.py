@@ -1,6 +1,7 @@
 """The thirteen-method smoothing catalog and its dispatch front door."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,9 +30,15 @@ from .gam import gam_matrix_operator, gam_smoother
 from .kalman import fit_kalman_local_level
 from .kernel import kernel_parts, kernel_regression
 from .localpoly import local_quadratic, local_quadratic_parts
-from .savgol import adaptive_degree_filter, adaptive_degree_loocv, savgol_operator, savitzky_golay
+from .savgol import (
+    DiagonalFits,
+    adaptive_degree_filter,
+    adaptive_degree_loocv,
+    savgol_operator,
+    savitzky_golay,
+)
 from .spline import smoothing_spline
-from .supsmu import super_smoother
+from .supsmu import bass_free_stage, super_smoother
 
 __all__ = [
     "K_PARAMS",
@@ -46,9 +53,11 @@ __all__ = [
     "constrain",
     "default_spec",
     "deletion_loocv",
+    "deletion_stack",
     "effective_params",
     "linear_operator",
     "linear_parts",
+    "loocv_state",
     "make_spec",
     "required_length",
     "validate_spec",
@@ -60,7 +69,10 @@ class _Row(NamedTuple):
     and ``loocv(y, imp, *params)``.
 
     ADP's ``loocv`` gives its LOOCV diagonal and matrix from one window fit
-    per (point, window slot); its smoother takes one series.
+    per (point, window slot); its smoother takes one series.  A method with
+    a ``state`` computes once per series what its LOOCV reads and no
+    parameter changes: ``state(y, imp)``, which its smoother of the deletion
+    stack (SUP) or its ``loocv`` (ADP) takes as a last argument.
     """
 
     smoother: Callable[..., np.ndarray]
@@ -71,6 +83,8 @@ class _Row(NamedTuple):
     # a nonlinear method whose LOOCV matrix needs no T deletion smooths:
     # (LOOCV diagonal, a builder of the LOOCV matrix)
     loocv: "Callable[..., tuple] | None" = None
+    # the parameter-free part of the LOOCV of y, whose deletion imputations are imp
+    state: "Callable[[np.ndarray, np.ndarray], object] | None" = None
 
 
 def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
@@ -107,11 +121,13 @@ _METHODS: dict[MethodId, _Row] = {
     MethodId.KER: _Row(kernel_regression, False, kernel_parts),
     MethodId.SMA: _Row(simple_moving_average, True, _dense_parts(simple_moving_average)),
     MethodId.RRM: _Row(repeated_running_median, True),
-    MethodId.SUP: _Row(super_smoother, True),
+    MethodId.SUP: _Row(
+        super_smoother, True, state=lambda y, imp: bass_free_stage(deletion_stack(y, imp))),
     MethodId.POL: _Row(local_quadratic, False, local_quadratic_parts),
     MethodId.SGF: _Row(savitzky_golay, False, _dense_parts(savitzky_golay, savgol_operator)),
     MethodId.ARI: _Row(ar_smoother, False),
-    MethodId.ADP: _Row(adaptive_degree_filter, False, loocv=adaptive_degree_loocv),
+    MethodId.ADP: _Row(
+        adaptive_degree_filter, False, loocv=adaptive_degree_loocv, state=DiagonalFits),
     MethodId.GAM: _Row(gam_smoother, True, _dense_parts(gam_smoother, gam_matrix_operator)),
 }
 
@@ -126,7 +142,7 @@ def _checked_params(spec: SmootherSpec, n: int) -> tuple:
     return tuple(int(p) if b.integer else p for b, p in zip(spec.bounds, spec.params))
 
 
-def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
+def apply_to_values(spec: SmootherSpec, y: np.ndarray, state: object = None) -> np.ndarray:
     """Run a smoother over gap-free values: one series (T,) or a stack (B, T).
 
     Each row of a stack is smoothed on its own and the result has the shape
@@ -134,21 +150,31 @@ def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
     overflow inside the smoother (Python's ``OverflowError``, or numpy's
     ``FloatingPointError`` under ``np.errstate(raise)``) is an
     ``EvaluationFailure``: the values are beyond the method's arithmetic.
+    ``state``, when ``y`` is the deletion stack of (y0, imp), may be
+    ``loocv_state(spec.method, y0, imp)``; it changes no bit of the result.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected values of shape (T,) or (B, T), got {y.shape}")
     params = _checked_params(spec, y.shape[-1])
     row = _METHODS[spec.method]
-    try:
+    if state is not None:
+        params += (state,)
+    with _beyond_arithmetic(spec.method):
         if y.ndim == 1 or row.stacked:
             return row.smoother(y, *params)
         out = np.empty_like(y)
         for b, values in enumerate(y):
             out[b] = row.smoother(values, *params)
         return out
+
+
+@contextmanager
+def _beyond_arithmetic(method: MethodId):
+    try:
+        yield
     except (OverflowError, FloatingPointError) as exc:
-        raise EvaluationFailure(f"{spec.method.value} failed on these values: {exc}") from exc
+        raise EvaluationFailure(f"{method.value} failed on these values: {exc}") from exc
 
 
 def linear_operator(spec: SmootherSpec, n: int) -> "np.ndarray | None":
@@ -177,18 +203,43 @@ def linear_parts(
     return None if build is None else build(y, *params)
 
 
+def deletion_stack(y: np.ndarray, imp: np.ndarray) -> np.ndarray:
+    """The T deletion series of ``y``: row i is ``y`` with ``y[i]`` replaced by ``imp[i]``."""
+    stack = np.tile(y, (len(y), 1))
+    np.fill_diagonal(stack, imp)
+    return stack
+
+
+def loocv_state(method: MethodId, y: np.ndarray, imp: np.ndarray) -> object:
+    """What every LOOCV of ``method`` on ``y`` (deletion imputations ``imp``)
+    reads and no parameter changes, or None for a method without it.
+
+    SUP's is the bass-free stage of the deletion stack; ADP's a table of its
+    diagonal's window fits, filled as they are asked for.  Pass it to
+    ``apply_to_values`` with the deletion stack, or to ``deletion_loocv``.
+    """
+    build = _METHODS[method].state
+    if build is None:
+        return None
+    with _beyond_arithmetic(method):
+        return build(y, imp)
+
+
 def deletion_loocv(
-    spec: SmootherSpec, y: np.ndarray, imp: np.ndarray
+    spec: SmootherSpec, y: np.ndarray, imp: np.ndarray, state: object = None
 ) -> "tuple[np.ndarray, Callable[[], np.ndarray]] | None":
     """The LOOCV diagonal and a builder of the LOOCV matrix, without T deletion smooths.
 
     Column i of the matrix is the smooth of ``y`` with ``y[i]`` replaced by
     ``imp[i]``, bit for bit, and the diagonal is its entry i.  Returns None
-    for a method without such a form.
+    for a method without such a form.  ``state`` may be
+    ``loocv_state(spec.method, y, imp)``; it changes no bit of the result.
     """
     params = _checked_params(spec, len(y))
     build = _METHODS[spec.method].loocv
-    return None if build is None else build(y, imp, *params)
+    if build is None:
+        return None
+    return build(y, imp, *params) if state is None else build(y, imp, *params, state)
 
 
 def apply_smoother(spec: SmootherSpec, series: TimeSeries) -> TimeSeries:

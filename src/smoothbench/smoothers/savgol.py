@@ -14,7 +14,9 @@ extremum.  The test's critical values are a literal table of the F quantiles
 for every test a valid window makes, so ADP needs no scipy.  Its filter takes
 one series.  Its LOOCV diagonal and full LOOCV matrix take one window fit per
 (point, window slot), since deleting a sample moves the filter only on the
-windows that contain it.
+windows that contain it.  The diagonal's fits depend on the window and the
+degree, not on the degree range: a :class:`DiagonalFits` table keeps them, so
+that the genomes a GA scores on one series fit each (window, degree) once.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .windows import (
     boundary_windows,
     local_design,
     polyfit_window,
+    read_only,
     scaled_powers,
 )
 
@@ -125,15 +128,81 @@ def _choose_degrees(sses: np.ndarray, min_degree: int, window: int) -> np.ndarra
     return chosen
 
 
+def _adaptive_fits(pairs: list, min_degree: int, window: int) -> np.ndarray:
+    """The F-test choice over the (fit, sse) pairs of full-window fits, one pair per degree."""
+    chosen = _choose_degrees(np.array([sse for _, sse in pairs]), min_degree, window)
+    fits = np.array([fit for fit, _ in pairs])
+    return np.take_along_axis(fits, chosen[None, :], axis=0)[0]
+
+
+class DiagonalFits:
+    """The window fits of an ADP LOOCV diagonal, each made when first asked for.
+
+    Entry j of the diagonal is the filter at j of ``y`` with ``y[j]``
+    replaced by ``imp[j]``, a degree choice over fits of j's window.  The
+    table keys those fits by (window, degree): the batched (fit, sse) of
+    every full window, and the (value, sse) of each clipped end window.
+    They read neither the degree range nor any other window, so one table
+    serves every parameter vector on the same ``y`` and ``imp``; its arrays
+    are read-only.
+    """
+
+    def __init__(self, y: np.ndarray, imp: np.ndarray):
+        self.y, self.imp = y, imp
+        self._full: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._ends: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
+
+    def full(self, window: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """(fit, sse) at ``degree`` of every full window, its centre replaced."""
+        key = window, degree
+        if key not in self._full:
+            half = window // 2
+            interior = np.arange(half, len(self.y) - half)
+            local = local_design(interior - half, window, degree, centers=interior)
+            yw = self.y[local.cols]
+            yw[:, half] = self.imp[interior]
+            fit, sse = batched_local_polyfit(yw, local, want_sse=True)
+            self._full[key] = read_only(fit), read_only(sse)
+        return self._full[key]
+
+    def end(self, window: int, degree: int, j: int) -> tuple[float, float]:
+        """(value, sse) at ``degree`` of end point j's clipped window, y[j] replaced."""
+        ends = self._ends.setdefault((window, degree), {})
+        if j not in ends:
+            half = window // 2
+            lo, hi = max(0, j - half), min(len(self.y), j + half + 1)
+            y_win = self.y[lo:hi].copy()
+            y_win[j - lo] = self.imp[j]
+            ends[j] = polyfit_window(y_win, np.arange(lo, hi) - j, degree)
+        return ends[j]
+
+    def diagonal(self, window: int, min_degree: int, max_degree: int) -> np.ndarray:
+        """The filter at every j of ``y`` with ``y[j]`` replaced by ``imp[j]``."""
+        n = len(self.y)
+        half = window // 2
+        out = np.empty(n)
+        pairs = [self.full(window, d) for d in range(min_degree, max_degree + 1)]
+        out[half : n - half] = _adaptive_fits(pairs, min_degree, window)
+        for j, lo, hi in boundary_windows(n, half):
+            out[j] = _degree_choice(
+                lambda d: self.end(window, d, j), hi - lo, min_degree, max_degree)
+        return out
+
+
 def adaptive_degree_filter(
     y: np.ndarray, window: int, min_degree: int, max_degree: int
 ) -> np.ndarray:
     """Adaptive-degree filter of one series: its LOOCV diagonal with nothing replaced."""
-    return adaptive_degree_loocv(y, y, window, min_degree, max_degree)[0]
+    return DiagonalFits(y, y).diagonal(window, min_degree, max_degree)
 
 
 def adaptive_degree_loocv(
-    y: np.ndarray, imp: np.ndarray, window: int, min_degree: int, max_degree: int
+    y: np.ndarray,
+    imp: np.ndarray,
+    window: int,
+    min_degree: int,
+    max_degree: int,
+    fits: "DiagonalFits | None" = None,
 ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """The LOOCV diagonal of the filter and a builder of the full LOOCV matrix.
 
@@ -144,67 +213,65 @@ def adaptive_degree_loocv(
     filter of ``y`` at j.  The full windows of all points go through one
     (m, window) batched fit per degree and replaced slot.  A row of a
     batched fit reads only its own window, so every entry is bit for bit
-    the filter of its own deletion series.
+    the filter of its own deletion series.  ``fits``, a ``DiagonalFits`` of
+    ``y`` and ``imp`` kept by the caller, supplies the diagonal's fits.
     """
     n = len(y)
     half = window // 2
     interior = np.arange(half, n - half)
-    designs = [
-        local_design(interior - half, window, d, centers=interior)
-        for d in range(min_degree, max_degree + 1)
-    ]
-    ends = list(boundary_windows(n, half))
+    fits = DiagonalFits(y, imp) if fits is None else fits
 
-    def full_windows(shift: int, values: np.ndarray) -> np.ndarray:
-        # the filter at every interior j, slot half + shift replaced by values[j + shift]
+    def full_windows(designs: list, shift: int) -> np.ndarray:
+        # the filter at every interior j, slot half + shift replaced by imp[j + shift]
         yw = y[designs[0].cols]
-        yw[:, half + shift] = values[interior + shift]
+        yw[:, half + shift] = imp[interior + shift]
         pairs = [batched_local_polyfit(yw, local, want_sse=True) for local in designs]
-        chosen = _choose_degrees(np.array([sse for _, sse in pairs]), min_degree, window)
-        fits = np.array([fit for fit, _ in pairs])
-        return np.take_along_axis(fits, chosen[None, :], axis=0)[0]
-
-    def end_window(j: int, lo: int, hi: int, i: int, values: np.ndarray) -> float:
-        # the filter at j on its clipped window [lo, hi), slot i replaced by values[i]
-        y_win = y[lo:hi].copy()
-        y_win[i - lo] = values[i]
-        return _adaptive_window_value(y_win, np.arange(lo, hi) - j, min_degree, max_degree)
-
-    def diagonal(values: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        out[interior] = full_windows(0, values)
-        for j, lo, hi in ends:
-            out[j] = end_window(j, lo, hi, j, values)
-        return out
+        return _adaptive_fits(pairs, min_degree, window)
 
     def matrix() -> np.ndarray:
-        out = np.repeat(diagonal(y)[:, None], n, axis=1)
+        designs = [
+            local_design(interior - half, window, d, centers=interior)
+            for d in range(min_degree, max_degree + 1)
+        ]
+        filtered = adaptive_degree_filter(y, window, min_degree, max_degree)
+        out = np.repeat(filtered[:, None], n, axis=1)
         for shift in range(-half, half + 1):
-            out[interior, interior + shift] = full_windows(shift, imp)
-        for j, lo, hi in ends:
+            out[interior, interior + shift] = full_windows(designs, shift)
+        for j, lo, hi in boundary_windows(n, half):
             for i in range(lo, hi):
-                out[j, i] = end_window(j, lo, hi, i, imp)
+                # the filter at j on its clipped window, slot i replaced by imp[i]
+                y_win = y[lo:hi].copy()
+                y_win[i - lo] = imp[i]
+                out[j, i] = _adaptive_window_value(
+                    y_win, np.arange(lo, hi) - j, min_degree, max_degree)
         return out
 
-    return diagonal(imp), matrix
+    return fits.diagonal(window, min_degree, max_degree), matrix
 
 
 def _adaptive_window_value(
     y_win: np.ndarray, offsets: np.ndarray, min_degree: int, max_degree: int
 ) -> float:
-    m = len(y_win)
+    return _degree_choice(
+        lambda d: polyfit_window(y_win, offsets, d), len(y_win), min_degree, max_degree)
+
+
+def _degree_choice(
+    fit: Callable[[int], tuple[float, float]], m: int, min_degree: int, max_degree: int
+) -> float:
+    """The filter's value on one m-point window whose degree-d fit is ``fit(d)``."""
     max_degree = min(max_degree, m - 1)
     d = min(min_degree, m - 1)
-    best_val, best_sse = polyfit_window(y_win, offsets, d)
+    best_val, best_sse = fit(d)
     while d < max_degree:
         if best_sse <= _SSE_TINY:
             break
-        val, sse = polyfit_window(y_win, offsets, d + 1)
+        val, sse = fit(d + 1)
         if _steps_accepted(best_sse, sse, 1, m, d):
             best_val, best_sse, d = val, sse, d + 1
             continue
         if d + 2 <= max_degree:
-            val2, sse2 = polyfit_window(y_win, offsets, d + 2)
+            val2, sse2 = fit(d + 2)
             if _steps_accepted(best_sse, sse2, 2, m, d):
                 best_val, best_sse, d = val2, sse2, d + 2
                 continue

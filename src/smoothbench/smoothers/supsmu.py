@@ -10,14 +10,20 @@ The single tuning knob is the bass control in [0, 10]: 0 leaves the selected
 spans untouched, 10 forces maximal smoothing.  Local linear fits on the
 contiguous nearest-neighbour windows reduce to running sums, so one smoothing
 pass costs O(n).
+
+Everything before the bass enhancement reads no parameter (Friedman, "A
+variable span smoother", 1984): :func:`bass_free_stage` computes it, and
+``super_smoother`` takes it ready-made, so that a GA that scores many bass
+values on one LOOCV deletion stack computes that stage once.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .windows import knn_starts, window_sums
+from .windows import knn_starts, read_only, window_sums
 
 PRIMARY_SPANS = (0.05, 0.2, 0.5)
 _TINY = 1e-30
@@ -63,8 +69,17 @@ def _local_linear(y: np.ndarray, k: int, want_loo: bool = False):
     return fitted, loo
 
 
-def super_smoother(y: np.ndarray, bass: float) -> np.ndarray:
-    """Super smoother of one series (T,) or a stack (B, T) of series."""
+class BassFreeStage(NamedTuple):
+    """The part of a super smooth that no bass value changes, as read-only arrays."""
+
+    fits: np.ndarray  # (3, ..., T): the primary fits, axis 0 over PRIMARY_SPANS
+    resids: np.ndarray  # (3, ..., T): their LOO absolute residuals, smoothed at the midrange
+    best: np.ndarray  # (..., T): index of the span with the smallest smoothed residual
+    spans: np.ndarray  # (..., T): that span
+
+
+def bass_free_stage(y: np.ndarray) -> BassFreeStage:
+    """The primary fits, their smoothed residuals and the argmin spans of ``y``."""
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
     ks = [_span_points(s, n) for s in PRIMARY_SPANS]
@@ -77,14 +92,26 @@ def super_smoother(y: np.ndarray, bass: float) -> np.ndarray:
         fits.append(fitted)
         abs_resids.append(np.abs(loo))
 
-    # axis 0 runs over the primary spans
     smoothed_resids = np.array(
         [np.maximum(_local_linear(r, mid_k), 0.0) for r in abs_resids]
     )
     best = np.argmin(smoothed_resids, axis=0)
     spans = np.array(PRIMARY_SPANS)[best]
+    return BassFreeStage(*map(read_only, (np.array(fits), smoothed_resids, best, spans)))
+
+
+def super_smoother(y: np.ndarray, bass: float, stage: "BassFreeStage | None" = None) -> np.ndarray:
+    """Super smoother of one series (T,) or a stack (B, T) of series.
+
+    ``stage``, when given, is ``bass_free_stage(y)``, computed earlier.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[-1]
+    mid_k = _span_points(PRIMARY_SPANS[1], n)
+    stacked, smoothed_resids, best, spans = bass_free_stage(y) if stage is None else stage
 
     if bass > 0.0:
+        spans = spans.copy()  # the stage's spans are read-only
         woofer_resid = smoothed_resids[-1]
         best_resid = np.take_along_axis(smoothed_resids, best[None], axis=0)[0]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -100,7 +127,6 @@ def super_smoother(y: np.ndarray, bass: float) -> np.ndarray:
     grid = np.array(PRIMARY_SPANS)
     seg = np.clip(np.searchsorted(grid, spans, side="right") - 1, 0, len(grid) - 2)
     frac = (spans - grid[seg]) / (grid[seg + 1] - grid[seg])
-    stacked = np.array(fits)
     below = np.take_along_axis(stacked, seg[None], axis=0)[0]
     above = np.take_along_axis(stacked, seg[None] + 1, axis=0)[0]
     return (1.0 - frac) * below + frac * above

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, marked read-only: for arrays that one call keeps for later calls."""
+    values.flags.writeable = False
+    return values
+
+
 def clipped_bounds(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """Start (inclusive) and stop (exclusive) of centered windows clipped to the series."""
     h = w // 2

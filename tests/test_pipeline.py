@@ -332,11 +332,11 @@ class TestWorkerPool:
             run_benchmark(bundled, "raw", config, jobs=2)
         assert multiprocessing.active_children() == []
 
-    def test_spl_and_gam_share_a_job_after_sup_and_rrm(self):
+    def test_spl_and_gam_share_a_job_between_sup_and_rrm(self):
         methods = (MethodId.TUK, MethodId.GAM, MethodId.RRM, MethodId.SPL, MethodId.SUP,
                    MethodId.KAL)
         assert pl._jobs(methods) == [
-            (MethodId.SUP,), (MethodId.RRM,), (MethodId.SPL, MethodId.GAM),
+            (MethodId.SUP,), (MethodId.SPL, MethodId.GAM), (MethodId.RRM,),
             (MethodId.TUK,), (MethodId.KAL,)]
         assert pl._jobs((MethodId.GAM, MethodId.TUK, MethodId.FFT)) == [
             (MethodId.GAM,), (MethodId.TUK,), (MethodId.FFT,)]

@@ -21,6 +21,10 @@ per-smoother forms they replaced.
 RRM and TUK, whose fixpoint loop recomputes only the columns a pass can
 change, are checked against a copy of the loop that recomputed every column
 with ``np.median``.
+
+A ``LoocvEvaluator`` keeps SUP's bass-free stage and ADP's diagonal window
+fits across parameter vectors; its diagonal, matrix, indices and GA result
+are checked against the stateless path, and its stage and fits are counted.
 """
 import math
 from datetime import date, timedelta
@@ -34,13 +38,16 @@ from scipy.linalg import solve_triangular
 from scipy.special import fdtri
 
 import smoothbench.evaluation as ev
+import smoothbench.pipeline as pl
+import smoothbench.smoothers as smoothers
 import smoothbench.smoothers.basic as basic
 import smoothbench.smoothers.gam as gam
 import smoothbench.smoothers.savgol as savgol
 import smoothbench.smoothers.supsmu as supsmu
-from smoothbench.calibration import repair_genome, search_bounds
+from smoothbench.calibration import GaConfig, calibrate, repair_genome, search_bounds
 from smoothbench.errors import DegenerateLikelihood, SeriesTooShort, SmoothbenchError
 from smoothbench.evaluation import build_loocv_matrix, deletion_imputations
+from smoothbench.pipeline import PipelineConfig
 from smoothbench.smoothers import MethodId, SmootherSpec, apply_to_values
 from smoothbench.smoothers.basic import simple_moving_average
 from smoothbench.smoothers.kalman import VARIANCE_FLOOR_FACTOR, fit_kalman_local_level
@@ -788,3 +795,182 @@ def test_steps_accepted_matches_reference_step(rng):
                 one = [bool(savgol._steps_accepted(a, b, jump, m, d))
                        for a, b in zip(sse_d[::97], sse_up[::97])]
                 assert one == want[::97], (jump, m, d)
+
+
+# --- one LOOCV evaluator per (method, series) against the stateless path ---
+
+
+SUP_BASSES = (6.5, 0.0, 10.0, 0.0, 2.25)  # a bass > 0 first: its enhancement must not
+# leave the kept spans changed for the bass 0 after it
+ADP_FRACTIONS = ((0.5, 0.0, 1.0), (0.5, 0.5, 0.5), (0.5, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.5))
+
+
+def evaluator_specs(method: MethodId, n: int) -> list[SmootherSpec]:
+    """SUP at several basses; ADP at several degree ranges per window."""
+    if method is MethodId.SUP:
+        return [SmootherSpec(method, (bass,)) for bass in SUP_BASSES]
+    return [spec_at(method, n, fractions) for fractions in ADP_FRACTIONS]
+
+
+def stateless_loocv(spec: SmootherSpec, series: TimeSeries) -> ev.LoocvMatrix:
+    """The LOOCV matrix with nothing kept between calls: the plain smoother of
+    each deletion series (SUP computes its bass-free stage inside the call)."""
+    y = series.values()
+    imp = deletion_imputations(y, series.day_index())
+    return ev.LoocvMatrix(ev._deletion_smooths(spec, y, imp), series)
+
+
+def stateless_score(spec: SmootherSpec, loocv: ev.LoocvMatrix, objective: str):
+    if objective == "combined":
+        return ev.performance_index(spec, loocv)
+    return {"aic": ev.aic(loocv, spec.k), "mae": ev.mae(loocv)}[objective]
+
+
+def scored(evaluate):
+    """The bit patterns of a fitness or of an index's (MAE, VAR, AIC), or the error type."""
+    try:
+        result = evaluate()
+    except SmoothbenchError as exc:
+        return type(exc)
+    if isinstance(result, ev.PerformanceIndex):
+        result = (result.mae, result.var, result.aic)
+    return np.array(result, dtype=float).view(np.int64).tolist()
+
+
+def assert_evaluator_matches_stateless(method: MethodId, series: TimeSeries) -> None:
+    evaluator = ev.LoocvEvaluator(method, series)
+    y = series.values()
+    imp = deletion_imputations(y, series.day_index())
+    for spec in evaluator_specs(method, len(series)):
+        label = str(spec)
+        loocv = evaluator.loocv(spec)
+        diagonal = loocv.diagonal.copy()  # computed before the matrix is built
+        want = stateless_loocv(spec, series)
+        assert_bits_equal(diagonal, want.diagonal.copy(), label)
+        assert_bits_equal(loocv.matrix, want.matrix, label)
+        if method is MethodId.ADP:
+            params = tuple(int(p) for p in spec.params)
+            assert_bits_equal(diagonal, reference_adp_diagonal(y, imp, *params), label)
+        for objective in ("aic", "mae", "combined"):
+            read = None if objective == "combined" else objective
+            got = scored(lambda: ev.evaluate_method(spec, evaluator, objective=read))
+            assert got == scored(lambda: stateless_score(spec, want, objective)), (
+                label, objective)
+    if method is MethodId.SUP:
+        # the kept stage is still the stage of the deletion stack
+        for got, want in zip(evaluator.state, supsmu.bass_free_stage(evaluator.stack)):
+            assert_bits_equal(got, want, "sup stage")
+
+
+@st.composite
+def evaluator_series(draw):
+    """A series of 5 to 36 points at a scale from 1e-3 to 1e17, some unevenly spaced."""
+    n = draw(st.integers(5, 36))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = 10.0 ** draw(st.integers(-3, 17)) * (
+        np.cumsum(gen.normal(size=n)) + gen.standard_t(3, size=n))
+    if draw(st.booleans()):
+        return TimeSeries.from_values(y)
+    days = np.cumsum(gen.integers(1, 8, size=n))
+    return TimeSeries.from_pairs(
+        (date(2020, 1, 1) + timedelta(days=int(d)), float(v)) for d, v in zip(days, y)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([MethodId.SUP, MethodId.ADP]), evaluator_series())
+def test_evaluator_matches_the_stateless_path(method, series):
+    assert_evaluator_matches_stateless(method, series)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("method", [MethodId.SUP, MethodId.ADP], ids=lambda m: m.value)
+def test_evaluator_on_degenerate_inputs(method, name):
+    assert_evaluator_matches_stateless(method, TimeSeries.from_values(DEGENERATE[name]))
+
+
+@pytest.mark.parametrize("objective", ["aic", "mae", "combined"])
+@pytest.mark.parametrize("method", [MethodId.SUP, MethodId.ADP], ids=lambda m: m.value)
+@pytest.mark.parametrize("name", ["two_thirds_missing", "step_1e6", "random"])
+def test_calibrate_through_an_evaluator_matches_the_stateless_path(
+    method, objective, name, monkeypatch
+):
+    values = DEGENERATE.get(name)
+    if values is None:
+        values = np.cumsum(np.random.default_rng(6).normal(size=28)) + 3.0
+    series = TimeSeries.from_values(values)
+    config = GaConfig(population_size=10, iterations=3, seed=5)
+    fast = calibrate(method, ev.LoocvEvaluator(method, series), config, objective)
+    monkeypatch.setattr(ev, "build_loocv_matrix", lambda spec, _: stateless_loocv(spec, series))
+    slow = calibrate(method, series, config, objective)
+    assert fast.spec == slow.spec
+    assert fast.evaluations == slow.evaluations
+    assert_bits_equal(np.array(fast.history), np.array(slow.history), objective)
+
+
+def _desk_series() -> TimeSeries:
+    gen = np.random.default_rng(12)
+    days = np.cumsum(gen.integers(1, 6, size=30))
+    values = 50.0 + np.cumsum(gen.normal(size=30)) + 3.0 * gen.standard_t(3, size=30)
+    return TimeSeries.from_pairs(
+        (date(2021, 1, 1) + timedelta(days=int(d)), float(v)) for d, v in zip(days, values))
+
+
+def test_one_sup_stage_per_evaluate_one(monkeypatch):
+    shapes = []
+    real = supsmu.bass_free_stage
+
+    def counting(y):
+        shapes.append(np.shape(y))
+        return real(y)
+
+    monkeypatch.setattr(supsmu, "bass_free_stage", counting)
+    monkeypatch.setattr(smoothers, "bass_free_stage", counting)
+    series = _desk_series()
+    config = PipelineConfig(ga=GaConfig(population_size=20, iterations=3, seed=2))
+    outcome, smooth = pl.evaluate_one(config, MethodId.SUP, series)
+    assert outcome.ok and outcome.ga_evaluations > 10
+    # one stage of the deletion stack, and the 1-D full-series smooth's own
+    assert sorted(shapes) == [(30,), (30, 30)]
+
+
+def test_each_adp_diagonal_fit_is_made_once(monkeypatch):
+    asked, made = [], []
+    full, end = savgol.DiagonalFits.full, savgol.DiagonalFits.end
+
+    def counting_full(self, window, degree):
+        if self.imp is not self.y:  # the LOOCV diagonal's table, not a filter's
+            asked.append((window, degree))
+            if (window, degree) not in self._full:
+                made.append((window, degree))
+        return full(self, window, degree)
+
+    def counting_end(self, window, degree, j):
+        if self.imp is not self.y:
+            asked.append((window, degree, j))
+            if j not in self._ends.get((window, degree), {}):
+                made.append((window, degree, j))
+        return end(self, window, degree, j)
+
+    monkeypatch.setattr(savgol.DiagonalFits, "full", counting_full)
+    monkeypatch.setattr(savgol.DiagonalFits, "end", counting_end)
+    config = PipelineConfig(ga=GaConfig(population_size=30, iterations=3, seed=2))
+    outcome, smooth = pl.evaluate_one(config, MethodId.ADP, _desk_series())
+    assert outcome.ok and outcome.ga_evaluations > 10
+    assert len(made) == len(set(made))
+    assert len(asked) > 2 * len(made)  # genomes share fits
+
+
+def test_evaluator_keeps_its_arrays_read_only():
+    series = TimeSeries.from_values(DEGENERATE["step_1e6"])
+    sup = ev.LoocvEvaluator(MethodId.SUP, series)
+    sup.loocv(SmootherSpec(MethodId.SUP, (4.0,)))
+    for values in (sup.y, sup.imp, sup.stack, *sup.state):
+        assert not values.flags.writeable
+    adp = ev.LoocvEvaluator(MethodId.ADP, series)
+    adp.loocv(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0)))
+    assert all(not a.flags.writeable for pair in adp.state._full.values() for a in pair)
+    with pytest.raises(ValueError, match="evaluator of sup"):
+        sup.loocv(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0)))
+    with pytest.raises(ValueError, match="evaluator of sup"):
+        build_loocv_matrix(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0)), sup)
