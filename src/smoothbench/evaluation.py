@@ -12,15 +12,16 @@ sign).
 The diagonal comes first.  MAE and AIC read only the diagonal, and a linear
 method or ADP computes it without the full matrix, so a GA that scores
 genomes by AIC or MAE never builds a T x T matrix.  The full matrix is built
-when the VAR index or the confidence band first reads it.  ADP builds it from
-one window fit per (point, window slot), not from T deletion smooths.
+when the VAR index or the confidence band first reads it.  ADP builds its
+diagonal and matrix from one table of window fits, keyed by (window, degree,
+shift), not from T deletion smooths.
 
 A :class:`LoocvEvaluator` holds one method's LOOCV inputs on one series: the
 values, their deletion imputations, the deletion stack and the method's
-``loocv_state`` (SUP's bass-free stage, ADP's table of diagonal window
-fits).  Each is computed once, when first read, and serves every parameter
-vector scored through the evaluator, so a GA run computes them once.  It
-stands in for its series wherever this module takes one.
+``loocv_state`` (SUP's bass-free stage, ADP's table of window fits).  Each
+is computed once, when first read, and serves every parameter vector scored
+through the evaluator, so a GA run and the final LOOCV build compute them
+once.  It stands in for its series wherever this module takes one.
 """
 from __future__ import annotations
 
@@ -181,7 +182,7 @@ class LoocvEvaluator:
         gives its smooth, operator diagonal and operator builder) that is
         computed as a rank-one update of one application (same map, fewer
         passes).  ADP's ``deletion_loocv`` gives its diagonal and a builder
-        of the matrix from one window fit per (point, window slot).  The
+        of the matrix from the window fits of its ``loocv_state``.  The
         other data-adaptive methods smooth the deletion stack in one call.
         The diagonal is computed now; for the linear methods and ADP the
         matrix, and with it a linear method's dense operator, waits until it

@@ -31,7 +31,7 @@ from .kalman import fit_kalman_local_level
 from .kernel import kernel_parts, kernel_regression
 from .localpoly import local_quadratic, local_quadratic_parts
 from .savgol import (
-    DiagonalFits,
+    WindowFits,
     adaptive_degree_filter,
     adaptive_degree_loocv,
     savgol_operator,
@@ -68,11 +68,12 @@ class _Row(NamedTuple):
     """How one method is run: ``smoother(y, *params)``, ``parts(y, *params)``
     and ``loocv(y, imp, *params)``.
 
-    ADP's ``loocv`` gives its LOOCV diagonal and matrix from one window fit
-    per (point, window slot); its smoother takes one series.  A method with
-    a ``state`` computes once per series what its LOOCV reads and no
-    parameter changes: ``state(y, imp)``, which its smoother of the deletion
-    stack (SUP) or its ``loocv`` (ADP) takes as a last argument.
+    ADP's ``loocv`` gives its LOOCV diagonal and matrix from its ``state``,
+    one table of window fits keyed by (window, degree, shift); its smoother
+    takes one series.  A method with a ``state`` computes once per series
+    what its LOOCV reads and no parameter changes: ``state(y, imp)``, which
+    its smoother of the deletion stack (SUP) may take, and its ``loocv``
+    (ADP) takes, as a last argument.
     """
 
     smoother: Callable[..., np.ndarray]
@@ -127,7 +128,7 @@ _METHODS: dict[MethodId, _Row] = {
     MethodId.SGF: _Row(savitzky_golay, False, _dense_parts(savitzky_golay, savgol_operator)),
     MethodId.ARI: _Row(ar_smoother, False),
     MethodId.ADP: _Row(
-        adaptive_degree_filter, False, loocv=adaptive_degree_loocv, state=DiagonalFits),
+        adaptive_degree_filter, False, loocv=adaptive_degree_loocv, state=WindowFits),
     MethodId.GAM: _Row(gam_smoother, True, _dense_parts(gam_smoother, gam_matrix_operator)),
 }
 
@@ -214,9 +215,10 @@ def loocv_state(method: MethodId, y: np.ndarray, imp: np.ndarray) -> object:
     """What every LOOCV of ``method`` on ``y`` (deletion imputations ``imp``)
     reads and no parameter changes, or None for a method without it.
 
-    SUP's is the bass-free stage of the deletion stack; ADP's a table of its
-    diagonal's window fits, filled as they are asked for.  Pass it to
-    ``apply_to_values`` with the deletion stack, or to ``deletion_loocv``.
+    SUP's is the bass-free stage of the deletion stack; ADP's the table of
+    window fits that its LOOCV diagonal and matrix read, filled as they are
+    asked for.  Pass it to ``apply_to_values`` with the deletion stack, or
+    to ``deletion_loocv``.
     """
     build = _METHODS[method].state
     if build is None:
@@ -226,20 +228,18 @@ def loocv_state(method: MethodId, y: np.ndarray, imp: np.ndarray) -> object:
 
 
 def deletion_loocv(
-    spec: SmootherSpec, y: np.ndarray, imp: np.ndarray, state: object = None
+    spec: SmootherSpec, y: np.ndarray, imp: np.ndarray, state: object
 ) -> "tuple[np.ndarray, Callable[[], np.ndarray]] | None":
     """The LOOCV diagonal and a builder of the LOOCV matrix, without T deletion smooths.
 
     Column i of the matrix is the smooth of ``y`` with ``y[i]`` replaced by
     ``imp[i]``, bit for bit, and the diagonal is its entry i.  Returns None
-    for a method without such a form.  ``state`` may be
-    ``loocv_state(spec.method, y, imp)``; it changes no bit of the result.
+    for a method without such a form.  ``state`` is
+    ``loocv_state(spec.method, y, imp)``.
     """
     params = _checked_params(spec, len(y))
     build = _METHODS[spec.method].loocv
-    if build is None:
-        return None
-    return build(y, imp, *params) if state is None else build(y, imp, *params, state)
+    return None if build is None else build(y, imp, *params, state)
 
 
 def apply_smoother(spec: SmootherSpec, series: TimeSeries) -> TimeSeries:

@@ -11,12 +11,15 @@ When the one-step test fails it probes two degrees ahead before stopping:
 on symmetric windows the even and odd polynomial terms decouple, so a
 single-step test alone would miss e.g. the quadratic term at a local
 extremum.  The test's critical values are a literal table of the F quantiles
-for every test a valid window makes, so ADP needs no scipy.  Its filter takes
-one series.  Its LOOCV diagonal and full LOOCV matrix take one window fit per
-(point, window slot), since deleting a sample moves the filter only on the
-windows that contain it.  The diagonal's fits depend on the window and the
-degree, not on the degree range: a :class:`DiagonalFits` table keeps them, so
-that the genomes a GA scores on one series fit each (window, degree) once.
+for every test a valid window makes, so ADP needs no scipy.  ADP's filter,
+LOOCV diagonal and LOOCV matrix all read one :class:`WindowFits` table,
+keyed by (window, degree, shift): the fits of every point's window with the
+slot ``shift`` away replaced by its deletion imputation.  Deleting a sample
+moves the filter only on the windows that hold it, so the diagonal is
+shift 0 and the matrix is one shift per window slot.  The fits depend on
+neither the degree range nor each other, so the genomes a GA scores on one
+series, and the final matrix, fit each key once; one batched degree choice
+over all windows reads them.
 """
 from __future__ import annotations
 
@@ -26,8 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .windows import (
+    LocalDesign,
     batched_local_polyfit,
     boundary_windows,
+    clipped_bounds,
     local_design,
     polyfit_window,
     read_only,
@@ -89,11 +94,11 @@ def savgol_operator(n: int, window: int, degree: int) -> np.ndarray:
     return out
 
 
-def _steps_accepted(sse_d, sse_up, jump: int, m: int, d):
+def _steps_accepted(sse_d, sse_up, jump: int, m, d):
     """F-test: does raising degree ``d`` by ``jump`` significantly cut the SSE?
 
-    Elementwise over arrays of fits on ``m``-point windows, or over one fit
-    whose SSEs are numpy scalars.
+    Elementwise over arrays of fits on windows of ``m`` points.  A step
+    that leaves no residual degree of freedom is never taken.
     """
     dof2 = m - (d + jump) - 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -102,13 +107,17 @@ def _steps_accepted(sse_d, sse_up, jump: int, m: int, d):
     return (dof2 > 0) & ((sse_up <= _SSE_TINY) | (f_stat > crit))
 
 
-def _choose_degrees(sses: np.ndarray, min_degree: int, window: int) -> np.ndarray:
-    """Forward F-test degree choice for every full-window fit at once.
+def _choose_degrees(sses: np.ndarray, min_degree: int, m) -> np.ndarray:
+    """Forward F-test degree choice for every window fit at once.
 
-    ``sses[di, r]`` is the residual SSE of fit r at degree min_degree + di;
-    returns the chosen di per fit.
+    ``sses[di, r]`` is the residual SSE of fit r, on a window of ``m[r]``
+    points (or ``m`` for all), at degree min_degree + di; returns the chosen
+    di per fit.  A step needs a residual degree of freedom, so it never
+    reaches a degree that an m-point window cannot determine, and the SSEs
+    past m - 2 are never read.
     """
     ndeg = len(sses)
+    m = np.broadcast_to(m, sses.shape[1:])
     chosen = np.zeros(sses.shape[1], dtype=int)
     active = np.arange(sses.shape[1])
     while active.size:
@@ -117,83 +126,77 @@ def _choose_degrees(sses: np.ndarray, min_degree: int, window: int) -> np.ndarra
         d = min_degree + di
         going = ~(sse_d <= _SSE_TINY) & (di + 1 < ndeg)
         one = going & _steps_accepted(
-            sse_d, sses[np.minimum(di + 1, ndeg - 1), active], 1, window, d
+            sse_d, sses[np.minimum(di + 1, ndeg - 1), active], 1, m[active], d
         )
         # a symmetric window can hide the d+1 term; probe two ahead
         two = (going & ~one & (di + 2 < ndeg)) & _steps_accepted(
-            sse_d, sses[np.minimum(di + 2, ndeg - 1), active], 2, window, d
+            sse_d, sses[np.minimum(di + 2, ndeg - 1), active], 2, m[active], d
         )
         chosen[active] += one + 2 * two
         active = active[one | two]
     return chosen
 
 
-def _adaptive_fits(pairs: list, min_degree: int, window: int) -> np.ndarray:
-    """The F-test choice over the (fit, sse) pairs of full-window fits, one pair per degree."""
-    chosen = _choose_degrees(np.array([sse for _, sse in pairs]), min_degree, window)
-    fits = np.array([fit for fit, _ in pairs])
-    return np.take_along_axis(fits, chosen[None, :], axis=0)[0]
+def _rows(n: int, shift: int) -> np.ndarray:
+    """The points j of a length-n series whose clipped window holds j + shift."""
+    return np.arange(max(0, -shift), n - max(0, shift))
 
 
-class DiagonalFits:
-    """The window fits of an ADP LOOCV diagonal, each made when first asked for.
+class WindowFits:
+    """The window fits of ADP's LOOCV of ``y``, each made when first asked for.
 
-    Entry j of the diagonal is the filter at j of ``y`` with ``y[j]``
-    replaced by ``imp[j]``, a degree choice over fits of j's window.  The
-    table keys those fits by (window, degree): the batched (fit, sse) of
-    every full window, and the (value, sse) of each clipped end window.
-    They read neither the degree range nor any other window, so one table
-    serves every parameter vector on the same ``y`` and ``imp``; its arrays
-    are read-only.
+    Key (window, degree, shift) holds the (fit, sse) at ``degree`` of the
+    window of every point j, with slot j + shift replaced by
+    ``imp[j + shift]`` (NaN where the window lacks that slot): one batched
+    fit of all full windows, and one ``polyfit_window`` per clipped end
+    window.  The fits read neither the degree range nor any other key, so
+    one table serves every parameter vector on the same ``y`` and ``imp``;
+    its arrays are read-only.  With ``imp`` equal to ``y`` nothing is replaced.
     """
 
     def __init__(self, y: np.ndarray, imp: np.ndarray):
         self.y, self.imp = y, imp
-        self._full: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._ends: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
+        self._designs: dict[tuple[int, int], LocalDesign] = {}
+        self._fits: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def full(self, window: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-        """(fit, sse) at ``degree`` of every full window, its centre replaced."""
-        key = window, degree
-        if key not in self._full:
-            half = window // 2
-            interior = np.arange(half, len(self.y) - half)
-            local = local_design(interior - half, window, degree, centers=interior)
-            yw = self.y[local.cols]
-            yw[:, half] = self.imp[interior]
-            fit, sse = batched_local_polyfit(yw, local, want_sse=True)
-            self._full[key] = read_only(fit), read_only(sse)
-        return self._full[key]
+    def fit(self, window: int, degree: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+        key = window, degree, shift
+        if key not in self._fits:
+            y, imp = self.y, self.imp
+            n, half = len(y), window // 2
+            if (window, degree) not in self._designs:
+                interior = np.arange(half, n - half)
+                self._designs[window, degree] = local_design(
+                    interior - half, window, degree, centers=interior)
+            local = self._designs[window, degree]
+            yw = y[local.cols]
+            yw[:, half + shift] = imp[local.cols[:, half + shift]]
+            fit, sse = np.full((2, n), np.nan)
+            fit[half : n - half], sse[half : n - half] = batched_local_polyfit(
+                yw, local, want_sse=True)
+            for j, lo, hi in boundary_windows(n, half):
+                if lo <= j + shift < hi:
+                    y_win = y[lo:hi].copy()
+                    y_win[j + shift - lo] = imp[j + shift]
+                    fit[j], sse[j] = polyfit_window(y_win, np.arange(lo, hi) - j, degree)
+            self._fits[key] = read_only(fit), read_only(sse)
+        return self._fits[key]
 
-    def end(self, window: int, degree: int, j: int) -> tuple[float, float]:
-        """(value, sse) at ``degree`` of end point j's clipped window, y[j] replaced."""
-        ends = self._ends.setdefault((window, degree), {})
-        if j not in ends:
-            half = window // 2
-            lo, hi = max(0, j - half), min(len(self.y), j + half + 1)
-            y_win = self.y[lo:hi].copy()
-            y_win[j - lo] = self.imp[j]
-            ends[j] = polyfit_window(y_win, np.arange(lo, hi) - j, degree)
-        return ends[j]
-
-    def diagonal(self, window: int, min_degree: int, max_degree: int) -> np.ndarray:
-        """The filter at every j of ``y`` with ``y[j]`` replaced by ``imp[j]``."""
-        n = len(self.y)
-        half = window // 2
-        out = np.empty(n)
-        pairs = [self.full(window, d) for d in range(min_degree, max_degree + 1)]
-        out[half : n - half] = _adaptive_fits(pairs, min_degree, window)
-        for j, lo, hi in boundary_windows(n, half):
-            out[j] = _degree_choice(
-                lambda d: self.end(window, d, j), hi - lo, min_degree, max_degree)
-        return out
+    def filter(self, window: int, min_degree: int, max_degree: int, shift: int = 0) -> np.ndarray:
+        """The filter at every j of ``_rows(n, shift)``, slot j + shift replaced."""
+        lo, hi = clipped_bounds(len(self.y), window)
+        rows = _rows(len(self.y), shift)
+        pairs = np.array([self.fit(window, d, shift) for d in range(min_degree, max_degree + 1)])
+        fits, sses = pairs[:, :, rows].swapaxes(0, 1)
+        chosen = _choose_degrees(sses, min_degree, (hi - lo)[rows])
+        return np.take_along_axis(fits, chosen[None, :], axis=0)[0]
 
 
 def adaptive_degree_filter(
     y: np.ndarray, window: int, min_degree: int, max_degree: int
 ) -> np.ndarray:
-    """Adaptive-degree filter of one series: its LOOCV diagonal with nothing replaced."""
-    return DiagonalFits(y, y).diagonal(window, min_degree, max_degree)
+    """Adaptive-degree filter of one series: its window fits with nothing replaced."""
+    return WindowFits(y, y).filter(window, min_degree, max_degree)
 
 
 def adaptive_degree_loocv(
@@ -202,78 +205,27 @@ def adaptive_degree_loocv(
     window: int,
     min_degree: int,
     max_degree: int,
-    fits: "DiagonalFits | None" = None,
+    fits: WindowFits,
 ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """The LOOCV diagonal of the filter and a builder of the full LOOCV matrix.
 
     Column i of the matrix is the filter of ``y`` with ``y[i]`` replaced by
     ``imp[i]``, and the diagonal is its entry i.  Replacing y[i] moves the
-    filter only on the windows that hold i: entry (j, i) is one fit of j's
-    window with i's slot replaced, and every other entry of row j is the
-    filter of ``y`` at j.  The full windows of all points go through one
-    (m, window) batched fit per degree and replaced slot.  A row of a
-    batched fit reads only its own window, so every entry is bit for bit
-    the filter of its own deletion series.  ``fits``, a ``DiagonalFits`` of
-    ``y`` and ``imp`` kept by the caller, supplies the diagonal's fits.
+    filter only on the windows that hold i: entry (j, j + shift) is the
+    filter over ``fits``' key shift at j, and every other entry of row j is
+    the filter of ``y`` at j.  The diagonal is shift 0.  A row of a batched
+    fit reads only its own window, so every entry is bit for bit the filter
+    of its own deletion series.  ``fits`` is the ``WindowFits`` of ``y`` and
+    ``imp`` that the caller keeps.
     """
-    n = len(y)
-    half = window // 2
-    interior = np.arange(half, n - half)
-    fits = DiagonalFits(y, imp) if fits is None else fits
-
-    def full_windows(designs: list, shift: int) -> np.ndarray:
-        # the filter at every interior j, slot half + shift replaced by imp[j + shift]
-        yw = y[designs[0].cols]
-        yw[:, half + shift] = imp[interior + shift]
-        pairs = [batched_local_polyfit(yw, local, want_sse=True) for local in designs]
-        return _adaptive_fits(pairs, min_degree, window)
+    n, half = len(y), window // 2
 
     def matrix() -> np.ndarray:
-        designs = [
-            local_design(interior - half, window, d, centers=interior)
-            for d in range(min_degree, max_degree + 1)
-        ]
         filtered = adaptive_degree_filter(y, window, min_degree, max_degree)
         out = np.repeat(filtered[:, None], n, axis=1)
         for shift in range(-half, half + 1):
-            out[interior, interior + shift] = full_windows(designs, shift)
-        for j, lo, hi in boundary_windows(n, half):
-            for i in range(lo, hi):
-                # the filter at j on its clipped window, slot i replaced by imp[i]
-                y_win = y[lo:hi].copy()
-                y_win[i - lo] = imp[i]
-                out[j, i] = _adaptive_window_value(
-                    y_win, np.arange(lo, hi) - j, min_degree, max_degree)
+            rows = _rows(n, shift)
+            out[rows, rows + shift] = fits.filter(window, min_degree, max_degree, shift)
         return out
 
-    return fits.diagonal(window, min_degree, max_degree), matrix
-
-
-def _adaptive_window_value(
-    y_win: np.ndarray, offsets: np.ndarray, min_degree: int, max_degree: int
-) -> float:
-    return _degree_choice(
-        lambda d: polyfit_window(y_win, offsets, d), len(y_win), min_degree, max_degree)
-
-
-def _degree_choice(
-    fit: Callable[[int], tuple[float, float]], m: int, min_degree: int, max_degree: int
-) -> float:
-    """The filter's value on one m-point window whose degree-d fit is ``fit(d)``."""
-    max_degree = min(max_degree, m - 1)
-    d = min(min_degree, m - 1)
-    best_val, best_sse = fit(d)
-    while d < max_degree:
-        if best_sse <= _SSE_TINY:
-            break
-        val, sse = fit(d + 1)
-        if _steps_accepted(best_sse, sse, 1, m, d):
-            best_val, best_sse, d = val, sse, d + 1
-            continue
-        if d + 2 <= max_degree:
-            val2, sse2 = fit(d + 2)
-            if _steps_accepted(best_sse, sse2, 2, m, d):
-                best_val, best_sse, d = val2, sse2, d + 2
-                continue
-        break
-    return best_val
+    return fits.filter(window, min_degree, max_degree), matrix

@@ -719,11 +719,12 @@ class TestScipyLoadsOnFirstUse:
     def test_no_scipy_for_adp_and_fixed_penalty_gam(self):
         loaded = run_fresh(
             "from smoothbench.smoothers import MethodId, apply_to_values, default_spec\n"
-            "from smoothbench.smoothers import deletion_loocv, linear_parts\n"
+            "from smoothbench.smoothers import deletion_loocv, linear_parts, loocv_state\n"
             "adp, gam = default_spec(MethodId.ADP), default_spec(MethodId.GAM)\n"
             "assert gam.named_params()['auto_penalty'] == 0\n"
             "apply_to_values(adp, y)\n"
-            "deletion_loocv(adp, y, y[::-1].copy())[1]()\n"
+            "imp = y[::-1].copy()\n"
+            "deletion_loocv(adp, y, imp, loocv_state(MethodId.ADP, y, imp))[1]()\n"
             "apply_to_values(gam, y)\n"
             "linear_parts(gam, y)[2]()\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

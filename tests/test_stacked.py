@@ -9,10 +9,11 @@ GAM's GCV search and KAL's likelihood fit run the same stacked code for a
 stack and for one series, so they are also checked against reference copies
 of the earlier row-by-row scans, kept below as the slow path.
 
-ADP's LOOCV diagonal, LOOCV matrix and 1-D filter, from one window fit per
-(point, window slot), are checked against reference copies of the stacked
-filter and the diagonal they replaced, and against the T one-series filters
-of the deletion series.
+ADP's LOOCV diagonal, LOOCV matrix and 1-D filter, from one table of window
+fits, are checked against reference copies of the stacked filter and the
+diagonal they replaced, and against the T one-series filters of the deletion
+series.  The references choose each end window's degree with a copy of the
+scalar F-test loop that the batched degree choice replaced.
 
 The window rules that SMA, RRM, SUP and ADP share (clipped boundary windows,
 prefix-sum window sums, ADP's F-test) are checked against copies of the
@@ -22,12 +23,13 @@ RRM and TUK, whose fixpoint loop recomputes only the columns a pass can
 change, are checked against a copy of the loop that recomputed every column
 with ``np.median``.
 
-A ``LoocvEvaluator`` keeps SUP's bass-free stage and ADP's diagonal window
+A ``LoocvEvaluator`` keeps SUP's bass-free stage and ADP's table of window
 fits across parameter vectors; its diagonal, matrix, indices and GA result
 are checked against the stateless path, and its stage and fits are counted.
 """
 import math
 from datetime import date, timedelta
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ from smoothbench.smoothers.windows import (
     boundary_windows,
     clipped_bounds,
     local_design,
+    polyfit_window,
 )
 from smoothbench.timeseries import TimeSeries, impute_linear
 
@@ -404,6 +407,36 @@ def _reference_adaptive_values(fits, sses, min_degree, window):
     return picked.reshape(fits.shape[1:])
 
 
+def adaptive_window_value(
+    y_win: np.ndarray, offsets: np.ndarray, min_degree: int, max_degree: int
+) -> float:
+    return degree_choice(
+        lambda d: polyfit_window(y_win, offsets, d), len(y_win), min_degree, max_degree)
+
+
+def degree_choice(
+    fit: Callable[[int], tuple[float, float]], m: int, min_degree: int, max_degree: int
+) -> float:
+    """The filter's value on one m-point window whose degree-d fit is ``fit(d)``."""
+    max_degree = min(max_degree, m - 1)
+    d = min(min_degree, m - 1)
+    best_val, best_sse = fit(d)
+    while d < max_degree:
+        if best_sse <= savgol._SSE_TINY:
+            break
+        val, sse = fit(d + 1)
+        if savgol._steps_accepted(best_sse, sse, 1, m, d):
+            best_val, best_sse, d = val, sse, d + 1
+            continue
+        if d + 2 <= max_degree:
+            val2, sse2 = fit(d + 2)
+            if savgol._steps_accepted(best_sse, sse2, 2, m, d):
+                best_val, best_sse, d = val2, sse2, d + 2
+                continue
+        break
+    return best_val
+
+
 def reference_stacked_adp(y, window, min_degree, max_degree):
     """ADP filter of a (B, T) stack: full windows fitted row by row, the
     degree tests over all rows at once, each boundary window's distinct
@@ -427,7 +460,7 @@ def reference_stacked_adp(y, window, min_degree, max_degree):
             y_win = rows[b, lo:hi]
             key = y_win.tobytes()
             if key not in by_content:
-                by_content[key] = savgol._adaptive_window_value(
+                by_content[key] = adaptive_window_value(
                     y_win, offsets, min_degree, max_degree)
             out[b, j] = by_content[key]
     return out.reshape(y.shape)
@@ -447,7 +480,7 @@ def reference_adp_diagonal(y, imp, window, min_degree, max_degree):
     for j, lo, hi in boundary_windows(n, half):
         y_win = y[lo:hi].copy()
         y_win[j - lo] = imp[j]
-        out[j] = savgol._adaptive_window_value(
+        out[j] = adaptive_window_value(
             y_win, np.arange(lo, hi) - j, min_degree, max_degree)
     return out
 
@@ -797,6 +830,25 @@ def test_steps_accepted_matches_reference_step(rng):
                 assert one == want[::97], (jump, m, d)
 
 
+def test_choose_degrees_matches_the_scalar_choice(rng):
+    # windows of 3 to 21 points, clipped ends included, mixed in one call, at
+    # every (min_degree, max_degree) the catalog allows; degrees past m - 1
+    # get SSEs of their own, which the scalar choice never reads
+    special = np.array([0.0, 1e-300, savgol._SSE_TINY, 2e-280, np.nan, np.inf])
+    for min_degree in range(0, 3):
+        for max_degree in range(min_degree, 7):
+            sses = 10.0 ** rng.uniform(-12, 12, size=(max_degree - min_degree + 1, 2000))
+            sses[:, :1000] = -np.sort(-sses[:, :1000], axis=0)  # falling SSEs step further
+            drawn = rng.random(sses.shape) < 0.2
+            sses[drawn] = rng.choice(special, size=drawn.sum())
+            sizes = rng.integers(3, 22, size=sses.shape[1])
+            chosen = min_degree + savgol._choose_degrees(sses, min_degree, sizes)
+            want = [degree_choice(lambda d: (d, sses[d - min_degree, r]),
+                                  int(m), min_degree, max_degree)
+                    for r, m in enumerate(sizes)]
+            assert chosen.tolist() == want, (min_degree, max_degree)
+
+
 # --- one LOOCV evaluator per (method, series) against the stateless path ---
 
 
@@ -935,30 +987,32 @@ def test_one_sup_stage_per_evaluate_one(monkeypatch):
 
 
 def test_each_adp_diagonal_fit_is_made_once(monkeypatch):
+    # each (window, degree, shift) of the evaluator's table is fitted once over
+    # the GA run and the final matrix; the matrix refits no diagonal (shift 0) key
     asked, made = [], []
-    full, end = savgol.DiagonalFits.full, savgol.DiagonalFits.end
+    fit = savgol.WindowFits.fit
 
-    def counting_full(self, window, degree):
-        if self.imp is not self.y:  # the LOOCV diagonal's table, not a filter's
-            asked.append((window, degree))
-            if (window, degree) not in self._full:
-                made.append((window, degree))
-        return full(self, window, degree)
+    def counting_fit(self, window, degree, shift):
+        key = window, degree, shift
+        if self.imp is not self.y:  # the evaluator's table, not a filter's
+            asked.append(key)
+            if key not in self._fits:
+                made.append(key)
+        return fit(self, window, degree, shift)
 
-    def counting_end(self, window, degree, j):
-        if self.imp is not self.y:
-            asked.append((window, degree, j))
-            if j not in self._ends.get((window, degree), {}):
-                made.append((window, degree, j))
-        return end(self, window, degree, j)
-
-    monkeypatch.setattr(savgol.DiagonalFits, "full", counting_full)
-    monkeypatch.setattr(savgol.DiagonalFits, "end", counting_end)
+    monkeypatch.setattr(savgol.WindowFits, "fit", counting_fit)
     config = PipelineConfig(ga=GaConfig(population_size=30, iterations=3, seed=2))
     outcome, smooth = pl.evaluate_one(config, MethodId.ADP, _desk_series())
     assert outcome.ok and outcome.ga_evaluations > 10
     assert len(made) == len(set(made))
-    assert len(asked) > 2 * len(made)  # genomes share fits
+    # under aic the GA asks only for shift 0; the final matrix asks for every shift
+    start = next(k for k, key in enumerate(asked) if key[2] != 0)
+    ga_made = set(made[: made.index(asked[start])])
+    matrix_diagonal = {key for key in asked[start:] if key[2] == 0}
+    assert matrix_diagonal and matrix_diagonal <= ga_made
+    assert len(asked[:start]) > 2 * len(ga_made)  # genomes share fits
+    half = int(outcome.params[0]) // 2
+    assert {key[2] for key in made[len(ga_made):]} == set(range(-half, half + 1)) - {0}
 
 
 def test_evaluator_keeps_its_arrays_read_only():
@@ -968,8 +1022,9 @@ def test_evaluator_keeps_its_arrays_read_only():
     for values in (sup.y, sup.imp, sup.stack, *sup.state):
         assert not values.flags.writeable
     adp = ev.LoocvEvaluator(MethodId.ADP, series)
-    adp.loocv(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0)))
-    assert all(not a.flags.writeable for pair in adp.state._full.values() for a in pair)
+    adp.loocv(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0))).matrix
+    assert len(adp.state._fits) == 4 * 7  # every degree at every shift of the window
+    assert all(not a.flags.writeable for pair in adp.state._fits.values() for a in pair)
     with pytest.raises(ValueError, match="evaluator of sup"):
         sup.loocv(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0)))
     with pytest.raises(ValueError, match="evaluator of sup"):
