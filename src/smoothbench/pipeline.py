@@ -174,7 +174,7 @@ class BenchmarkReport:
     site: str
     signal_kind: str
     timestamps: tuple[date, ...]
-    original: tuple
+    original: tuple[float | None, ...]
     imputed: tuple[float, ...]
     outcomes: tuple[MethodOutcome, ...]
     cluster: ClusterResult
@@ -186,7 +186,7 @@ class BenchmarkReport:
     band_level: float
     regression: LinearFit | None
     provenance: dict
-    loocv_optimal: tuple | None = None
+    loocv_optimal: tuple[tuple[float, ...], ...] | None = None
 
 
 def method_seed(master_seed: int, method: MethodId) -> int:

@@ -4,156 +4,132 @@
 bit-exactly (schema-versioned, sorted keys, shortest round-trip floats); the
 three CSV companions are the plot/table payloads: the smoothed series with
 its confidence envelope, the cluster table, and the regression summary.
-A negative-infinite AIC (zero-residual sentinel) is stored as JSON null plus
-the ``zero_residual`` flag.
+
+The keys of ``report.json`` are the fields of the report dataclasses
+(``BenchmarkReport``, ``MethodOutcome``, ``PerformanceIndex``,
+``ClusterResult``, ``LinearFit``), its values those fields in their types'
+codecs (``MethodId`` as its code, ``date`` in ISO form). ``_EXCEPTIONS`` holds
+the only departures: the outcomes are stored under ``methods``; an index
+omits its ``method``, its outcome's; and a -inf AIC (zero-residual sentinel)
+is stored as null, the only null read as -inf. An absent key takes its
+field's default, or None where its type allows.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
+import typing
 from datetime import date
+from operator import attrgetter
 
-from .clustering import ClusterResult
 from .csvio import fmt, open_input, write_table
 from .errors import EvaluationFailure, IoError, SchemaError
 from .evaluation import PerformanceIndex
-from .pipeline import BenchmarkReport, MethodOutcome
-from .regression import LinearFit
+from .pipeline import BenchmarkReport
 from .smoothers import MethodId
 
 SCHEMA_VERSION = 1
 
-
-def _aic_out(value: float) -> float | None:
-    return None if value == -math.inf else value
-
-
-def _aic_in(value, zero_residual: bool) -> float:
-    if value is None or zero_residual:
-        return float("-inf")
-    return float(value)
-
-
-def outcome_to_dict(o: MethodOutcome) -> dict:
-    d: dict = {
-        "method": o.method.value,
-        "params": None if o.params is None else list(o.params),
-        "ga_seed": o.ga_seed,
-        "ga_evaluations": o.ga_evaluations,
-        "error": o.error,
-    }
-    if o.index is not None:
-        d["index"] = {
-            "k": o.index.k,
-            "mae": o.index.mae,
-            "var": o.index.var,
-            "aic": _aic_out(o.index.aic),
-            "zero_residual": o.index.zero_residual,
-        }
-    else:
-        d["index"] = None
-    return d
+# (class, field) -> (JSON key, codec): a key of None leaves the field out, to be
+# read from the same key of the enclosing object; a codec of None is its type's
+_EXCEPTIONS = {
+    (BenchmarkReport, "outcomes"): ("methods", None),
+    (PerformanceIndex, "method"): (None, None),
+    (PerformanceIndex, "aic"): ("aic", (lambda v: None if v == -math.inf else v,
+                                        lambda v: -math.inf if v is None else float(v))),
+}
 
 
-def outcome_from_dict(d: dict) -> MethodOutcome:
-    index = None
-    if d.get("index") is not None:
-        i = d["index"]
-        index = PerformanceIndex(
-            method=d["method"],
-            k=int(i["k"]),
-            mae=float(i["mae"]),
-            var=float(i["var"]),
-            aic=_aic_in(i["aic"], bool(i["zero_residual"])),
-            zero_residual=bool(i["zero_residual"]),
-        )
-    params = d.get("params")
-    return MethodOutcome(
-        method=MethodId(d["method"]),
-        params=None if params is None else tuple(float(p) for p in params),
-        index=index,
-        ga_seed=d.get("ga_seed"),
-        ga_evaluations=int(d.get("ga_evaluations", 0)),
-        error=d.get("error"),
-    )
+def _same(value):
+    return value
 
 
-def report_to_dict(report: BenchmarkReport) -> dict:
-    return {
-        "site": report.site,
-        "signal_kind": report.signal_kind,
-        "timestamps": [t.isoformat() for t in report.timestamps],
-        "original": list(report.original),
-        "imputed": list(report.imputed),
-        "methods": [outcome_to_dict(o) for o in report.outcomes],
-        "cluster": {
-            "assignments": {m.value: label for m, label in report.cluster.assignments.items()},
-            "medoids": [m.value for m in report.cluster.medoids],
-            "optimal": report.cluster.optimal.value,
-        },
-        "optimal_method": report.optimal_method.value,
-        "optimal_params": list(report.optimal_params),
-        "smoothed": list(report.smoothed),
-        "band_lower": list(report.band_lower),
-        "band_upper": list(report.band_upper),
-        "band_level": report.band_level,
-        "regression": None
-        if report.regression is None
-        else {
-            "slope": report.regression.slope,
-            "intercept": report.regression.intercept,
-            "r_squared": report.regression.r_squared,
-            "n": report.regression.n,
-        },
-        "provenance": report.provenance,
-        "loocv_optimal": None
-        if report.loocv_optimal is None
-        else [list(row) for row in report.loocv_optimal],
-    }
+_SCALARS = {
+    MethodId: (attrgetter("value"), MethodId),
+    date: (date.isoformat, date.fromisoformat),
+    float: (_same, float), int: (_same, int), bool: (_same, bool),
+    str: (_same, _same), dict: (_same, _same),
+}
 
 
-def report_from_dict(d: dict) -> BenchmarkReport:
-    cluster = ClusterResult(
-        assignments={MethodId(m): label for m, label in d["cluster"]["assignments"].items()},
-        medoids=tuple(MethodId(m) for m in d["cluster"]["medoids"]),
-        optimal=MethodId(d["cluster"]["optimal"]),
-    )
-    regression = None
-    if d.get("regression") is not None:
-        r = d["regression"]
-        regression = LinearFit(
-            slope=float(r["slope"]),
-            intercept=float(r["intercept"]),
-            r_squared=float(r["r_squared"]),
-            n=int(r["n"]),
-        )
-    return BenchmarkReport(
-        site=d["site"],
-        signal_kind=d["signal_kind"],
-        timestamps=tuple(date.fromisoformat(t) for t in d["timestamps"]),
-        original=tuple(d["original"]),
-        imputed=tuple(d["imputed"]),
-        outcomes=tuple(outcome_from_dict(o) for o in d["methods"]),
-        cluster=cluster,
-        optimal_method=MethodId(d["optimal_method"]),
-        optimal_params=tuple(d["optimal_params"]),
-        smoothed=tuple(d["smoothed"]),
-        band_lower=tuple(d["band_lower"]),
-        band_upper=tuple(d["band_upper"]),
-        band_level=float(d["band_level"]),
-        regression=regression,
-        provenance=d["provenance"],
-        loocv_optimal=None
-        if d.get("loocv_optimal") is None
-        else tuple(tuple(row) for row in d["loocv_optimal"]),
-    )
+def _bare(tp):
+    """``tp`` without its None, and whether it had one."""
+    args = typing.get_args(tp)
+    if type(None) not in args:
+        return tp, False
+    (inner,) = [a for a in args if a is not type(None)]
+    return inner, True
+
+
+def _codec(tp) -> tuple:
+    """(encode, decode) of a value of type ``tp`` to and from its JSON form."""
+    inner, optional = _bare(tp)
+    if optional:
+        encode, decode = _codec(inner)
+        return (encode if encode is _same else lambda v: None if v is None else encode(v),
+                lambda v: None if v is None else decode(v))
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:  # one map per tuple: a 365 x 365 LOOCV matrix is 133k values
+        encode, decode = _codec(args[0])
+        return (list if encode is _same else lambda v: list(map(encode, v)),
+                lambda v: tuple(map(decode, v)))
+    if origin is dict:
+        (encode_key, decode_key), (encode, decode) = map(_codec, args)
+        return (lambda v: {encode_key(k): encode(x) for k, x in v.items()},
+                lambda v: {decode_key(k): decode(x) for k, x in v.items()})
+    if dataclasses.is_dataclass(tp):
+        return _encode_object, lambda v: _decode_object(tp, v, None)
+    return _SCALARS[tp]
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, key, encode, decode, nested, absent) per field of ``cls``.
+
+    ``nested`` is the field's dataclass, which is decoded with its holder in
+    reach; ``absent`` is the value of a missing key (``MISSING``: required).
+    """
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        key, codec = _EXCEPTIONS.get((cls, f.name), (f.name, None))
+        inner, optional = _bare(hints[f.name])
+        out.append((
+            f.name, key, *(codec or _codec(hints[f.name])),
+            inner if dataclasses.is_dataclass(inner) else None,
+            None if optional and f.default is dataclasses.MISSING else f.default,
+        ))
+    return tuple(out)
+
+
+def _encode_object(obj) -> dict:
+    return {key: encode(getattr(obj, name))
+            for name, key, encode, *_ in _fields(type(obj)) if key is not None}
+
+
+def _decode_object(cls, d: dict, outer: dict | None):
+    kwargs = {}
+    for name, key, _, decode, nested, absent in _fields(cls):
+        if key is None:
+            kwargs[name] = outer[name]
+        elif key in d:
+            value = d[key]
+            kwargs[name] = (decode(value) if nested is None or value is None
+                            else _decode_object(nested, value, d))
+        elif absent is dataclasses.MISSING:
+            raise KeyError(key)
+        else:
+            kwargs[name] = absent
+    return cls(**kwargs)
 
 
 def reports_json(reports: list[BenchmarkReport]) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "reports": [report_to_dict(r) for r in reports],
+        "reports": [_encode_object(r) for r in reports],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -164,12 +140,13 @@ def parse_reports_json(text: str) -> list[BenchmarkReport]:
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaError(f"unsupported report schema version: {version!r}")
-        reports = [report_from_dict(d) for d in payload["reports"]]
+        reports = [_decode_object(BenchmarkReport, d, None) for d in payload["reports"]]
     except (ValueError, KeyError, TypeError, AttributeError, EvaluationFailure) as exc:
         # what malformed JSON, JSON of the wrong shape, or a stored index out
         # of range raises on the way in
         raise SchemaError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     _check_kinds(reports, SchemaError)
+    _check_lengths(reports)
     return reports
 
 
@@ -177,6 +154,18 @@ def _check_kinds(reports: list[BenchmarkReport], error: type[Exception]) -> None
     kinds = [r.signal_kind for r in reports]
     if len(set(kinds)) != len(kinds):
         raise error(f"duplicate signal kinds in one report set: {kinds}")
+
+
+def _check_lengths(reports: list[BenchmarkReport]) -> None:
+    """Each per-date series, and each row and column of the LOOCV matrix, holds one value a date."""
+    for r in reports:
+        series = [r.original, r.imputed, r.smoothed, r.band_lower, r.band_upper]
+        if r.loocv_optimal is not None:
+            series += [r.loocv_optimal, *r.loocv_optimal]
+        bad = [len(values) for values in series if len(values) != len(r.timestamps)]
+        if bad:
+            raise SchemaError(f"malformed report: the {r.signal_kind} report has a series of "
+                              f"{bad[0]} values for {len(r.timestamps)} timestamps")
 
 
 def read_reports(path: str) -> list[BenchmarkReport]:

@@ -625,12 +625,32 @@ class TestExitCodes:
         assert main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
                      "--out", str(bench), "--ga-pop", "8", "--ga-iters", "1",
                      "--methods", "tuk,fft,sma"]) == 0
-        payload = json.loads((bench / "report.json").read_text())
-        payload["reports"][0]["methods"][0]["index"]["mae"] = -1.0  # index out of range
+        stored = (bench / "report.json").read_text()
+        n = len(json.loads(stored)["reports"][0]["timestamps"])
+
+        def edited(*path, value):
+            payload = json.loads(stored)
+            node = payload["reports"][0]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            return json.dumps(payload)
+
+        assert json.loads(stored)["reports"][0]["regression"] is not None
         capsys.readouterr()
         bad = tmp_path / "report.json"
         for text in ('{"schema_version": 1}', "{not json", "[]",
-                     '{"schema_version": 1, "reports": [{"site": "A"}]}', json.dumps(payload)):
+                     '{"schema_version": 1, "reports": [{"site": "A"}]}',
+                     edited("methods", 0, "index", "mae", value=-1.0),  # index out of range
+                     # only the AIC's null reads as -inf
+                     edited("methods", 0, "index", "mae", value=None),
+                     edited("band_level", value=None),
+                     edited("regression", "slope", value=None),
+                     # a series that does not hold one value a date
+                     edited("band_upper", value=[1.0] * 10),
+                     edited("original", value=[1.0] * (n + 1)),
+                     edited("loocv_optimal", value=[[0.0] * n] * (n - 1)),
+                     edited("loocv_optimal", value=[[0.0] * (n - 1)] * n)):
             bad.write_text(text)
             rc = main(["report", "--report", str(bad), "--out", str(tmp_path / "out")])
             assert rc == 1, text

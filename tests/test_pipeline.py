@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import signal
@@ -570,12 +571,46 @@ class TestSeeds:
             assert by_method_full[m].index == by_method_less[m].index
 
 
+def with_failed_method(report):
+    """``report`` with one non-medoid, non-optimal method failed and no regression."""
+    failed = next(m for m in report.cluster.assignments
+                  if m not in report.cluster.medoids and m is not report.optimal_method)
+    outcomes = tuple(
+        pl.MethodOutcome(o.method, ga_seed=o.ga_seed, ga_evaluations=o.ga_evaluations,
+                         error="EvaluationFailure: no viable genome")
+        if o.method is failed else o
+        for o in report.outcomes)
+    assignments = {m: label for m, label in report.cluster.assignments.items() if m is not failed}
+    return replace(report, outcomes=outcomes, regression=None,
+                   cluster=replace(report.cluster, assignments=assignments))
+
+
 class TestReportIo:
-    def test_json_round_trip_identity(self, raw_report):
-        text = reports_json([raw_report])
+    @pytest.mark.parametrize("variant", [lambda r: r, with_failed_method],
+                             ids=["as_run", "failed_method_no_regression"])
+    def test_json_round_trip_identity(self, raw_report, variant):
+        report = variant(raw_report)
+        text = reports_json([report])
         back = parse_reports_json(text)
-        assert back == [raw_report]
+        assert back == [report]
         assert reports_json(back) == text
+
+    def test_absent_keys_read_as_none(self, raw_report):
+        payload = json.loads(reports_json([raw_report]))
+        stored = payload["reports"][0]
+        for key in ("index", "params", "ga_seed", "error", "ga_evaluations"):
+            del stored["methods"][0][key]
+        del stored["regression"]
+        stored["methods"][1]["index"]["aic"] = None
+        (back,) = parse_reports_json(json.dumps(payload))
+        assert back.outcomes[0] == pl.MethodOutcome(raw_report.outcomes[0].method)
+        assert back.outcomes[0].ga_evaluations == 0
+        assert back.outcomes[1].index.aic == float("-inf")
+        assert back.outcomes[1].index.method == raw_report.outcomes[1].method.value
+        assert back.regression is None
+        assert back.loocv_optimal is None and "loocv_optimal" in stored
+        del stored["loocv_optimal"]
+        assert parse_reports_json(json.dumps(payload))[0].loocv_optimal is None
 
     def test_write_read_write_bytes_identical(self, raw_report, tmp_path):
         out1 = tmp_path / "first"
