@@ -3,7 +3,7 @@
 Subcommands: ingest, normalize, smooth, calibrate, benchmark, regress,
 report.  Exit codes: 0 success, 1 input/usage error (including an input file
 that cannot be read), 2 any other failure: "error:" and its type for one the
-data causes, "internal error:" for an unexpected exception.
+data or an unwritable output causes, "internal error:" for an unexpected exception.
 
 Every option gets its value, type and default from argparse.  The keys of a
 --config JSON file (long flag names) become flag tokens parsed before the
@@ -30,6 +30,7 @@ from .csvio import (
     UnitConfig,
     fmt,
     open_input,
+    open_output,
     read_biomarker_table,
     read_series_csv,
     read_surveillance_csv,
@@ -39,6 +40,7 @@ from .csvio import (
 from .errors import EmptyInput, InputError, SmoothbenchError
 from .normalization import reference_nh4_load
 from .pipeline import (
+    SIGNAL_KINDS,
     PipelineConfig,
     check_magnitude,
     fit_loads,
@@ -46,7 +48,7 @@ from .pipeline import (
     run_benchmark,
     worker_count,
 )
-from .reportio import read_reports, write_reports
+from .reportio import REGRESSION_HEADER, read_reports, regression_row, write_reports
 from .smoothers import PARAM_SPECS, MethodId, apply_smoother, make_spec
 from .timeseries import TimeSeries, build_series, impute_linear
 
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="run the full raw/normalized benchmark workflow")
     p.add_argument("--input", required=True)
-    p.add_argument("--signal", choices=("raw", "normalized", "both"), default="both",
+    p.add_argument("--signal", choices=SIGNAL_KINDS + ("both",), default="both",
                    help="(default: %(default)s)")
     p.add_argument("--site")
     p.add_argument("--out", required=True, help="output directory")
@@ -222,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site")
     _add_nh4_flags(p)
     p.add_argument("--report", help="reuse the smoothed series of a stored report")
-    p.add_argument("--signal", choices=("raw", "normalized"), default="normalized",
+    p.add_argument("--signal", choices=SIGNAL_KINDS, default=SIGNAL_KINDS[-1],
                    help="(default: %(default)s)")
     p.add_argument(
         "--raw-loads", action="store_true", help="regress on unsmoothed normalized loads"
@@ -298,11 +300,6 @@ def _units(args) -> UnitConfig:
     return UnitConfig(**{c.short: getattr(args, f"{c.short}_unit") for c in UNIT_COLUMNS})
 
 
-def _sink(path: str):
-    """Where a table goes: stdout for "-", else the path."""
-    return sys.stdout if path == "-" else path
-
-
 def _load_records(args):
     records = read_surveillance_csv(args.input, _units(args))
     sites = sorted({r.site for r in records})
@@ -364,7 +361,7 @@ def _pipeline_config(args, **settings) -> PipelineConfig:
 
 def cmd_ingest(args) -> int:
     records = read_surveillance_csv(args.input, _units(args))
-    write_surveillance_csv(records, _sink(args.out), _units(args))
+    write_surveillance_csv(records, args.out, _units(args))
     print(f"ingested {len(records)} rows from {args.input}", file=sys.stderr)
     return 0
 
@@ -375,7 +372,7 @@ def cmd_normalize(args) -> int:
     f_nh4 = _f_nh4(args, site)
     rows = [[s.timestamp.isoformat(), fmt(s.value)] for s in normalized_loads(records, f_nh4)]
     write_table(
-        _sink(args.out),
+        args.out,
         ["date", "value"],
         rows,
         comment=f"normalized load (copies/person/day) site={site} f_nh4={f_nh4:g}",
@@ -395,7 +392,7 @@ def cmd_smooth(args) -> int:
         for orig, s in zip(series, smoothed)
     ]
     write_table(
-        _sink(args.out),
+        args.out,
         ["date", "original", "smoothed"],
         rows,
         comment=f"method={args.method.value} params={params_text} input={args.input}",
@@ -419,28 +416,23 @@ def cmd_calibrate(args) -> int:
         "ga_seed": config.seed,
         "population_size": config.population_size,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    with open_output(args.out) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_benchmark(args) -> int:
     records = _load_records(args)
-    normalized = args.signal in ("normalized", "both")
+    kinds = SIGNAL_KINDS if args.signal == "both" else (args.signal,)
     config = _pipeline_config(
         args,
         standardize=not args.no_standardize,
         standard_aic_sign=args.aic_sign == "standard",
         band_level=args.band_level,
-        f_nh4=_f_nh4(args, records[0].site) if normalized else None,
+        f_nh4=_f_nh4(args, records[0].site) if SIGNAL_KINDS[-1] in kinds else None,
         include_loocv=args.include_loocv,
     )
 
-    kinds = ("raw", "normalized") if args.signal == "both" else (args.signal,)
     reports = []
     for kind in kinds:
         report = run_benchmark(records, kind, config, jobs=worker_count(len(config.methods)))
@@ -488,11 +480,10 @@ def cmd_regress(args) -> int:
         source = f"benchmark optimal={report.optimal_method.value}"
 
     fit = fit_loads(loads, incidence)
-    rows = [[site, fmt(fit.slope), fmt(fit.intercept), fmt(fit.r_squared), str(fit.n)]]
     write_table(
-        _sink(args.out),
-        ["site", "slope", "intercept", "r2", "n"],
-        rows,
+        args.out,
+        REGRESSION_HEADER,
+        [regression_row(site, fit)],
         comment=f"loads from {source} seed={args.seed}",
     )
     return 0

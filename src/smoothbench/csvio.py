@@ -12,14 +12,15 @@ numbers are emitted with 17 significant digits so a read-back is bit-exact.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import math
+import sys
 from dataclasses import dataclass, make_dataclass
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, ParseError, SchemaError
+from .errors import InputError, IoError, ParseError, SchemaError
 from .normalization import BiomarkerLoad
 from .timeseries import SurveillanceRecord, TimeSeries
 
@@ -108,6 +109,18 @@ def open_input(path: str):
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+@contextlib.contextmanager
+def open_output(path: str):
+    """A user-named file opened for writing, stdout (left open) for "-"; failing
+    to open or write it is an IoError."""
+    stdout = contextlib.nullcontext(sys.stdout)
+    try:
+        with stdout if path == "-" else open(path, "w", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def read_surveillance_csv(
     path: str, units: UnitConfig | None = None
 ) -> list[SurveillanceRecord]:
@@ -142,7 +155,7 @@ def read_surveillance_csv(
 
 def write_surveillance_csv(
     records: Sequence[SurveillanceRecord],
-    sink: "str | io.TextIOBase",
+    path: str,
     units: UnitConfig | None = None,
 ) -> None:
     """Echo records in the canonical schema (converting back to file units)."""
@@ -153,7 +166,7 @@ def write_surveillance_csv(
         + [fmt(None if getattr(r, f) is None else getattr(r, f) / factor) for f, factor in factors]
         for r in records
     ]
-    write_table(sink, ["date", "site"] + [c.header for c in NUMERIC_COLUMNS], rows)
+    write_table(path, ["date", "site"] + [c.header for c in NUMERIC_COLUMNS], rows)
 
 
 def read_biomarker_table(path: str) -> dict[str, BiomarkerLoad]:
@@ -180,14 +193,12 @@ def read_biomarker_table(path: str) -> dict[str, BiomarkerLoad]:
         return table
 
 
-def write_biomarker_table(
-    table: dict[str, BiomarkerLoad], sink: "str | io.TextIOBase"
-) -> None:
+def write_biomarker_table(table: dict[str, BiomarkerLoad], path: str) -> None:
     rows = [
         [site, fmt(load.f_bm), fmt(load.p_low), fmt(load.p_high)]
         for site, load in table.items()
     ]
-    write_table(sink, ["site", "f_bm_g_per_cap_d", "p025", "p975"], rows)
+    write_table(path, ["site", "f_bm_g_per_cap_d", "p025", "p975"], rows)
 
 
 def read_series_csv(path: str) -> TimeSeries:
@@ -209,16 +220,11 @@ def _skip_comments(handle: Iterable[str]) -> Iterable[str]:
     return (line for line in handle if not line.startswith("#"))
 
 
-def write_table(
-    sink: "str | io.TextIOBase", header: list[str], rows, comment: str | None = None
-) -> None:
-    """Write a header and rows to a path, or to an open handle left open."""
-    if isinstance(sink, (str, bytes)):
-        with open(sink, "w", newline="") as handle:
-            write_table(handle, header, rows, comment)
-        return
-    if comment:
-        sink.write(f"# {comment}\n")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def write_table(path: str, header: list[str], rows, comment: str | None = None) -> None:
+    """Write a header and rows to ``path`` (stdout for "-")."""
+    with open_output(path) as handle:
+        if comment:
+            handle.write(f"# {comment}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -305,16 +305,23 @@ def worker_count(methods: int) -> int:
     return min(cpus, methods)
 
 
+# Native ids of ended pools' threads: Python has joined them, but Linux lists
+# each in /proc/self/task until its exit completes, up to a few ms later
+_JOINED: set[int] = set()
+
+
 def _single_threaded() -> bool:
     """Whether this process runs one thread, so that it may fork safely.
 
     A BLAS library's native threads count too, so Linux's own count of the
-    process's threads is read where there is one.
+    process's threads is read where there is one, less the ended pools' threads.
     """
     try:
-        return len(os.listdir("/proc/self/task")) == 1
+        tasks = {int(task) for task in os.listdir("/proc/self/task")}
     except OSError:
         return threading.active_count() == 1
+    _JOINED.intersection_update(tasks)
+    return len(tasks - _JOINED) == 1
 
 
 def _evaluate_in_worker(
@@ -368,26 +375,27 @@ def _evaluate_methods(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_exit_with_parent,
         initargs=(os.getpid(),),
-    ) as pool:
+    )
+    try:
         futures = [pool.submit(_evaluate_in_worker, config, job, imputed) for job in pool_jobs]
         where = {m: (f, i) for job, f in zip(pool_jobs, futures) for i, m in enumerate(job)}
         results = []
-        try:
-            for method in config.methods:
-                future, slot = where[method]
-                result, caught = future.result()[slot]
-                for message, category in caught:
-                    warnings.warn(message, category)
-                results.append(result)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return results
+        for method in config.methods:
+            future, slot = where[method]
+            result, caught = future.result()[slot]
+            for message, category in caught:
+                warnings.warn(message, category)
+            results.append(result)
+        return results
+    finally:
+        threads = [t for t in threading.enumerate() if t is not threading.current_thread()]
+        pool.shutdown(cancel_futures=True)
+        _JOINED.update(t.native_id for t in threads if not t.is_alive())
 
 
 def run_benchmark(

@@ -25,10 +25,11 @@ import typing
 from datetime import date
 from operator import attrgetter
 
-from .csvio import fmt, open_input, write_table
+from .csvio import fmt, open_input, open_output, write_table
 from .errors import EvaluationFailure, IoError, SchemaError
 from .evaluation import PerformanceIndex
 from .pipeline import BenchmarkReport
+from .regression import LinearFit
 from .smoothers import MethodId
 
 SCHEMA_VERSION = 1
@@ -39,7 +40,8 @@ _EXCEPTIONS = {
     (BenchmarkReport, "outcomes"): ("methods", None),
     (PerformanceIndex, "method"): (None, None),
     (PerformanceIndex, "aic"): ("aic", (lambda v: None if v == -math.inf else v,
-                                        lambda v: -math.inf if v is None else float(v))),
+                                        lambda v: -math.inf if v is None
+                                        else _SCALARS[float][1](v))),
 }
 
 
@@ -47,11 +49,21 @@ def _same(value):
     return value
 
 
+def _typed(decode, *types):
+    """``decode`` of a JSON value whose type is one of ``types``: a bool is no int."""
+    def checked(value):
+        if type(value) not in types:
+            raise TypeError(f"expected {types[-1].__name__}, got {value!r:.40}")
+        return decode(value)
+    return checked
+
+
 _SCALARS = {
-    MethodId: (attrgetter("value"), MethodId),
-    date: (date.isoformat, date.fromisoformat),
-    float: (_same, float), int: (_same, int), bool: (_same, bool),
-    str: (_same, _same), dict: (_same, _same),
+    MethodId: (attrgetter("value"), _typed(MethodId, str)),
+    date: (date.isoformat, _typed(date.fromisoformat, str)),
+    float: (_same, _typed(float, int, float)), int: (_same, _typed(_same, int)),
+    bool: (_same, _typed(_same, bool)), str: (_same, _typed(_same, str)),
+    dict: (_same, _typed(_same, dict)),
 }
 
 
@@ -173,13 +185,18 @@ def read_reports(path: str) -> list[BenchmarkReport]:
         return parse_reports_json(handle.read())
 
 
-def _clusters_rows(report: BenchmarkReport, with_signal: bool) -> list[list[str]]:
+_CLUSTERS_HEADER = ["method", "var", "err", "aic", "cluster", "is_medoid", "is_optimal"]
+REGRESSION_HEADER = ["site", "slope", "intercept", "r2", "n"]
+
+
+def regression_row(site: str, fit: LinearFit) -> list[str]:
+    return [site, fmt(fit.slope), fmt(fit.intercept), fmt(fit.r_squared), str(fit.n)]
+
+
+def _clusters_rows(report: BenchmarkReport) -> list[list[str]]:
     medoids = set(report.cluster.medoids)
-    rows = []
-    for o in report.outcomes:
-        if not o.ok:
-            continue
-        row = [
+    return [
+        [
             o.method.value,
             fmt(o.index.var),
             fmt(o.index.mae),
@@ -188,10 +205,13 @@ def _clusters_rows(report: BenchmarkReport, with_signal: bool) -> list[list[str]
             str(int(o.method in medoids)),
             str(int(o.method is report.optimal_method)),
         ]
-        if with_signal:
-            row.append(report.signal_kind)
-        rows.append(row)
-    return rows
+        for o in report.outcomes
+        if o.ok
+    ]
+
+
+def _regression_rows(report: BenchmarkReport) -> list[list[str]]:
+    return [] if report.regression is None else [regression_row(report.site, report.regression)]
 
 
 def write_reports(reports: list[BenchmarkReport], outdir: str) -> list[str]:
@@ -199,60 +219,36 @@ def write_reports(reports: list[BenchmarkReport], outdir: str) -> list[str]:
     _check_kinds(reports, IoError)
     try:
         os.makedirs(outdir, exist_ok=True)
-        paths = []
-
-        path = os.path.join(outdir, "report.json")
-        with open(path, "w") as handle:
-            handle.write(reports_json(reports))
-        paths.append(path)
-
-        for report in reports:
-            suffix = "raw" if report.signal_kind == "raw" else "norm"
-            path = os.path.join(outdir, f"smoothed_{suffix}.csv")
-            rows = [
-                [t.isoformat(), fmt(orig), fmt(sm), fmt(lo), fmt(hi)]
-                for t, orig, sm, lo, hi in zip(
-                    report.timestamps,
-                    report.original,
-                    report.smoothed,
-                    report.band_lower,
-                    report.band_upper,
-                )
-            ]
-            write_table(path, ["date", "original", "smoothed", "ci_lower", "ci_upper"], rows)
-            paths.append(path)
-
-        with_signal = len(reports) > 1
-        header = ["method", "var", "err", "aic", "cluster", "is_medoid", "is_optimal"]
-        if with_signal:
-            header.append("signal")
-        rows = []
-        for report in reports:
-            rows.extend(_clusters_rows(report, with_signal))
-        path = os.path.join(outdir, "clusters.csv")
-        write_table(path, header, rows)
-        paths.append(path)
-
-        header = ["site", "slope", "intercept", "r2", "n"]
-        if with_signal:
-            header.append("signal")
-        rows = []
-        for report in reports:
-            if report.regression is None:
-                continue
-            row = [
-                report.site,
-                fmt(report.regression.slope),
-                fmt(report.regression.intercept),
-                fmt(report.regression.r_squared),
-                str(report.regression.n),
-            ]
-            if with_signal:
-                row.append(report.signal_kind)
-            rows.append(row)
-        path = os.path.join(outdir, "regression.csv")
-        write_table(path, header, rows)
-        paths.append(path)
-        return paths
     except OSError as exc:
-        raise IoError(f"cannot write report files: {exc}") from exc
+        raise IoError(f"cannot write {outdir}: {exc.strerror or exc}") from exc
+    paths = []
+
+    path = os.path.join(outdir, "report.json")
+    with open_output(path) as handle:
+        handle.write(reports_json(reports))
+    paths.append(path)
+
+    for report in reports:
+        suffix = "raw" if report.signal_kind == "raw" else "norm"
+        path = os.path.join(outdir, f"smoothed_{suffix}.csv")
+        rows = [
+            [t.isoformat(), fmt(orig), fmt(sm), fmt(lo), fmt(hi)]
+            for t, orig, sm, lo, hi in zip(
+                report.timestamps,
+                report.original,
+                report.smoothed,
+                report.band_lower,
+                report.band_upper,
+            )
+        ]
+        write_table(path, ["date", "original", "smoothed", "ci_lower", "ci_upper"], rows)
+        paths.append(path)
+
+    tagged = len(reports) > 1  # the tables that several reports share name each row's signal
+    for name, header, rows_of in (("clusters.csv", _CLUSTERS_HEADER, _clusters_rows),
+                                  ("regression.csv", REGRESSION_HEADER, _regression_rows)):
+        path = os.path.join(outdir, name)
+        rows = [row + [r.signal_kind] * tagged for r in reports for row in rows_of(r)]
+        write_table(path, header + ["signal"] * tagged, rows)
+        paths.append(path)
+    return paths

@@ -473,14 +473,32 @@ class TestRegressCommand:
 
 
 class TestExitCodes:
-    def test_internal_failure_exits_2(self, surveillance_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        "ingest", "normalize", "smooth", "calibrate", "benchmark", "regress", "report"])
+    def test_internal_failure_exits_2(self, command, series_csv, surveillance_csv, tmp_path,
+                                      capsys):
+        """An --out that cannot be written is an IoError, in every command."""
+        bench = ["benchmark", "--input", surveillance_csv, "--signal", "raw", "--ga-pop", "4",
+                 "--ga-iters", "1", "--methods", "tuk,fft,sma"]
+        argv = {
+            "ingest": ["ingest", "--input", surveillance_csv],
+            "normalize": ["normalize", "--input", surveillance_csv, "--f-nh4", "10.71"],
+            "smooth": ["smooth", "--method", "sma", "--param", "window=3", "--input", series_csv],
+            "calibrate": ["calibrate", "--method", "sma", "--input", series_csv, "--ga-pop", "4",
+                          "--ga-iters", "1"],
+            "benchmark": bench,
+            "regress": ["regress", "--input", surveillance_csv, "--raw-loads", "--f-nh4", "10.71"],
+            "report": ["report", "--report", str(tmp_path / "bench" / "report.json")],
+        }[command]
+        if command == "report":
+            assert main(bench + ["--out", str(tmp_path / "bench")]) == 0
         blocker = tmp_path / "blocker"
         blocker.write_text("a plain file, not a directory")
-        rc = main(["benchmark", "--input", surveillance_csv, "--signal", "raw",
-                   "--out", str(blocker / "nested"), "--ga-pop", "20",
-                   "--ga-iters", "2", "--methods", "tuk,fft,sma"])
-        assert rc == 2
-        assert "IoError" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(argv + ["--out", str(blocker / "nested")]) == 2
+        err = capsys.readouterr().err
+        assert "error: IoError:" in err
+        assert "internal error:" not in err
 
     def test_data_failure_exits_2_as_error(self, tmp_path):
         """A failure the data causes names its type, not an internal error, once."""
@@ -650,7 +668,13 @@ class TestExitCodes:
                      edited("band_upper", value=[1.0] * 10),
                      edited("original", value=[1.0] * (n + 1)),
                      edited("loocv_optimal", value=[[0.0] * n] * (n - 1)),
-                     edited("loocv_optimal", value=[[0.0] * (n - 1)] * n)):
+                     edited("loocv_optimal", value=[[0.0] * (n - 1)] * n),
+                     # a value of another JSON type is not converted
+                     edited("methods", 0, "index", "zero_residual", value="false"),
+                     edited("methods", 0, "index", "mae", value="0.5"),
+                     edited("band_level", value="0.9"),
+                     edited("methods", 0, "ga_evaluations", value=True),
+                     edited("methods", 0, "ga_evaluations", value=2.7)):
             bad.write_text(text)
             rc = main(["report", "--report", str(bad), "--out", str(tmp_path / "out")])
             assert rc == 1, text

@@ -13,10 +13,18 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothbench.pipeline as pl
 from smoothbench.calibration import GaConfig
-from smoothbench.errors import EvaluationFailure, InputError, MissingBiomarker, SeriesTooShort
+from smoothbench.errors import (
+    EvaluationFailure,
+    InputError,
+    MissingBiomarker,
+    SchemaError,
+    SeriesTooShort,
+)
 from smoothbench.clustering import cluster_methods
 from smoothbench.evaluation import evaluate_method
 from smoothbench.pipeline import PipelineConfig, method_seed, run_benchmark
@@ -342,7 +350,8 @@ class TestWorkerPool:
         assert pl._jobs((MethodId.GAM, MethodId.TUK, MethodId.FFT)) == [
             (MethodId.GAM,), (MethodId.TUK,), (MethodId.FFT,)]
 
-    def test_no_more_workers_than_jobs(self, bundled, monkeypatch):
+    @staticmethod
+    def _counted_forks(monkeypatch) -> list[int]:
         forks = []
         fork = os.fork
 
@@ -353,10 +362,23 @@ class TestWorkerPool:
             return pid
 
         monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def test_no_more_workers_than_jobs(self, bundled, monkeypatch):
+        forks = self._counted_forks(monkeypatch)
         config = tiny_config(methods=(MethodId.SPL, MethodId.GAM, MethodId.TUK))
         report = run_benchmark(bundled, "raw", config, jobs=3)
         assert len(forks) == 2
         assert report.outcomes == run_benchmark(bundled, "raw", config).outcomes
+
+    def test_a_run_right_after_a_run_starts_its_own_pool(self, bundled, monkeypatch):
+        # the first pool's joined threads stay listed in /proc/self/task for
+        # up to a few ms after it returns; the second run forks all the same
+        forks = self._counted_forks(monkeypatch)
+        config = tiny_config(methods=(MethodId.TUK, MethodId.FFT, MethodId.SMA))
+        for run in (1, 2):
+            run_benchmark(bundled, "raw", config, jobs=2)
+            assert len(forks) == 2 * run
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_failed_finish_counts_only_for_the_optimal_method(self, bundled, monkeypatch,
@@ -585,6 +607,23 @@ def with_failed_method(report):
                    cluster=replace(report.cluster, assignments=assignments))
 
 
+def _scalar_paths(node, path=()):
+    """The paths to the scalars of a JSON document that are not null."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [] if node is None else [path]
+    return [p for key, child in items for p in _scalar_paths(child, path + (key,))]
+
+
+_JSON_VALUES = st.one_of(
+    st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
 class TestReportIo:
     @pytest.mark.parametrize("variant", [lambda r: r, with_failed_method],
                              ids=["as_run", "failed_method_no_regression"])
@@ -594,6 +633,23 @@ class TestReportIo:
         back = parse_reports_json(text)
         assert back == [report]
         assert reports_json(back) == text
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_scalar_of_another_json_type_is_a_schema_error(self, raw_report, data):
+        payload = json.loads(reports_json([raw_report]))
+        stored = payload["reports"][0]
+        # provenance is free-form: its values have no type to check
+        path = data.draw(st.sampled_from(
+            [p for p in _scalar_paths(stored) if p[0] != "provenance"]))
+        node = stored
+        for key in path[:-1]:
+            node = node[key]
+        old = node[path[-1]]
+        same = (int, float) if type(old) is float else (type(old),)  # an int is a float too
+        node[path[-1]] = data.draw(_JSON_VALUES.filter(lambda v: type(v) not in same))
+        with pytest.raises(SchemaError):
+            parse_reports_json(json.dumps(payload))
 
     def test_absent_keys_read_as_none(self, raw_report):
         payload = json.loads(reports_json([raw_report]))
