@@ -16,6 +16,7 @@ methods in one worker process per CPU this process may use.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ from .csvio import (
     write_surveillance_csv,
     write_table,
 )
-from .errors import EmptyInput, InputError, SmoothbenchError
+from .errors import EmptyInput, InputError, IoError, SmoothbenchError
 from .normalization import reference_nh4_load
 from .pipeline import (
     SIGNAL_KINDS,
@@ -48,7 +49,13 @@ from .pipeline import (
     run_benchmark,
     worker_count,
 )
-from .reportio import REGRESSION_HEADER, read_reports, regression_row, write_reports
+from .reportio import (
+    REGRESSION_HEADER,
+    make_output_dir,
+    read_reports,
+    regression_row,
+    write_reports,
+)
 from .smoothers import PARAM_SPECS, MethodId, apply_smoother, make_spec
 from .timeseries import TimeSeries, build_series, impute_linear
 
@@ -433,6 +440,7 @@ def cmd_benchmark(args) -> int:
         include_loocv=args.include_loocv,
     )
 
+    make_output_dir(args.out)  # before the run, which an unwritable --out would waste
     reports = []
     for kind in kinds:
         report = run_benchmark(records, kind, config, jobs=worker_count(len(config.methods)))
@@ -472,6 +480,9 @@ def cmd_regress(args) -> int:
         loads = normalized_loads(records, _f_nh4(args, site))
         source = "raw normalized loads"
     else:
+        folder = os.path.dirname(args.out) or os.curdir
+        if args.out != "-" and not os.path.isdir(folder):  # checked before the run
+            raise IoError(f"cannot write {args.out}: {folder} is not a directory")
         config = _pipeline_config(args, f_nh4=_f_nh4(args, site))
         report = run_benchmark(
             records, args.signal, config, jobs=worker_count(len(config.methods))
@@ -508,7 +519,31 @@ _HANDLERS = {
 }
 
 
+# glibc's mallopt parameters, and the largest mmap threshold of a 64-bit build
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEPT_BYTES = 32 << 20
+
+
+def keep_freed_pages() -> None:
+    """Keep freed blocks of up to 32 MiB in the heap, and the heap's free pages
+    mapped, for this process and the workers it forks.
+
+    A GA genome at T=365 frees arrays of about 1 MiB that the next genome
+    allocates again; glibc would hand them back to the kernel and fault them in
+    anew.  Both thresholds are set, since setting either freezes glibc's sliding
+    thresholds at whatever the imports left.  Where libc has no ``mallopt``,
+    this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _KEPT_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _KEPT_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    keep_freed_pages()
     try:
         args = _parse_args(build_parser(), argv)
         with warnings.catch_warnings():

@@ -214,13 +214,18 @@ def _regression_rows(report: BenchmarkReport) -> list[list[str]]:
     return [] if report.regression is None else [regression_row(report.site, report.regression)]
 
 
-def write_reports(reports: list[BenchmarkReport], outdir: str) -> list[str]:
-    """Write report.json plus the smoothed/cluster/regression CSV payloads."""
-    _check_kinds(reports, IoError)
+def make_output_dir(outdir: str) -> None:
+    """Make ``outdir`` if it is missing; failing that is an IoError."""
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot write {outdir}: {exc.strerror or exc}") from exc
+
+
+def write_reports(reports: list[BenchmarkReport], outdir: str) -> list[str]:
+    """Write report.json plus the smoothed/cluster/regression CSV payloads."""
+    _check_kinds(reports, IoError)
+    make_output_dir(outdir)
     paths = []
 
     path = os.path.join(outdir, "report.json")

@@ -1,15 +1,22 @@
-"""Nadaraya-Watson kernel regression with a Gaussian kernel (KER)."""
+"""Nadaraya-Watson kernel regression with a Gaussian kernel (KER).
+
+The weight of point j in the smooth at point i depends on the lag i - j
+alone: each of the 2n - 1 lags is exponentiated once, and the n x n weight
+matrix is copied out of that one row.
+"""
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _gaussian_weights(n: int, bandwidth: float) -> np.ndarray:
-    idx = np.arange(n, dtype=float)
-    u = (idx[:, None] - idx[None, :]) / bandwidth
-    return np.exp(-0.5 * u * u)
+    u = np.arange(-(n - 1), n, dtype=float) / bandwidth
+    row = np.exp(-0.5 * u * u)  # row[d + n - 1] is the weight at lag d
+    # entry (i, j) is row[i - j + n - 1]: row i is window n - 1 - i of the reversed row
+    return sliding_window_view(row[::-1], n)[::-1].copy()
 
 
 def kernel_regression(y: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -2,9 +2,12 @@
 # process stays single-threaded: the worker pool forks from no other.
 import smoothbench  # noqa: F401, I001
 
+import math
+
 import numpy as np
 import pytest
 
+from smoothbench.smoothers.windows import knn_starts, local_design, window_offsets
 from smoothbench.timeseries import TimeSeries
 
 
@@ -24,3 +27,22 @@ def random_series(gen: np.random.Generator, n: int, scale: float = 1.0) -> TimeS
     trend = np.cumsum(gen.normal(scale=0.3, size=n))
     noise = gen.normal(scale=0.5, size=n)
     return TimeSeries.from_values(scale * (trend + noise + 5.0))
+
+
+def reference_pol_design(n: int, span: float):
+    """POL's design over all n windows, as built before its per-slot tables."""
+    k = max(4, min(n, math.ceil(span * n)))
+    starts = knn_starts(n, k)
+    _, offsets = window_offsets(starts, k)
+    dist = np.abs(offsets).astype(float)
+    dmax = dist.max(axis=1, keepdims=True)
+    u = dist / dmax
+    weights = np.clip(1.0 - u**3, 0.0, None) ** 3
+    return local_design(starts, k, 2, weights=weights)
+
+
+def reference_gaussian_weights(n: int, bandwidth: float) -> np.ndarray:
+    """KER's n x n weights, as built before its table of lags: exp of every pair."""
+    idx = np.arange(n, dtype=float)
+    u = (idx[:, None] - idx[None, :]) / bandwidth
+    return np.exp(-0.5 * u * u)

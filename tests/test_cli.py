@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import os
 import re
@@ -500,6 +501,21 @@ class TestExitCodes:
         assert "error: IoError:" in err
         assert "internal error:" not in err
 
+    @pytest.mark.parametrize("command", ["benchmark", "regress"])
+    def test_unwritable_out_fails_before_the_run(self, command, surveillance_csv, monkeypatch,
+                                                 capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the benchmark ran")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_run)
+        out = os.path.join(surveillance_csv, "bench")
+        argv = [command, "--input", surveillance_csv, "--f-nh4", "10.71", "--out", out,
+                "--methods", "tuk,fft,sma", "--ga-pop", "4", "--ga-iters", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: IoError:" in err
+        assert "internal error:" not in err
+
     def test_data_failure_exits_2_as_error(self, tmp_path):
         """A failure the data causes names its type, not an internal error, once."""
         records = [
@@ -845,6 +861,43 @@ class TestBlasThreads:
         assert value == expected
         if preset is None:
             assert threads == "1"  # numpy's OpenBLAS started no thread of its own
+
+
+# 20 rounds of eight 1 MiB arrays touch 40960 pages; kept pages fault in once
+_PAGE_ROUNDS = (
+    "import resource\n"
+    "from smoothbench import cli\n"
+    "{setup}\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "for _ in range(20):\n"
+    "    arrays = [np.ones(1 << 17) for _ in range(8)]\n"
+    "    del arrays\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+)
+# the pages of four rounds: one round faults in once, and the rest reuse it
+_KEPT_FAULT_BOUND = 4 * 8 * 256
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):  # no C library to load by name None
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+class TestFreedPages:
+    def test_freed_pages_are_kept(self):
+        kept = int(run_fresh(_PAGE_ROUNDS.format(setup="cli.keep_freed_pages()")))
+        returned = int(run_fresh(_PAGE_ROUNDS.format(setup="")))
+        assert kept < _KEPT_FAULT_BOUND < returned
+
+    def test_main_keeps_freed_pages_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_pages", lambda: calls.append("kept"))
+        monkeypatch.setattr(cli, "_parse_args", lambda *a: calls.append("parsed") or sys.exit(2))
+        assert main(["smooth"]) == 1
+        assert calls == ["kept", "parsed"]
 
 
 # a cell of a generated surveillance file: missing, zero, or positive from the

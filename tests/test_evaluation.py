@@ -33,7 +33,7 @@ from smoothbench.smoothers.spline import smoothing_spline
 from smoothbench.smoothers.windows import equivalent_kernel, scatter_rows
 from smoothbench.timeseries import TimeSeries
 
-from conftest import random_series
+from conftest import random_series, reference_gaussian_weights, reference_pol_design
 from test_stacked import DEGENERATE, spec_at
 
 
@@ -70,13 +70,13 @@ def _on_identity(smoother):
 
 def _kernel_operator(n, bandwidth):
     """Row-normalized Gaussian weight matrix (KER's former operator builder)."""
-    k = kernel._gaussian_weights(n, bandwidth)
+    k = reference_gaussian_weights(n, bandwidth)
     return k / k.sum(axis=1, keepdims=True)
 
 
 def _local_quadratic_operator(n, span):
     """Dense equivalent-kernel matrix (POL's former operator builder)."""
-    local = localpoly._design(n, span)
+    local = reference_pol_design(n, span)
     return scatter_rows(local.cols[:, 0], equivalent_kernel(local), n)
 
 

@@ -2,7 +2,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothbench.errors import EvaluationFailure, InsufficientData, InvalidParams, SeriesTooShort
@@ -20,14 +20,20 @@ from smoothbench.smoothers import (
     make_spec,
     required_length,
 )
-from smoothbench.smoothers import gam, localpoly
+from smoothbench.smoothers import gam, kernel, localpoly
 from smoothbench.smoothers.basic import tukey_3r
 from smoothbench.smoothers.fourier import fourier_lowpass
 from smoothbench.smoothers.kalman import fit_kalman_local_level
-from smoothbench.smoothers.windows import local_design, window_offsets
+from smoothbench.smoothers.windows import (
+    batched_local_polyfit,
+    equivalent_kernel,
+    local_design,
+    scatter_rows,
+    window_offsets,
+)
 from smoothbench.timeseries import TimeSeries
 
-from conftest import random_series
+from conftest import random_series, reference_gaussian_weights, reference_pol_design
 
 SHIFT_EQUIVARIANT = {
     MethodId.SMA, MethodId.RRM, MethodId.TUK, MethodId.SPL, MethodId.KER,
@@ -511,7 +517,7 @@ class TestLocalDesign:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(5, 400), st.floats(0.1, 1.0))
     def test_pol_design_matches_broadcast_powers(self, n, span):
-        local = localpoly._design(n, span)
+        local = reference_pol_design(n, span)
         reference = reference_local_design(
             local.cols[:, 0], local.cols.shape[1], 2, local.weights
         )
@@ -529,3 +535,38 @@ class TestLocalDesign:
                     interior - half, window, degree, centers=interior
                 )
                 assert_design_matches_reference(local, reference)
+
+
+def assert_same_bits(got, want, name):
+    assert got.shape == want.shape, name
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+
+
+class TestSharedTables:
+    """The per-slot and per-lag tables against a build over every window or pair."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(5, 400), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+    @example(n=40, span=0.1, seed=0)  # k = 4, the floor
+    @example(n=5, span=0.1, seed=1)  # k = 4 of 5
+    @example(n=400, span=1.0, seed=2)  # k = n: one window, n slots
+    @example(n=7, span=1.0, seed=3)
+    def test_pol_parts_match_full_windows(self, n, span, seed):
+        y = random_series(np.random.default_rng(seed), n, scale=10.0).values()
+        local = reference_pol_design(n, span)
+        starts, rows = local.cols[:, 0], equivalent_kernel(local)
+        smooth = batched_local_polyfit(y[local.cols], local)
+        base, diagonal, operator_of = localpoly.local_quadratic_parts(y, span)
+        assert_same_bits(localpoly.local_quadratic(y, span), smooth, "local_quadratic")
+        assert_same_bits(base, smooth, "smooth")
+        assert_same_bits(diagonal, rows[np.arange(n), np.arange(n) - starts], "diagonal")
+        assert_same_bits(operator_of(), scatter_rows(starts, rows, n), "operator")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 400), st.floats(0.5, 10.0))
+    @example(n=2, bandwidth=0.5)
+    @example(n=400, bandwidth=10.0)
+    def test_ker_weights_match_pairwise_exp(self, n, bandwidth):
+        weights = kernel._gaussian_weights(n, bandwidth)
+        assert weights.flags.c_contiguous
+        assert_same_bits(weights, reference_gaussian_weights(n, bandwidth), "weights")
