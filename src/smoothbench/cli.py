@@ -29,6 +29,7 @@ from .csvio import (
     OPTIONAL_COLUMNS,
     UNIT_COLUMNS,
     UnitConfig,
+    check_output,
     fmt,
     open_input,
     open_output,
@@ -38,7 +39,7 @@ from .csvio import (
     write_surveillance_csv,
     write_table,
 )
-from .errors import EmptyInput, InputError, IoError, SmoothbenchError
+from .errors import EmptyInput, InputError, SmoothbenchError
 from .normalization import reference_nh4_load
 from .pipeline import (
     SIGNAL_KINDS,
@@ -408,6 +409,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    check_output(args.out)  # before the GA, which an unwritable --out would waste
     method = args.method
     config = _ga_config(args)
     gap_free = impute_linear(_input_series(args))
@@ -457,6 +459,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_regress(args) -> int:
+    check_output(args.out)  # before the run, which an unwritable --out would waste
     records = _load_records(args)
     site = records[0].site
     try:
@@ -480,9 +483,6 @@ def cmd_regress(args) -> int:
         loads = normalized_loads(records, _f_nh4(args, site))
         source = "raw normalized loads"
     else:
-        folder = os.path.dirname(args.out) or os.curdir
-        if args.out != "-" and not os.path.isdir(folder):  # checked before the run
-            raise IoError(f"cannot write {args.out}: {folder} is not a directory")
         config = _pipeline_config(args, f_nh4=_f_nh4(args, site))
         report = run_benchmark(
             records, args.signal, config, jobs=worker_count(len(config.methods))

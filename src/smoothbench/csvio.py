@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, make_dataclass
 from datetime import date
@@ -119,6 +120,14 @@ def open_output(path: str):
             yield handle
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def check_output(path: str) -> None:
+    """Before a long run: a ``path`` that :func:`open_output` could not open
+    because it is a directory or its folder is missing is an IoError."""
+    folder = os.path.dirname(path) or os.curdir
+    if path != "-" and (os.path.isdir(path) or not os.path.isdir(folder)):
+        raise IoError(f"cannot write {path}: it is a directory or {folder} is not one")
 
 
 def read_surveillance_csv(

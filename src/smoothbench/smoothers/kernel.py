@@ -20,8 +20,7 @@ def _gaussian_weights(n: int, bandwidth: float) -> np.ndarray:
 
 
 def kernel_regression(y: np.ndarray, bandwidth: float) -> np.ndarray:
-    k = _gaussian_weights(len(y), bandwidth)
-    return (k @ y) / k.sum(axis=1)
+    return kernel_parts(y, bandwidth)[0]
 
 
 def kernel_parts(
@@ -29,8 +28,7 @@ def kernel_parts(
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """The smooth S @ y, diag(S) and a builder of the dense S, from one weight matrix.
 
-    S is the row-normalized Gaussian weight matrix; the smooth equals
-    :func:`kernel_regression` bit for bit.
+    S is the row-normalized Gaussian weight matrix.
     """
     k = _gaussian_weights(len(y), bandwidth)
     s = k.sum(axis=1)

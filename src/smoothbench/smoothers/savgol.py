@@ -148,10 +148,11 @@ class WindowFits:
     Key (window, degree, shift) holds the (fit, sse) at ``degree`` of the
     window of every point j, with slot j + shift replaced by
     ``imp[j + shift]`` (NaN where the window lacks that slot): one batched
-    fit of all full windows, and one ``polyfit_window`` per clipped end
-    window.  The fits read neither the degree range nor any other key, so
-    one table serves every parameter vector on the same ``y`` and ``imp``;
-    its arrays are read-only.  With ``imp`` equal to ``y`` nothing is replaced.
+    fit of all full windows, which share one interior shape per (window,
+    degree), and one ``polyfit_window`` per clipped end window.  The fits
+    read neither the degree range nor any other key, so one table serves
+    every parameter vector on the same ``y`` and ``imp``; its arrays are
+    read-only.  With ``imp`` equal to ``y`` nothing is replaced.
     """
 
     def __init__(self, y: np.ndarray, imp: np.ndarray):
@@ -164,16 +165,15 @@ class WindowFits:
         if key not in self._fits:
             y, imp = self.y, self.imp
             n, half = len(y), window // 2
+            offsets = np.arange(-half, half + 1)
             if (window, degree) not in self._designs:
-                interior = np.arange(half, n - half)
-                self._designs[window, degree] = local_design(
-                    interior - half, window, degree, centers=interior)
-            local = self._designs[window, degree]
-            yw = y[local.cols]
-            yw[:, half + shift] = imp[local.cols[:, half + shift]]
+                self._designs[window, degree] = local_design(offsets[None, :], degree)
+            interior = np.arange(half, n - half)
+            yw = y[interior[:, None] + offsets]
+            yw[:, half + shift] = imp[interior + shift]
             fit, sse = np.full((2, n), np.nan)
             fit[half : n - half], sse[half : n - half] = batched_local_polyfit(
-                yw, local, want_sse=True)
+                yw, self._designs[window, degree], np.zeros_like(interior), want_sse=True)
             for j, lo, hi in boundary_windows(n, half):
                 if lo <= j + shift < hi:
                     y_win = y[lo:hi].copy()

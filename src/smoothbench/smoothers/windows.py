@@ -3,9 +3,12 @@
 All smoothers operate on the integer sample index.  Two window families are
 used: *clipped* centered windows (truncated at the boundaries, so their size
 shrinks near the edges) and *nearest-neighbour* windows (constant size, shifted
-inward at the edges).  The batched fit solves every per-window weighted
-least-squares problem in one vectorized call; offsets are rescaled to [-1, 1]
-to keep the normal equations well conditioned up to degree 6.
+inward at the edges).  A window's design and normal matrix depend only on its
+shape, the offsets of its points from the point it is evaluated at, so they
+are built once per shape and each window gathers its shape's; the batched fit
+then solves every per-window weighted least-squares problem in one vectorized
+call.  Offsets are rescaled to [-1, 1] to keep the normal equations well
+conditioned up to degree 6.
 """
 from __future__ import annotations
 
@@ -50,86 +53,63 @@ def knn_starts(n: int, k: int) -> np.ndarray:
     return np.clip(idx - (k - 1) // 2, 0, n - k)
 
 
-def window_offsets(
-    starts: np.ndarray, k: int, centers: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices (m, k) of each window and offsets relative to each center.
-
-    Window row r is centered at ``centers[r]`` (default: index r, one window
-    per series point).
-    """
-    cols = starts[:, None] + np.arange(k)[None, :]
-    if centers is None:
-        centers = np.arange(len(starts))
-    offsets = cols - centers[:, None]
-    return cols, offsets
-
-
 @dataclass(frozen=True)
 class LocalDesign:
-    """The data-independent half of a batched local polynomial fit."""
+    """The data-independent half of a batched local polynomial fit, one row per window shape."""
 
-    cols: np.ndarray  # (m, k) series index of every window point
-    design: np.ndarray  # (m, k, degree+1) rescaled offsets raised to each power
-    weights: np.ndarray  # (m, k) least-squares weights
+    design: np.ndarray  # (s, k, degree+1) rescaled offsets raised to each power
+    weights: np.ndarray  # (s, k) least-squares weights
     weighted: np.ndarray  # design * weights
-    normal: np.ndarray  # (m, degree+1, degree+1) normal matrices
+    normal: np.ndarray  # (s, degree+1, degree+1) normal matrices
 
 
 def local_design(
-    starts: np.ndarray,
-    k: int,
-    degree: int,
-    weights: np.ndarray | None = None,
-    centers: np.ndarray | None = None,
+    offsets: np.ndarray, degree: int, weights: np.ndarray | None = None
 ) -> LocalDesign:
-    """Windows, design and normal matrices of a degree-``degree`` local fit.
+    """Design and normal matrices of a degree-``degree`` local fit, per window shape.
 
     Parameters
     ----------
-    starts : (m,) inclusive window starts (one window per evaluation point)
-    k : common window size
+    offsets : (s, k) integer offsets of each shape's points from the point it
+        is evaluated at; all shapes share one scale, that of every offset
     degree : polynomial degree (k and the weight pattern must leave at least
-        degree+1 effectively usable points per window)
-    weights : optional (m, k) nonnegative least-squares weights
-    centers : (m,) series index each window is evaluated at (default 0..m-1,
-        i.e. one window per point)
+        degree+1 effectively usable points per shape)
+    weights : optional (s, k) nonnegative least-squares weights
     """
-    cols, offsets = window_offsets(starts, k, centers)
-    scale = max(1.0, float(np.abs(offsets).max()))
     # the offsets are integers in [lo, hi]: raise each distinct one to the
     # powers once, then gather (the same ** per element, so the same bits)
     lo, hi = int(offsets.min()), int(offsets.max())
-    powers = np.arange(degree + 1)
-    table = (np.arange(lo, hi + 1) / scale)[:, None] ** powers[None, :]
-    design = table[offsets - lo]
+    design = scaled_powers(np.arange(lo, hi + 1), degree)[offsets - lo]
     w = np.ones(offsets.shape) if weights is None else weights
     aw = design * w[:, :, None]
-    normal = np.einsum("nkp,nkq->npq", aw, design)
-    return LocalDesign(cols, design, w, aw, normal)
+    return LocalDesign(design, w, aw, np.einsum("nkp,nkq->npq", aw, design))
 
 
-def batched_local_polyfit(yw: np.ndarray, local: LocalDesign, want_sse: bool = False):
-    """Fit the local polynomial in every window of ``local``, evaluated at its center.
+def batched_local_polyfit(
+    yw: np.ndarray, local: LocalDesign, shape: np.ndarray, want_sse: bool = False
+):
+    """Fit the local polynomial in every window, evaluated at its point.
 
-    ``yw`` holds the (m, k) values in the windows, ``y[local.cols]`` for a
-    series ``y``.  Returns the (m,) fitted values, and with ``want_sse`` also
-    each window's weighted residual sum of squares.
+    ``yw`` holds the (m, k) values in the windows, and window r has the shape
+    ``shape[r]`` of ``local``.  Each sum and solve reads one window, so the fit
+    has the bits of a design built with one shape per window.  Returns the
+    (m,) fitted values, and with ``want_sse`` also each window's weighted
+    residual sum of squares.
     """
-    rhs = np.einsum("nkp,nk->np", local.weighted, yw)
-    coef = np.linalg.solve(local.normal, rhs[:, :, None])[:, :, 0]
+    rhs = np.einsum("nkp,nk->np", local.weighted[shape], yw)
+    coef = np.linalg.solve(local.normal[shape], rhs[:, :, None])[:, :, 0]
     fitted = coef[:, 0]  # polynomial evaluated at offset 0
     if not want_sse:
         return fitted
-    resid = yw - np.einsum("nkp,np->nk", local.design, coef)
-    return fitted, np.einsum("nk,nk->n", local.weights, resid**2)
+    resid = yw - np.einsum("nkp,np->nk", local.design[shape], coef)
+    return fitted, np.einsum("nk,nk->n", local.weights[shape], resid**2)
 
 
 def equivalent_kernel(local: LocalDesign) -> np.ndarray:
-    """(m, k) weights of each window's fitted value on its window points.
+    """(s, k) weights of each shape's fitted value on its window points.
 
-    The fit at window r is ``rows[r] @ y[local.cols[r]]`` (the fitted value
-    is linear in y for fixed windows and weights).
+    The fit of a window of shape r is ``rows[r]`` times the window's values
+    (the fitted value is linear in y for fixed windows and weights).
     """
     m, _, p = local.design.shape
     e0 = np.zeros((m, p, 1))
@@ -138,10 +118,9 @@ def equivalent_kernel(local: LocalDesign) -> np.ndarray:
     return np.einsum("np,nkp->nk", ninv_e0, local.weighted)
 
 
-def scatter_rows(starts: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """Dense (m, n) matrix holding window row ``rows[r]`` from column ``starts[r]`` on."""
+def scatter_rows(cols: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Dense (m, n) matrix holding window row ``rows[r]`` at the columns ``cols[r]``."""
     out = np.zeros((len(rows), n))
-    cols = starts[:, None] + np.arange(rows.shape[1])[None, :]
     np.put_along_axis(out, cols, rows, axis=1)
     return out
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothbench.smoothers.windows import knn_starts, local_design, window_offsets
+from smoothbench.smoothers.windows import knn_starts, local_design
 from smoothbench.timeseries import TimeSeries
 
 
@@ -29,16 +29,22 @@ def random_series(gen: np.random.Generator, n: int, scale: float = 1.0) -> TimeS
     return TimeSeries.from_values(scale * (trend + noise + 5.0))
 
 
+def full_windows(starts: np.ndarray, k: int, centers: np.ndarray):
+    """Columns and offsets of one k-point window per center: a shape for every window."""
+    cols = starts[:, None] + np.arange(k)[None, :]
+    return cols, cols - centers[:, None]
+
+
 def reference_pol_design(n: int, span: float):
-    """POL's design over all n windows, as built before its per-slot tables."""
+    """POL's window columns and its design over all n windows, one shape each
+    (gathered by ``arange(n)``), as built before its per-slot tables."""
     k = max(4, min(n, math.ceil(span * n)))
-    starts = knn_starts(n, k)
-    _, offsets = window_offsets(starts, k)
+    cols, offsets = full_windows(knn_starts(n, k), k, np.arange(n))
     dist = np.abs(offsets).astype(float)
     dmax = dist.max(axis=1, keepdims=True)
     u = dist / dmax
     weights = np.clip(1.0 - u**3, 0.0, None) ** 3
-    return local_design(starts, k, 2, weights=weights)
+    return cols, local_design(offsets, 2, weights=weights)
 
 
 def reference_gaussian_weights(n: int, bandwidth: float) -> np.ndarray:

@@ -23,6 +23,7 @@ from smoothbench.csvio import (
     NUMERIC_COLUMNS,
     SURVEILLANCE_COLUMNS,
     UnitConfig,
+    check_output,
     fmt,
     read_series_csv,
     read_surveillance_csv,
@@ -501,20 +502,30 @@ class TestExitCodes:
         assert "error: IoError:" in err
         assert "internal error:" not in err
 
-    @pytest.mark.parametrize("command", ["benchmark", "regress"])
+    @pytest.mark.parametrize("command", ["benchmark", "regress", "calibrate"])
     def test_unwritable_out_fails_before_the_run(self, command, surveillance_csv, monkeypatch,
                                                  capsys):
         def no_run(*args, **kwargs):
-            raise AssertionError("the benchmark ran")
+            raise AssertionError("the run started")
 
         monkeypatch.setattr(cli, "run_benchmark", no_run)
-        out = os.path.join(surveillance_csv, "bench")
-        argv = [command, "--input", surveillance_csv, "--f-nh4", "10.71", "--out", out,
-                "--methods", "tuk,fft,sma", "--ga-pop", "4", "--ga-iters", "1"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "error: IoError:" in err
-        assert "internal error:" not in err
+        monkeypatch.setattr(cli, "calibrate", no_run)
+        outs = [os.path.join(surveillance_csv, "out")]  # in a folder that is a plain file
+        if command != "benchmark":  # these write one file, which a directory cannot be
+            outs.append(os.path.dirname(surveillance_csv))
+        for out in outs:
+            argv = [command, "--input", surveillance_csv, "--out", out, "--ga-pop", "4",
+                    "--ga-iters", "1"]
+            argv += (["--method", "sma"] if command == "calibrate"
+                     else ["--f-nh4", "10.71", "--methods", "tuk,fft,sma"])
+            assert main(argv) == 2, out
+            err = capsys.readouterr().err
+            assert "error: IoError:" in err, out
+            assert "internal error:" not in err, out
+
+    def test_check_output_passes_stdout_and_a_new_file(self, tmp_path):
+        check_output("-")
+        check_output(str(tmp_path / "new.csv"))
 
     def test_data_failure_exits_2_as_error(self, tmp_path):
         """A failure the data causes names its type, not an internal error, once."""

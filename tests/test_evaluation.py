@@ -76,8 +76,8 @@ def _kernel_operator(n, bandwidth):
 
 def _local_quadratic_operator(n, span):
     """Dense equivalent-kernel matrix (POL's former operator builder)."""
-    local = reference_pol_design(n, span)
-    return scatter_rows(local.cols[:, 0], equivalent_kernel(local), n)
+    cols, local = reference_pol_design(n, span)
+    return scatter_rows(cols, equivalent_kernel(local), n)
 
 
 # the dense operator of each linear method, as formed before ``parts``

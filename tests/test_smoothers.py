@@ -20,7 +20,7 @@ from smoothbench.smoothers import (
     make_spec,
     required_length,
 )
-from smoothbench.smoothers import gam, kernel, localpoly
+from smoothbench.smoothers import gam, kernel, localpoly, savgol
 from smoothbench.smoothers.basic import tukey_3r
 from smoothbench.smoothers.fourier import fourier_lowpass
 from smoothbench.smoothers.kalman import fit_kalman_local_level
@@ -29,11 +29,15 @@ from smoothbench.smoothers.windows import (
     equivalent_kernel,
     local_design,
     scatter_rows,
-    window_offsets,
 )
 from smoothbench.timeseries import TimeSeries
 
-from conftest import random_series, reference_gaussian_weights, reference_pol_design
+from conftest import (
+    full_windows,
+    random_series,
+    reference_gaussian_weights,
+    reference_pol_design,
+)
 
 SHIFT_EQUIVARIANT = {
     MethodId.SMA, MethodId.RRM, MethodId.TUK, MethodId.SPL, MethodId.KER,
@@ -494,9 +498,8 @@ class TestAdaptiveDegree:
             assert np.isfinite(_F_CRITICAL[jump - 1, dof2]), (jump, dof2)
 
 
-def reference_local_design(starts, k, degree, weights=None, centers=None):
+def reference_local_design(offsets, degree, weights=None):
     """(design, weighted, normal) as built before the power table: ** on every offset."""
-    cols, offsets = window_offsets(starts, k, centers)
     scale = max(1.0, float(np.abs(offsets).max()))
     t = offsets / scale
     powers = np.arange(degree + 1)
@@ -513,28 +516,35 @@ def assert_design_matches_reference(local, reference):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
 
 
+def interior_windows(n, window):
+    """Columns and offsets of ADP's full windows of a length-n series, one shape each."""
+    half = window // 2
+    interior = np.arange(half, n - half)
+    return full_windows(interior - half, window, interior)
+
+
 class TestLocalDesign:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(5, 400), st.floats(0.1, 1.0))
     def test_pol_design_matches_broadcast_powers(self, n, span):
-        local = reference_pol_design(n, span)
-        reference = reference_local_design(
-            local.cols[:, 0], local.cols.shape[1], 2, local.weights
-        )
-        assert_design_matches_reference(local, reference)
+        cols, local = reference_pol_design(n, span)
+        offsets = cols - np.arange(n)[:, None]
+        assert_design_matches_reference(local, reference_local_design(offsets, 2, local.weights))
+        # the k slot shapes POL builds
+        _, _, slots = localpoly._slot_design(n, span)
+        k = len(slots.normal)
+        slot_offsets = np.arange(k)[None, :] - np.arange(k)[:, None]
+        assert_design_matches_reference(
+            slots, reference_local_design(slot_offsets, 2, slots.weights))
 
     @pytest.mark.parametrize("n", [30, 60, 365])
     def test_interior_designs_match_broadcast_powers(self, n):
-        # every full-window design of ADP's interior fits
+        # every full-window design of ADP's interior fits, a shape for each window
         for window in range(5, 22, 2):
-            half = window // 2
-            interior = np.arange(half, n - half)
+            _, offsets = interior_windows(n, window)
             for degree in range(1, min(6, window - 1) + 1):
-                local = local_design(interior - half, window, degree, centers=interior)
-                reference = reference_local_design(
-                    interior - half, window, degree, centers=interior
-                )
-                assert_design_matches_reference(local, reference)
+                assert_design_matches_reference(
+                    local_design(offsets, degree), reference_local_design(offsets, degree))
 
 
 def assert_same_bits(got, want, name):
@@ -543,7 +553,7 @@ def assert_same_bits(got, want, name):
 
 
 class TestSharedTables:
-    """The per-slot and per-lag tables against a build over every window or pair."""
+    """The per-shape and per-lag tables against a build over every window or pair."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(5, 400), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
@@ -553,14 +563,59 @@ class TestSharedTables:
     @example(n=7, span=1.0, seed=3)
     def test_pol_parts_match_full_windows(self, n, span, seed):
         y = random_series(np.random.default_rng(seed), n, scale=10.0).values()
-        local = reference_pol_design(n, span)
-        starts, rows = local.cols[:, 0], equivalent_kernel(local)
-        smooth = batched_local_polyfit(y[local.cols], local)
+        cols, local = reference_pol_design(n, span)
+        rows = equivalent_kernel(local)
+        smooth = batched_local_polyfit(y[cols], local, np.arange(n))
         base, diagonal, operator_of = localpoly.local_quadratic_parts(y, span)
         assert_same_bits(localpoly.local_quadratic(y, span), smooth, "local_quadratic")
         assert_same_bits(base, smooth, "smooth")
-        assert_same_bits(diagonal, rows[np.arange(n), np.arange(n) - starts], "diagonal")
-        assert_same_bits(operator_of(), scatter_rows(starts, rows, n), "operator")
+        assert_same_bits(diagonal, rows[np.arange(n), np.arange(n) - cols[:, 0]], "diagonal")
+        assert_same_bits(operator_of(), scatter_rows(cols, rows, n), "operator")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 400), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1), st.booleans())
+    @example(n=40, span=0.1, seed=0, want_sse=True)  # k = 4, the floor
+    @example(n=5, span=0.1, seed=1, want_sse=False)  # k = 4 of 5
+    @example(n=400, span=1.0, seed=2, want_sse=True)  # k = n: one window, n slots
+    @example(n=7, span=1.0, seed=3, want_sse=False)
+    def test_pol_slot_gather_matches_a_shape_per_window(self, n, span, seed, want_sse):
+        y = random_series(np.random.default_rng(seed), n, scale=10.0).values()
+        cols, slot, local = localpoly._slot_design(n, span)
+        ref_cols, reference = reference_pol_design(n, span)
+        assert_same_bits(cols, ref_cols, "cols")
+        got = batched_local_polyfit(y[cols], local, slot, want_sse)
+        want = batched_local_polyfit(y[cols], reference, np.arange(n), want_sse)
+        assert_same_bits(np.array(got), np.array(want), "fit")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10), st.integers(0, 6), st.integers(0, 400), st.integers(-10, 10),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_adp_interior_gather_matches_a_shape_per_window(
+            self, half, degree, extra, shift, seed, want_sse):
+        window = 2 * half + 1
+        degree, shift, n = min(degree, window - 1), max(-half, min(half, shift)), window + extra
+        gen = np.random.default_rng(seed)
+        y, imp = random_series(gen, n, scale=10.0).values(), 10.0 * gen.normal(size=n)
+        fits = savgol.WindowFits(y, imp)
+        interior = np.arange(half, n - half)
+        cols, offsets = interior_windows(n, window)
+        reference = local_design(offsets, degree)
+        yw = y[cols]
+        yw[:, half + shift] = imp[interior + shift]
+        want = batched_local_polyfit(yw, reference, np.arange(len(yw)), want_sse=True)
+        got = fits.fit(window, degree, shift)
+        assert_same_bits(np.array(got)[:, interior], np.array(want), "WindowFits")
+        # one interior shape per (window, degree), the same whatever n is
+        shape = fits._designs[window, degree]
+        assert shape.normal.shape == (1, degree + 1, degree + 1)
+        shortest = savgol.WindowFits(y[:window], imp[:window])
+        shortest.fit(window, degree, 0)
+        for name in ("design", "weights", "weighted", "normal"):
+            assert_same_bits(getattr(shape, name),
+                             getattr(shortest._designs[window, degree], name), name)
+        got = batched_local_polyfit(yw, shape, np.zeros_like(interior), want_sse)
+        want = batched_local_polyfit(yw, reference, np.arange(len(yw)), want_sse)
+        assert_same_bits(np.array(got), np.array(want), "gather")
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 400), st.floats(0.5, 10.0))

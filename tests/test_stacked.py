@@ -62,6 +62,8 @@ from smoothbench.smoothers.windows import (
 )
 from smoothbench.timeseries import TimeSeries, impute_linear
 
+from conftest import full_windows
+
 
 def spec_at(method: MethodId, n: int, fractions) -> SmootherSpec:
     """Spec whose genes sit at ``fractions`` of the length-n search box."""
@@ -390,13 +392,14 @@ def assert_bits_equal(got, want, label) -> None:
 
 
 def _reference_designs(interior, window, min_degree, max_degree):
-    half = window // 2
-    return [local_design(interior - half, window, d, centers=interior)
-            for d in range(min_degree, max_degree + 1)]
+    """The interior windows' columns and, per degree, a design with a shape for each."""
+    cols, offsets = full_windows(interior - window // 2, window, interior)
+    return cols, [local_design(offsets, d) for d in range(min_degree, max_degree + 1)]
 
 
 def _reference_degree_fits(yw, designs):
-    pairs = [batched_local_polyfit(yw, local, want_sse=True) for local in designs]
+    shape = np.arange(len(yw))
+    pairs = [batched_local_polyfit(yw, local, shape, want_sse=True) for local in designs]
     return np.array([fit for fit, _ in pairs]), np.array([sse for _, sse in pairs])
 
 
@@ -446,12 +449,12 @@ def reference_stacked_adp(y, window, min_degree, max_degree):
     half = window // 2
     out = np.empty(rows.shape)
     interior = np.arange(half, n - half)
-    designs = _reference_designs(interior, window, min_degree, max_degree)
+    cols, designs = _reference_designs(interior, window, min_degree, max_degree)
     ndeg = len(designs)
     fits = np.empty((ndeg, count, interior.size))
     sses = np.empty((ndeg, count, interior.size))
     for b, row in enumerate(rows):
-        fits[:, b], sses[:, b] = _reference_degree_fits(row[designs[0].cols], designs)
+        fits[:, b], sses[:, b] = _reference_degree_fits(row[cols], designs)
     out[:, interior] = _reference_adaptive_values(fits, sses, min_degree, window)
     for j, lo, hi in boundary_windows(n, half):
         offsets = np.arange(lo, hi) - j
@@ -472,8 +475,8 @@ def reference_adp_diagonal(y, imp, window, min_degree, max_degree):
     half = window // 2
     out = np.empty(n)
     interior = np.arange(half, n - half)
-    designs = _reference_designs(interior, window, min_degree, max_degree)
-    yw = y[designs[0].cols]
+    cols, designs = _reference_designs(interior, window, min_degree, max_degree)
+    yw = y[cols]
     yw[:, half] = imp[interior]
     out[interior] = _reference_adaptive_values(
         *_reference_degree_fits(yw, designs), min_degree, window)
