@@ -71,6 +71,8 @@ class GaConfig:
             raise InputError(f"population_size must be at least 2, got {self.population_size}")
         if self.iterations < 0:
             raise InputError(f"iterations must be nonnegative, got {self.iterations}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
         if self.patience is not None and self.patience < 1:
             raise InputError(f"patience must be at least 1, got {self.patience}")
 

@@ -445,7 +445,7 @@ def cmd_benchmark(args) -> int:
     make_output_dir(args.out)  # before the run, which an unwritable --out would waste
     reports = []
     for kind in kinds:
-        report = run_benchmark(records, kind, config, jobs=worker_count(len(config.methods)))
+        report = run_benchmark(records, kind, config, jobs=worker_count())
         reports.append(report)
         print(
             f"{kind}: optimal={report.optimal_method.value} "
@@ -484,9 +484,7 @@ def cmd_regress(args) -> int:
         source = "raw normalized loads"
     else:
         config = _pipeline_config(args, f_nh4=_f_nh4(args, site))
-        report = run_benchmark(
-            records, args.signal, config, jobs=worker_count(len(config.methods))
-        )
+        report = run_benchmark(records, args.signal, config, jobs=worker_count())
         loads = TimeSeries.from_pairs(zip(report.timestamps, report.smoothed))
         source = f"benchmark optimal={report.optimal_method.value}"
 

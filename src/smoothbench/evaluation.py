@@ -12,16 +12,18 @@ sign).
 The diagonal comes first.  MAE and AIC read only the diagonal, and a linear
 method or ADP computes it without the full matrix, so a GA that scores
 genomes by AIC or MAE never builds a T x T matrix.  The full matrix is built
-when the VAR index or the confidence band first reads it.  ADP builds its
-diagonal and matrix from one table of window fits, keyed by (window, degree,
-shift), not from T deletion smooths.
+when the VAR index or the confidence band first reads it.  Every such fast
+form comes from ``smoothers.deletion_loocv``: a linear method's rank-one
+update, and SUP's and ADP's ``loocv`` (SUP smooths the deletion stack from
+its bass-free stage; ADP reads one table of window fits, keyed by (window,
+degree, shift), not T deletion smooths).
 
 A :class:`LoocvEvaluator` holds one method's LOOCV inputs on one series: the
-values, their deletion imputations, the deletion stack and the method's
-``loocv_state`` (SUP's bass-free stage, ADP's table of window fits).  Each
-is computed once, when first read, and serves every parameter vector scored
-through the evaluator, so a GA run and the final LOOCV build compute them
-once.  It stands in for its series wherever this module takes one.
+values, their deletion imputations and the method's ``loocv_state`` (SUP's
+bass-free stage, ADP's table of window fits).  Each is computed once, when
+first read, and serves every parameter vector scored through the evaluator,
+so a GA run and the final LOOCV build compute them once.  It stands in for
+its series wherever this module takes one.
 """
 from __future__ import annotations
 
@@ -32,13 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationFailure, InsufficientData
+from .errors import EvaluationFailure, InsufficientData, SeriesTooShort
 from .smoothers import (
     MethodId,
     SmootherSpec,
     deletion_loocv,
     deletion_stack,
-    linear_parts,
     loocv_state,
 )
 from .smoothers.windows import read_only
@@ -55,15 +56,14 @@ class LoocvMatrix:
     ``diagonal`` is held from the start.  A matrix made by :meth:`deferred`
     is built the first time ``matrix`` is read and then kept; its builder is
     dropped, with whatever operator or deletion inputs the builder held.
-    ``source`` may be an evaluator, which stands for its series.
     """
 
-    def __init__(self, matrix, source: "TimeSeries | LoocvEvaluator"):
+    def __init__(self, matrix, source: TimeSeries):
         m = np.asarray(matrix, dtype=float)
         t = len(source)
         if m.shape != (t, t):
             raise ValueError(f"matrix shape {m.shape} does not match series length {t}")
-        self.source = source.series if isinstance(source, LoocvEvaluator) else source
+        self.source = source
         self.diagonal = np.diag(m)
         self._matrix = m
         self._build: "Callable[[], np.ndarray] | None" = None
@@ -125,6 +125,8 @@ def deletion_imputations(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     Interior slots interpolate between their neighbours weighted by calendar
     distance; boundary slots copy the nearest remaining value.
     """
+    if len(y) < 2:  # no value remains to impute from
+        raise SeriesTooShort(f"LOOCV needs at least 2 points, got {len(y)}")
     imp = np.empty(len(y))
     imp[0] = y[1]
     imp[-1] = y[-2]
@@ -138,11 +140,11 @@ class LoocvEvaluator:
     """The LOOCV of one method on one gap-free series, for any parameter vector.
 
     ``loocv(spec)`` is the LOOCV matrix of ``spec``, the same bits as
-    without the evaluator.  The values, their deletion imputations, the
-    deletion stack and the method's ``loocv_state`` are computed when first
-    read, kept read-only and shared by every later call; they live as long
-    as the evaluator.  A series with a gap raises InsufficientData on each
-    call, as the LOOCV of such a series does.
+    without the evaluator.  The values, their deletion imputations and the
+    method's ``loocv_state`` are computed when first read, kept read-only
+    and shared by every later call; they live as long as the evaluator.  A
+    series with a gap raises InsufficientData on each call, as the LOOCV of
+    such a series does.
     """
 
     def __init__(self, method: MethodId, series: TimeSeries):
@@ -167,10 +169,6 @@ class LoocvEvaluator:
         return read_only(deletion_imputations(self.y, self.series.day_index()))
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        return read_only(deletion_stack(self.y, self.imp))
-
-    @cached_property
     def state(self) -> object:
         return loocv_state(self.method, self.y, self.imp)
 
@@ -178,41 +176,19 @@ class LoocvEvaluator:
         """Delete, impute and re-smooth once per sample; columns stack the results.
 
         Column t is the smoother applied to the series with x_t replaced by
-        its deletion imputation.  For a linear method (``linear_parts``
-        gives its smooth, operator diagonal and operator builder) that is
-        computed as a rank-one update of one application (same map, fewer
-        passes).  ADP's ``deletion_loocv`` gives its diagonal and a builder
-        of the matrix from the window fits of its ``loocv_state``.  The
-        other data-adaptive methods smooth the deletion stack in one call.
-        The diagonal is computed now; for the linear methods and ADP the
-        matrix, and with it a linear method's dense operator, waits until it
-        is read.
+        its deletion imputation.  ``deletion_loocv`` gives the diagonal and
+        a builder of the matrix where the method has a fast form (the linear
+        methods, SUP and ADP), and the matrix waits until it is read.  The
+        other methods smooth the deletion stack in one call.
         """
         if spec.method is not self.method:
             raise ValueError(f"an evaluator of {self.method.value} cannot score {spec}")
         if not self._gap_free:
             raise InsufficientData("LOOCV input must be gap-free; impute first")
-        y = self.y
-        parts = linear_parts(spec, y)  # raises SeriesTooShort first
-        imp = self.imp
-        if parts is not None:
-            # the direct algorithm gives the base application (bit-faithful for
-            # e.g. constants); the operator supplies the per-deletion correction,
-            # elementwise as in the matrix
-            base, operator_diagonal, operator_of = parts
-            step = imp - y
-
-            def matrix() -> np.ndarray:
-                # base[:, None] + operator * step[None, :], with one T x T temporary
-                out = operator_of() * step[None, :]
-                out += base[:, None]
-                return out
-
-            return LoocvMatrix.deferred(self.series, base + operator_diagonal * step, matrix)
-        fast = deletion_loocv(spec, y, imp, self.state)
+        fast = deletion_loocv(spec, self.y, self.imp, self.state)
         if fast is not None:
             return LoocvMatrix.deferred(self.series, *fast)
-        return LoocvMatrix(_deletion_smooths(spec, y, imp, self.stack, self.state), self.series)
+        return LoocvMatrix(_deletion_smooths(spec, self.y, self.imp), self.series)
 
 
 def build_loocv_matrix(
@@ -223,22 +199,11 @@ def build_loocv_matrix(
     return LoocvEvaluator.of(spec.method, series).loocv(spec)
 
 
-def _deletion_smooths(
-    spec: SmootherSpec,
-    y: np.ndarray,
-    imp: np.ndarray,
-    stack: "np.ndarray | None" = None,
-    state: object = None,
-) -> np.ndarray:
-    """Column i: the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``.
-
-    ``stack`` is ``deletion_stack(y, imp)`` and ``state`` the method's
-    ``loocv_state``, where the caller keeps them.
-    """
-    stack = deletion_stack(y, imp) if stack is None else stack
+def _deletion_smooths(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> np.ndarray:
+    """Column i: the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``."""
     # the copy keeps the matrix C-contiguous: var_index sums its rows in
     # memory order, and a transposed view would change the last digits
-    return np.ascontiguousarray(apply_to_values(spec, stack, state).T)
+    return np.ascontiguousarray(apply_to_values(spec, deletion_stack(y, imp)).T)
 
 
 def mae(loocv: LoocvMatrix) -> float:

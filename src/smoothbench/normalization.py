@@ -86,8 +86,8 @@ def normalize_series(
     where the virus value is present, or one so small that the load
     overflows, is an error.
     """
-    if f_nh4 <= 0:
-        raise NonPositiveBiomarkerLoad(f"f_nh4 must be positive, got {f_nh4}")
+    if not 0.0 < f_nh4 < math.inf:
+        raise NonPositiveBiomarkerLoad(f"f_nh4 must be positive and finite, got {f_nh4}")
     if c_virus_series.timestamps != c_nh4_series.timestamps:
         raise MisalignedSeries("virus and biomarker series have different timestamps")
     out: list[Sample] = []

@@ -109,8 +109,8 @@ class PipelineConfig:
             raise InputError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if not 0.0 < self.band_level < 1.0:
             raise InputError(f"band_level must be in (0, 1), got {self.band_level}")
-        if self.f_nh4 is not None and not self.f_nh4 > 0:
-            raise InputError(f"f_nh4 must be positive, got {self.f_nh4}")
+        if self.f_nh4 is not None and not 0.0 < self.f_nh4 < np.inf:
+            raise InputError(f"f_nh4 must be positive and finite, got {self.f_nh4}")
 
     def to_dict(self) -> dict:
         return {
@@ -295,14 +295,12 @@ def _jobs(methods: tuple[MethodId, ...]) -> list[tuple[MethodId, ...]]:
     return [job for job in jobs if job] + [(m,) for m in methods if m not in listed]
 
 
-def worker_count(methods: int) -> int:
-    """Worker processes for ``methods`` jobs: the CPUs this process may use,
-    never more than ``methods``."""
+def worker_count() -> int:
+    """The CPUs this process may use: the ``jobs`` of a run."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, methods)
+        return os.cpu_count() or 1
 
 
 # Native ids of ended pools' threads: Python has joined them, but Linux lists

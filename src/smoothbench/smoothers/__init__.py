@@ -66,14 +66,13 @@ __all__ = [
 
 class _Row(NamedTuple):
     """How one method is run: ``smoother(y, *params)``, ``parts(y, *params)``
-    and ``loocv(y, imp, *params)``.
+    and ``loocv(y, imp, *params, state)``.
 
-    ADP's ``loocv`` gives its LOOCV diagonal and matrix from its ``state``,
-    one table of window fits keyed by (window, degree, shift); its smoother
-    takes one series.  A method with a ``state`` computes once per series
-    what its LOOCV reads and no parameter changes: ``state(y, imp)``, which
-    its smoother of the deletion stack (SUP) may take, and its ``loocv``
-    (ADP) takes, as a last argument.
+    SUP's and ADP's ``loocv`` give their LOOCV diagonal and matrix from
+    their ``state``: SUP's the bass-free stage of the deletion stack, ADP's
+    one table of window fits keyed by (window, degree, shift).  A method
+    with a ``state`` computes once per series what its LOOCV reads and no
+    parameter changes: ``state(y, imp)``, which ``loocv`` alone reads.
     """
 
     smoother: Callable[..., np.ndarray]
@@ -81,7 +80,7 @@ class _Row(NamedTuple):
     # a linear method: (smoother(y), diag(S), a builder of S) from one build,
     # or None where S depends on the data (GAM with auto_penalty)
     parts: "Callable[..., tuple | None] | None" = None
-    # a nonlinear method whose LOOCV matrix needs no T deletion smooths:
+    # a nonlinear method with a LOOCV form of its own, from its state:
     # (LOOCV diagonal, a builder of the LOOCV matrix)
     loocv: "Callable[..., tuple] | None" = None
     # the parameter-free part of the LOOCV of y, whose deletion imputations are imp
@@ -109,6 +108,13 @@ def _dense_parts(
     return parts
 
 
+def _super_smoother_loocv(y: np.ndarray, imp: np.ndarray, bass: float, stage) -> tuple:
+    # with a stage, super_smoother reads y only for its length: row i is the
+    # smooth of deletion series i
+    m = np.ascontiguousarray(super_smoother(y, bass, stage).T)
+    return np.diag(m), lambda: m
+
+
 # One row per method.  SGF, POL and GAM build their operators by hand, which
 # their smoother on unit vectors misses by up to 6.3e-14, 3.5e-16 and 7.0e-15,
 # enough to change reported indices; KER builds its own because a row-exact
@@ -122,8 +128,8 @@ _METHODS: dict[MethodId, _Row] = {
     MethodId.KER: _Row(kernel_regression, False, kernel_parts),
     MethodId.SMA: _Row(simple_moving_average, True, _dense_parts(simple_moving_average)),
     MethodId.RRM: _Row(repeated_running_median, True),
-    MethodId.SUP: _Row(
-        super_smoother, True, state=lambda y, imp: bass_free_stage(deletion_stack(y, imp))),
+    MethodId.SUP: _Row(super_smoother, True, loocv=_super_smoother_loocv,
+                       state=lambda y, imp: bass_free_stage(deletion_stack(y, imp))),
     MethodId.POL: _Row(local_quadratic, False, local_quadratic_parts),
     MethodId.SGF: _Row(savitzky_golay, False, _dense_parts(savitzky_golay, savgol_operator)),
     MethodId.ARI: _Row(ar_smoother, False),
@@ -143,7 +149,7 @@ def _checked_params(spec: SmootherSpec, n: int) -> tuple:
     return tuple(int(p) if b.integer else p for b, p in zip(spec.bounds, spec.params))
 
 
-def apply_to_values(spec: SmootherSpec, y: np.ndarray, state: object = None) -> np.ndarray:
+def apply_to_values(spec: SmootherSpec, y: np.ndarray) -> np.ndarray:
     """Run a smoother over gap-free values: one series (T,) or a stack (B, T).
 
     Each row of a stack is smoothed on its own and the result has the shape
@@ -151,16 +157,12 @@ def apply_to_values(spec: SmootherSpec, y: np.ndarray, state: object = None) -> 
     overflow inside the smoother (Python's ``OverflowError``, or numpy's
     ``FloatingPointError`` under ``np.errstate(raise)``) is an
     ``EvaluationFailure``: the values are beyond the method's arithmetic.
-    ``state``, when ``y`` is the deletion stack of (y0, imp), may be
-    ``loocv_state(spec.method, y0, imp)``; it changes no bit of the result.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError(f"expected values of shape (T,) or (B, T), got {y.shape}")
     params = _checked_params(spec, y.shape[-1])
     row = _METHODS[spec.method]
-    if state is not None:
-        params += (state,)
     with _beyond_arithmetic(spec.method):
         if y.ndim == 1 or row.stacked:
             return row.smoother(y, *params)
@@ -217,8 +219,7 @@ def loocv_state(method: MethodId, y: np.ndarray, imp: np.ndarray) -> object:
 
     SUP's is the bass-free stage of the deletion stack; ADP's the table of
     window fits that its LOOCV diagonal and matrix read, filled as they are
-    asked for.  Pass it to ``apply_to_values`` with the deletion stack, or
-    to ``deletion_loocv``.
+    asked for.  Pass it to ``deletion_loocv``.
     """
     build = _METHODS[method].state
     if build is None:
@@ -230,16 +231,36 @@ def loocv_state(method: MethodId, y: np.ndarray, imp: np.ndarray) -> object:
 def deletion_loocv(
     spec: SmootherSpec, y: np.ndarray, imp: np.ndarray, state: object
 ) -> "tuple[np.ndarray, Callable[[], np.ndarray]] | None":
-    """The LOOCV diagonal and a builder of the LOOCV matrix, without T deletion smooths.
+    """The LOOCV diagonal and a builder of the LOOCV matrix, where the method has a fast form.
 
     Column i of the matrix is the smooth of ``y`` with ``y[i]`` replaced by
-    ``imp[i]``, bit for bit, and the diagonal is its entry i.  Returns None
-    for a method without such a form.  ``state`` is
-    ``loocv_state(spec.method, y, imp)``.
+    ``imp[i]``, bit for bit, and the diagonal is its entry i.  A linear
+    method's (``linear_parts``) is a rank-one update of one application per
+    column (same map, fewer passes), built when first read; SUP and ADP give
+    theirs through ``loocv``.  Returns None for a method without such a
+    form.  ``state`` is ``loocv_state(spec.method, y, imp)``.
     """
     params = _checked_params(spec, len(y))
-    build = _METHODS[spec.method].loocv
-    return None if build is None else build(y, imp, *params, state)
+    row = _METHODS[spec.method]
+    if row.loocv is not None:
+        with _beyond_arithmetic(spec.method):
+            return row.loocv(y, imp, *params, state)
+    parts = None if row.parts is None else row.parts(y, *params)
+    if parts is None:
+        return None
+    # the direct algorithm gives the base application (bit-faithful for e.g.
+    # constants); the operator supplies the per-deletion correction,
+    # elementwise as in the matrix
+    base, operator_diagonal, operator_of = parts
+    step = imp - y
+
+    def matrix() -> np.ndarray:
+        # base[:, None] + operator * step[None, :], with one T x T temporary
+        out = operator_of() * step[None, :]
+        out += base[:, None]
+        return out
+
+    return base + operator_diagonal * step, matrix
 
 
 def apply_smoother(spec: SmootherSpec, series: TimeSeries) -> TimeSeries:

@@ -61,10 +61,11 @@ class TestGaConfig:
         assert (cfg.population_size, cfg.iterations) == (30, 100)
 
     def test_validation(self):
-        for bad in (dict(population_size=1), dict(iterations=-1), dict(patience=0)):
+        for bad in (dict(population_size=1), dict(iterations=-1), dict(patience=0),
+                    dict(seed=-1)):
             with pytest.raises(InputError, match=next(iter(bad))):
                 GaConfig(**bad)
-        GaConfig(population_size=2, iterations=0, patience=1)
+        GaConfig(population_size=2, iterations=0, patience=1, seed=0)
 
 
 class TestRouletteSelect:
@@ -635,7 +636,7 @@ class TestDiagonalObjectives:
             loocv = real(spec, s)
             matrix = np.full((len(s), len(s)), np.inf)
             np.fill_diagonal(matrix, loocv.diagonal)
-            return ev.LoocvMatrix(matrix, s)
+            return ev.LoocvMatrix(matrix, loocv.source)
 
         monkeypatch.setattr(ev, "build_loocv_matrix", off_diagonal_inf)
         spec = SmootherSpec(MethodId.SMA, (5.0,))

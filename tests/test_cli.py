@@ -343,6 +343,14 @@ class TestBenchmarkCommand:
         assert "--seed" in err
         assert "SMOOTHBENCH_SEED" in err
 
+    def test_negative_seed_in_environment_exits_1(self, surveillance_csv, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setenv("SMOOTHBENCH_SEED", "-3")
+        rc = main(["calibrate", "--method", "sma", "--input", surveillance_csv,
+                   "--out", str(tmp_path / "cal.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -3\n"
+
     @pytest.mark.parametrize("objective", ["aic", "combined"])
     def test_cpu_count_never_changes_the_outputs(self, tmp_path, monkeypatch, objective):
         path = tmp_path / "site.csv"
@@ -378,13 +386,25 @@ class TestBenchmarkCommand:
             jobs.append(kwargs["jobs"])
             return real(records, kind, config, **kwargs)
 
+        forks = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
         monkeypatch.setattr(cli, "run_benchmark", capture)
+        monkeypatch.setattr(os, "fork", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10**6), raising=False)
         base = ["--input", surveillance_csv, "--f-nh4", "10.71", "--methods", "tuk,fft,sma",
                 "--ga-pop", "4", "--ga-iters", "1"]
         assert main(["benchmark", *base, "--signal", "both", "--out", str(tmp_path / "b")]) == 0
         assert main(["regress", *base, "--out", str(tmp_path / "fit.csv")]) == 0
-        assert jobs == [3, 3, 3]
+        # each run may use every CPU, and its pool forks one worker per method
+        assert jobs == [10**6] * 3
+        assert len(forks) == 3 * 3
 
 
 class TestRegressCommand:
@@ -823,7 +843,7 @@ class TestScipyLoadsOnFirstUse:
         write_surveillance_csv(bundled_records(n=30), str(path))
         loaded = run_fresh(
             "from smoothbench import cli\n"
-            "cli.worker_count = lambda methods: 1\n"
+            "cli.worker_count = lambda: 1\n"
             f"assert cli.main(['benchmark', '--input', {str(path)!r}, '--signal', 'raw',\n"
             f"                 '--out', {str(tmp_path / 'bench')!r},\n"
             "                 '--ga-pop', '4', '--ga-iters', '1']) == 0\n"
@@ -986,7 +1006,7 @@ class TestErrorContract:
     @example(site=_NH4_NEAR_ZERO)
     @example(site=_LOAD_OVERFLOW)
     def test_benchmark_and_report(self, site, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "worker_count", lambda methods: 1)
+        monkeypatch.setattr(cli, "worker_count", lambda: 1)
         path = tmp_path / "site.csv"
         _write_surveillance(path, *site)
         for objective in OBJECTIVES:
@@ -1048,8 +1068,17 @@ class TestErrorContract:
         (_UNIT_OVERFLOW, ["ingest"], 1, _UNIT_ERROR),
         (_UNIT_OVERFLOW, ["smooth", "--method", "sma", "--param", "window=3"], 1, _UNIT_ERROR),
         (_UNIT_OVERFLOW, ["normalize", "--f-nh4", "10.71"], 1, _UNIT_ERROR),
+        # np.random.default_rng takes no negative seed
+        (_LOAD_OVERFLOW, ["calibrate", "--method", "sma", "--seed", "-1"],
+         1, "error: seed must be nonnegative, got -1"),
+        # an infinite f_nh4 overflows every load, which is not the data's fault
+        (_LOAD_OVERFLOW, ["benchmark", "--f-nh4", "inf", "--ga-pop", "3", "--ga-iters", "1"],
+         1, "error: f_nh4 must be positive and finite, got inf"),
+        (_LOAD_OVERFLOW, ["normalize", "--f-nh4", "inf"],
+         1, "error: f_nh4 must be positive and finite, got inf"),
     ], ids=["calibrate", "normalize", "regress-nh4", "benchmark-nh4", "regress-overflow",
-            "ingest-unit", "smooth-unit", "normalize-unit"])
+            "ingest-unit", "smooth-unit", "normalize-unit", "calibrate-seed",
+            "benchmark-f-nh4", "normalize-f-nh4"])
     def test_pinned_repros(self, site, argv, code, message, tmp_path, capsys):
         path = tmp_path / "site.csv"
         _write_surveillance(path, *site)

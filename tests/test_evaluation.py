@@ -164,15 +164,19 @@ class TestBuildMatrix:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             build_loocv_matrix(default_spec(MethodId.SMA), TimeSeries.from_values([1.0, 2, 3, 4]))
+        # a single point has no value to impute a deletion from
+        for method in MethodId:
+            with pytest.raises(SeriesTooShort):
+                build_loocv_matrix(default_spec(method), TimeSeries.from_values([1.0]))
 
     def test_fast_path_matches_per_deletion_loop(self, noisy_sine, monkeypatch):
         specs = [
             spec for m in LINEAR_METHODS for spec in specs_across_box(m, len(noisy_sine))
         ]
         fast = [build_loocv_matrix(spec, noisy_sine).matrix for spec in specs]
-        # the one door to the rank-one path closed: every method takes the
+        # the one door to the fast forms closed: every method takes the
         # per-deletion loop
-        monkeypatch.setattr(ev, "linear_parts", lambda *a, **k: None)
+        monkeypatch.setattr(ev, "deletion_loocv", lambda *a, **k: None)
         for spec, matrix in zip(specs, fast):
             slow = build_loocv_matrix(spec, noisy_sine).matrix
             np.testing.assert_allclose(

@@ -69,6 +69,14 @@ class TestNormalizeSeries:
         with pytest.raises(ZeroBiomarkerConcentration, match="2020-10-02"):
             normalize_series(virus, nh4, 10.71)
 
+    def test_f_nh4_must_be_positive_and_finite(self):
+        # an infinite or NaN f_nh4 fails as itself, not as an overflowing load
+        virus = TimeSeries.from_values([1e5])
+        nh4 = TimeSeries.from_values([0.03])
+        for f_nh4 in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(NonPositiveBiomarkerLoad, match="f_nh4"):
+                normalize_series(virus, nh4, f_nh4)
+
     def test_missing_propagates(self):
         virus = TimeSeries.from_values([1e5, None, 2e5])
         nh4 = TimeSeries.from_values([0.03, 0.03, None])

@@ -284,16 +284,18 @@ def _excluded(bundled, jobs):
 
 
 class TestWorkerPool:
-    def test_worker_count_caps_the_cpus_at_the_method_count(self, monkeypatch):
-        # len(range(...)) counts a million CPUs without holding them
+    def test_worker_count_is_the_cpus_this_process_may_use(self, monkeypatch):
+        # len(range(...)) counts a million CPUs without holding them; the
+        # pool caps them at its jobs (test_no_more_workers_than_jobs)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10**6), raising=False)
-        assert pl.worker_count(13) == 13
+        assert pl.worker_count() == 10**6
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert pl.worker_count(13) == 2
-        assert pl.worker_count(1) == 1
+        assert pl.worker_count() == 2
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
-        assert pl.worker_count(13) == 13
+        assert pl.worker_count() == 10**6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pl.worker_count() == 1
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_1_rejected_before_any_ga(self, bundled, monkeypatch, jobs):
@@ -566,7 +568,7 @@ class TestConfig:
             PipelineConfig(methods=("sma", "sma", "tuk", "fft"))
 
     def test_nonpositive_f_nh4_fails_at_construction(self):
-        for f_nh4 in (0.0, -1.0, float("nan")):
+        for f_nh4 in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InputError, match="f_nh4"):
                 PipelineConfig(f_nh4=f_nh4)
 
