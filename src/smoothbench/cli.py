@@ -256,11 +256,11 @@ def _config_argv(path: str, repeatable: set[str]) -> list[str]:
     A list becomes one token per element for a ``repeatable`` flag and one
     comma-joined token for any other.
     """
-    try:
-        with open(path) as handle:
+    with open_input(path) as handle:
+        try:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputError(f"cannot read config file: {exc}") from exc
     if not isinstance(config, dict):
         raise InputError("config file must hold a JSON object")
     tokens = []

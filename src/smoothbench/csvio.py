@@ -102,21 +102,24 @@ def _parse_date(cell: str, line: int) -> date:
         raise ParseError(f"line {line}: date {cell!r} is not ISO-8601 (YYYY-MM-DD)") from None
 
 
+@contextlib.contextmanager
 def open_input(path: str):
-    """Open a user-named file for reading; failing that is an input error."""
+    """A user-named file opened for reading as UTF-8, whatever the locale;
+    failing to open or decode it is an input error."""
     try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield handle
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 @contextlib.contextmanager
 def open_output(path: str):
-    """A user-named file opened for writing, stdout (left open) for "-"; failing
-    to open or write it is an IoError."""
+    """A user-named file opened for writing as UTF-8, stdout (left open) for
+    "-"; failing to open or write it is an IoError."""
     stdout = contextlib.nullcontext(sys.stdout)
     try:
-        with stdout if path == "-" else open(path, "w", newline="") as handle:
+        with stdout if path == "-" else open(path, "w", newline="", encoding="utf-8") as handle:
             yield handle
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -12,18 +12,20 @@ sign).
 The diagonal comes first.  MAE and AIC read only the diagonal, and a linear
 method or ADP computes it without the full matrix, so a GA that scores
 genomes by AIC or MAE never builds a T x T matrix.  The full matrix is built
-when the VAR index or the confidence band first reads it.  Every such fast
-form comes from ``smoothers.deletion_loocv``: a linear method's rank-one
-update, and SUP's and ADP's ``loocv`` (SUP smooths the deletion stack from
-its bass-free stage; ADP reads one table of window fits, keyed by (window,
-degree, shift), not T deletion smooths).
+when the VAR index or the confidence band first reads it.  Every LOOCV comes
+from ``smoothers.deletion_loocv``: a linear method's rank-one update, SUP's
+and ADP's own forms (SUP smooths the deletion stack from its bass-free
+stage; ADP reads one table of window fits, keyed by (window, degree, shift),
+not T deletion smooths), and the deletion stack smoothed in one call for
+every other spec.
 
-A :class:`LoocvEvaluator` holds one method's LOOCV inputs on one series: the
-values, their deletion imputations and the method's ``loocv_state`` (SUP's
-bass-free stage, ADP's table of window fits).  Each is computed once, when
-first read, and serves every parameter vector scored through the evaluator,
-so a GA run and the final LOOCV build compute them once.  It stands in for
-its series wherever this module takes one.
+A :class:`LoocvEvaluator` holds one method's LOOCV of one series: the form
+that ``deletion_loocv`` builds from the values and their deletion
+imputations, with what it computes once per series (SUP's bass-free stage,
+ADP's table of window fits).  It is built when first read and serves every
+parameter vector scored through the evaluator, so a GA run and the final
+LOOCV build compute it once.  It stands in for its series wherever this
+module takes one.
 """
 from __future__ import annotations
 
@@ -35,13 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvaluationFailure, InsufficientData, SeriesTooShort
-from .smoothers import (
-    MethodId,
-    SmootherSpec,
-    deletion_loocv,
-    deletion_stack,
-    loocv_state,
-)
+from .smoothers import MethodId, SmootherSpec, deletion_loocv
 from .smoothers.windows import read_only
 # perfbench's traced mode wraps these two names here, so they stay importable
 from .smoothers import apply_to_values, linear_operator  # noqa: F401
@@ -140,11 +136,11 @@ class LoocvEvaluator:
     """The LOOCV of one method on one gap-free series, for any parameter vector.
 
     ``loocv(spec)`` is the LOOCV matrix of ``spec``, the same bits as
-    without the evaluator.  The values, their deletion imputations and the
-    method's ``loocv_state`` are computed when first read, kept read-only
-    and shared by every later call; they live as long as the evaluator.  A
-    series with a gap raises InsufficientData on each call, as the LOOCV of
-    such a series does.
+    without the evaluator.  The method's ``deletion_loocv`` form, over the
+    values and their deletion imputations kept read-only, is built when
+    first read and shared by every later call; it lives as long as the
+    evaluator.  A series with a gap raises InsufficientData on each call, as
+    the LOOCV of such a series does.
     """
 
     def __init__(self, method: MethodId, series: TimeSeries):
@@ -161,34 +157,23 @@ class LoocvEvaluator:
         return len(self.series)
 
     @cached_property
-    def y(self) -> np.ndarray:
-        return read_only(self.series.values())
-
-    @cached_property
-    def imp(self) -> np.ndarray:
-        return read_only(deletion_imputations(self.y, self.series.day_index()))
-
-    @cached_property
-    def state(self) -> object:
-        return loocv_state(self.method, self.y, self.imp)
+    def _scorer(self) -> Callable[[SmootherSpec], tuple]:
+        y = read_only(self.series.values())
+        imp = read_only(deletion_imputations(y, self.series.day_index()))
+        return deletion_loocv(self.method, y, imp)
 
     def loocv(self, spec: SmootherSpec) -> LoocvMatrix:
         """Delete, impute and re-smooth once per sample; columns stack the results.
 
         Column t is the smoother applied to the series with x_t replaced by
-        its deletion imputation.  ``deletion_loocv`` gives the diagonal and
-        a builder of the matrix where the method has a fast form (the linear
-        methods, SUP and ADP), and the matrix waits until it is read.  The
-        other methods smooth the deletion stack in one call.
+        its deletion imputation.  The diagonal comes at once and the matrix
+        waits until it is read.
         """
         if spec.method is not self.method:
             raise ValueError(f"an evaluator of {self.method.value} cannot score {spec}")
         if not self._gap_free:
             raise InsufficientData("LOOCV input must be gap-free; impute first")
-        fast = deletion_loocv(spec, self.y, self.imp, self.state)
-        if fast is not None:
-            return LoocvMatrix.deferred(self.series, *fast)
-        return LoocvMatrix(_deletion_smooths(spec, self.y, self.imp), self.series)
+        return LoocvMatrix.deferred(self.series, *self._scorer(spec))
 
 
 def build_loocv_matrix(
@@ -197,13 +182,6 @@ def build_loocv_matrix(
     """``spec``'s LOOCV matrix on ``series``, or on the series of an evaluator
     of ``spec.method`` (see ``LoocvEvaluator.loocv``)."""
     return LoocvEvaluator.of(spec.method, series).loocv(spec)
-
-
-def _deletion_smooths(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> np.ndarray:
-    """Column i: the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``."""
-    # the copy keeps the matrix C-contiguous: var_index sums its rows in
-    # memory order, and a transposed view would change the last digits
-    return np.ascontiguousarray(apply_to_values(spec, deletion_stack(y, imp)).T)
 
 
 def mae(loocv: LoocvMatrix) -> float:

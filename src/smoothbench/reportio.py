@@ -25,6 +25,7 @@ import typing
 from datetime import date
 from operator import attrgetter
 
+from .clustering import CLUSTER_LABELS
 from .csvio import fmt, open_input, open_output, write_table
 from .errors import EvaluationFailure, IoError, SchemaError
 from .evaluation import PerformanceIndex
@@ -159,6 +160,7 @@ def parse_reports_json(text: str) -> list[BenchmarkReport]:
         raise SchemaError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     _check_kinds(reports, SchemaError)
     _check_lengths(reports)
+    _check_outcomes(reports)
     return reports
 
 
@@ -178,6 +180,18 @@ def _check_lengths(reports: list[BenchmarkReport]) -> None:
         if bad:
             raise SchemaError(f"malformed report: the {r.signal_kind} report has a series of "
                               f"{bad[0]} values for {len(r.timestamps)} timestamps")
+
+
+def _check_outcomes(reports: list[BenchmarkReport]) -> None:
+    """Each outcome holds an index or an error, and the cluster labels the
+    scored methods, those with an index, each with one of ``CLUSTER_LABELS``."""
+    for r in reports:
+        scored = {o.method for o in r.outcomes if o.index is not None}
+        if (any((o.index is None) == o.ok for o in r.outcomes)
+                or set(r.cluster.assignments) != scored
+                or not set(r.cluster.assignments.values()) <= set(CLUSTER_LABELS)):
+            raise SchemaError(f"malformed report: the {r.signal_kind} report's outcomes "
+                              "and cluster disagree")
 
 
 def read_reports(path: str) -> list[BenchmarkReport]:

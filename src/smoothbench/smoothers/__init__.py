@@ -30,13 +30,7 @@ from .gam import gam_matrix_operator, gam_smoother
 from .kalman import fit_kalman_local_level
 from .kernel import kernel_parts, kernel_regression
 from .localpoly import local_quadratic, local_quadratic_parts
-from .savgol import (
-    WindowFits,
-    adaptive_degree_filter,
-    adaptive_degree_loocv,
-    savgol_operator,
-    savitzky_golay,
-)
+from .savgol import adaptive_degree_filter, adaptive_degree_loocv, savgol_operator, savitzky_golay
 from .spline import smoothing_spline
 from .supsmu import bass_free_stage, super_smoother
 
@@ -57,7 +51,6 @@ __all__ = [
     "effective_params",
     "linear_operator",
     "linear_parts",
-    "loocv_state",
     "make_spec",
     "required_length",
     "validate_spec",
@@ -66,13 +59,12 @@ __all__ = [
 
 class _Row(NamedTuple):
     """How one method is run: ``smoother(y, *params)``, ``parts(y, *params)``
-    and ``loocv(y, imp, *params, state)``.
+    and ``loocv(y, imp)``.
 
-    SUP's and ADP's ``loocv`` give their LOOCV diagonal and matrix from
-    their ``state``: SUP's the bass-free stage of the deletion stack, ADP's
-    one table of window fits keyed by (window, degree, shift).  A method
-    with a ``state`` computes once per series what its LOOCV reads and no
-    parameter changes: ``state(y, imp)``, which ``loocv`` alone reads.
+    ``loocv`` computes once per series what the method's LOOCV reads and no
+    parameter changes, and returns its per-parameter form: SUP's holds the
+    bass-free stage of the deletion stack, ADP's one table of window fits
+    keyed by (window, degree, shift).
     """
 
     smoother: Callable[..., np.ndarray]
@@ -80,11 +72,9 @@ class _Row(NamedTuple):
     # a linear method: (smoother(y), diag(S), a builder of S) from one build,
     # or None where S depends on the data (GAM with auto_penalty)
     parts: "Callable[..., tuple | None] | None" = None
-    # a nonlinear method with a LOOCV form of its own, from its state:
-    # (LOOCV diagonal, a builder of the LOOCV matrix)
-    loocv: "Callable[..., tuple] | None" = None
-    # the parameter-free part of the LOOCV of y, whose deletion imputations are imp
-    state: "Callable[[np.ndarray, np.ndarray], object] | None" = None
+    # a nonlinear method with a LOOCV form of its own: loocv(y, imp)(*params)
+    # is (LOOCV diagonal, a builder of the LOOCV matrix)
+    loocv: "Callable[[np.ndarray, np.ndarray], Callable[..., tuple]] | None" = None
 
 
 def _on_identity(smoother: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
@@ -108,11 +98,17 @@ def _dense_parts(
     return parts
 
 
-def _super_smoother_loocv(y: np.ndarray, imp: np.ndarray, bass: float, stage) -> tuple:
-    # with a stage, super_smoother reads y only for its length: row i is the
-    # smooth of deletion series i
-    m = np.ascontiguousarray(super_smoother(y, bass, stage).T)
+def _dense_loocv(smooths: np.ndarray) -> tuple:
+    # row i of smooths is the smooth of deletion series i; the copy keeps the
+    # matrix C-contiguous, as var_index sums its rows in memory order
+    m = np.ascontiguousarray(smooths.T)
     return np.diag(m), lambda: m
+
+
+def _super_smoother_loocv(y: np.ndarray, imp: np.ndarray) -> Callable[[float], tuple]:
+    stage = bass_free_stage(deletion_stack(y, imp))
+    # with a stage, super_smoother reads y only for its length
+    return lambda bass: _dense_loocv(super_smoother(y, bass, stage))
 
 
 # One row per method.  SGF, POL and GAM build their operators by hand, which
@@ -128,13 +124,11 @@ _METHODS: dict[MethodId, _Row] = {
     MethodId.KER: _Row(kernel_regression, False, kernel_parts),
     MethodId.SMA: _Row(simple_moving_average, True, _dense_parts(simple_moving_average)),
     MethodId.RRM: _Row(repeated_running_median, True),
-    MethodId.SUP: _Row(super_smoother, True, loocv=_super_smoother_loocv,
-                       state=lambda y, imp: bass_free_stage(deletion_stack(y, imp))),
+    MethodId.SUP: _Row(super_smoother, True, loocv=_super_smoother_loocv),
     MethodId.POL: _Row(local_quadratic, False, local_quadratic_parts),
     MethodId.SGF: _Row(savitzky_golay, False, _dense_parts(savitzky_golay, savgol_operator)),
     MethodId.ARI: _Row(ar_smoother, False),
-    MethodId.ADP: _Row(
-        adaptive_degree_filter, False, loocv=adaptive_degree_loocv, state=WindowFits),
+    MethodId.ADP: _Row(adaptive_degree_filter, False, loocv=adaptive_degree_loocv),
     MethodId.GAM: _Row(gam_smoother, True, _dense_parts(gam_smoother, gam_matrix_operator)),
 }
 
@@ -213,54 +207,47 @@ def deletion_stack(y: np.ndarray, imp: np.ndarray) -> np.ndarray:
     return stack
 
 
-def loocv_state(method: MethodId, y: np.ndarray, imp: np.ndarray) -> object:
-    """What every LOOCV of ``method`` on ``y`` (deletion imputations ``imp``)
-    reads and no parameter changes, or None for a method without it.
-
-    SUP's is the bass-free stage of the deletion stack; ADP's the table of
-    window fits that its LOOCV diagonal and matrix read, filled as they are
-    asked for.  Pass it to ``deletion_loocv``.
-    """
-    build = _METHODS[method].state
-    if build is None:
-        return None
-    with _beyond_arithmetic(method):
-        return build(y, imp)
-
-
 def deletion_loocv(
-    spec: SmootherSpec, y: np.ndarray, imp: np.ndarray, state: object
-) -> "tuple[np.ndarray, Callable[[], np.ndarray]] | None":
-    """The LOOCV diagonal and a builder of the LOOCV matrix, where the method has a fast form.
+    method: MethodId, y: np.ndarray, imp: np.ndarray
+) -> Callable[[SmootherSpec], "tuple[np.ndarray, Callable[[], np.ndarray]]"]:
+    """The LOOCV of ``method`` on ``y`` (deletion imputations ``imp``), for any spec.
 
-    Column i of the matrix is the smooth of ``y`` with ``y[i]`` replaced by
-    ``imp[i]``, bit for bit, and the diagonal is its entry i.  A linear
-    method's (``linear_parts``) is a rank-one update of one application per
-    column (same map, fewer passes), built when first read; SUP and ADP give
-    theirs through ``loocv``.  Returns None for a method without such a
-    form.  ``state`` is ``loocv_state(spec.method, y, imp)``.
+    ``of(spec)`` is the LOOCV diagonal and a builder of the LOOCV matrix:
+    column i is the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``,
+    bit for bit, and the diagonal is its entry i.  A linear method's
+    (``linear_parts``) is a rank-one update of one application per column
+    (same map, fewer passes), built when first read; SUP and ADP give theirs
+    through ``loocv``, whose per-series part is computed here, once.  Any
+    other spec smooths the deletion stack in one call.
     """
-    params = _checked_params(spec, len(y))
-    row = _METHODS[spec.method]
+    row = _METHODS[method]
     if row.loocv is not None:
-        with _beyond_arithmetic(spec.method):
-            return row.loocv(y, imp, *params, state)
-    parts = None if row.parts is None else row.parts(y, *params)
-    if parts is None:
-        return None
-    # the direct algorithm gives the base application (bit-faithful for e.g.
-    # constants); the operator supplies the per-deletion correction,
-    # elementwise as in the matrix
-    base, operator_diagonal, operator_of = parts
+        with _beyond_arithmetic(method):
+            form = row.loocv(y, imp)
     step = imp - y
 
-    def matrix() -> np.ndarray:
-        # base[:, None] + operator * step[None, :], with one T x T temporary
-        out = operator_of() * step[None, :]
-        out += base[:, None]
-        return out
+    def of(spec: SmootherSpec) -> "tuple[np.ndarray, Callable[[], np.ndarray]]":
+        params = _checked_params(spec, len(y))
+        if row.loocv is not None:
+            with _beyond_arithmetic(method):
+                return form(*params)
+        parts = None if row.parts is None else row.parts(y, *params)
+        if parts is None:
+            return _dense_loocv(apply_to_values(spec, deletion_stack(y, imp)))
+        # the direct algorithm gives the base application (bit-faithful for e.g.
+        # constants); the operator supplies the per-deletion correction,
+        # elementwise as in the matrix
+        base, operator_diagonal, operator_of = parts
 
-    return base + operator_diagonal * step, matrix
+        def matrix() -> np.ndarray:
+            # base[:, None] + operator * step[None, :], with one T x T temporary
+            out = operator_of() * step[None, :]
+            out += base[:, None]
+            return out
+
+        return base + operator_diagonal * step, matrix
+
+    return of
 
 
 def apply_smoother(spec: SmootherSpec, series: TimeSeries) -> TimeSeries:

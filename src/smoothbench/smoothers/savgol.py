@@ -200,32 +200,32 @@ def adaptive_degree_filter(
 
 
 def adaptive_degree_loocv(
-    y: np.ndarray,
-    imp: np.ndarray,
-    window: int,
-    min_degree: int,
-    max_degree: int,
-    fits: WindowFits,
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """The LOOCV diagonal of the filter and a builder of the full LOOCV matrix.
+    y: np.ndarray, imp: np.ndarray
+) -> Callable[[int, int, int], tuple[np.ndarray, Callable[[], np.ndarray]]]:
+    """The LOOCV of the filter on ``y``, for any (window, min_degree, max_degree).
 
-    Column i of the matrix is the filter of ``y`` with ``y[i]`` replaced by
-    ``imp[i]``, and the diagonal is its entry i.  Replacing y[i] moves the
-    filter only on the windows that hold i: entry (j, j + shift) is the
-    filter over ``fits``' key shift at j, and every other entry of row j is
-    the filter of ``y`` at j.  The diagonal is shift 0.  A row of a batched
-    fit reads only its own window, so every entry is bit for bit the filter
-    of its own deletion series.  ``fits`` is the ``WindowFits`` of ``y`` and
-    ``imp`` that the caller keeps.
+    The form returned gives the LOOCV diagonal and a builder of the full
+    LOOCV matrix.  Column i of the matrix is the filter of ``y`` with
+    ``y[i]`` replaced by ``imp[i]``, and the diagonal is its entry i.
+    Replacing y[i] moves the filter only on the windows that hold i: entry
+    (j, j + shift) is the filter over key shift of one ``WindowFits`` of
+    ``y`` and ``imp`` at j, and every other entry of row j is the filter of
+    ``y`` at j.  The diagonal is shift 0.  A row of a batched fit reads only
+    its own window, so every entry is bit for bit the filter of its own
+    deletion series.  The form holds the table for every parameter vector.
     """
-    n, half = len(y), window // 2
+    fits = WindowFits(y, imp)
+    n = len(y)
 
-    def matrix() -> np.ndarray:
-        filtered = adaptive_degree_filter(y, window, min_degree, max_degree)
-        out = np.repeat(filtered[:, None], n, axis=1)
-        for shift in range(-half, half + 1):
-            rows = _rows(n, shift)
-            out[rows, rows + shift] = fits.filter(window, min_degree, max_degree, shift)
-        return out
+    def of(window: int, min_degree: int, max_degree: int) -> tuple:
+        def matrix() -> np.ndarray:
+            filtered = adaptive_degree_filter(y, window, min_degree, max_degree)
+            out = np.repeat(filtered[:, None], n, axis=1)
+            for shift in range(-(window // 2), window // 2 + 1):
+                rows = _rows(n, shift)
+                out[rows, rows + shift] = fits.filter(window, min_degree, max_degree, shift)
+            return out
 
-    return fits.filter(window, min_degree, max_degree), matrix
+        return fits.filter(window, min_degree, max_degree), matrix
+
+    return of

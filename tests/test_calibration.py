@@ -611,14 +611,19 @@ class TestDiagonalObjectives:
         builds = []
         row = smoothers._METHODS[MethodId.ADP]
 
-        def counting(*args):
-            diagonal, build = row.loocv(*args)
+        def counting(y, imp):
+            form = row.loocv(y, imp)
 
-            def counted_build():
-                builds.append(args)
-                return build()
+            def counted(*params):
+                diagonal, build = form(*params)
 
-            return diagonal, counted_build
+                def counted_build():
+                    builds.append(params)
+                    return build()
+
+                return diagonal, counted_build
+
+            return counted
 
         monkeypatch.setitem(smoothers._METHODS, MethodId.ADP, row._replace(loocv=counting))
         loocv = build_loocv_matrix(SmootherSpec(MethodId.ADP, (7.0, 0.0, 4.0)), series)

@@ -702,6 +702,8 @@ class TestExitCodes:
             return json.dumps(payload)
 
         assert json.loads(stored)["reports"][0]["regression"] is not None
+        assignments = json.loads(stored)["reports"][0]["cluster"]["assignments"]
+        assert sorted(assignments) == ["fft", "sma", "tuk"]
         capsys.readouterr()
         bad = tmp_path / "report.json"
         for text in ('{"schema_version": 1}', "{not json", "[]",
@@ -721,7 +723,17 @@ class TestExitCodes:
                      edited("methods", 0, "index", "mae", value="0.5"),
                      edited("band_level", value="0.9"),
                      edited("methods", 0, "ga_evaluations", value=True),
-                     edited("methods", 0, "ga_evaluations", value=2.7)):
+                     edited("methods", 0, "ga_evaluations", value=2.7),
+                     # outcomes and cluster disagree: a scored method without a
+                     # label, a label for no scored method, a label not in
+                     # CLUSTER_LABELS, an outcome with both or neither of an
+                     # index and an error
+                     edited("cluster", "assignments",
+                            value={k: v for k, v in assignments.items() if k != "sma"}),
+                     edited("cluster", "assignments", value={**assignments, "spl": "best"}),
+                     edited("cluster", "assignments", value={**assignments, "sma": "good"}),
+                     edited("methods", 0, "index", value=None),
+                     edited("methods", 0, "error", value="EvaluationFailure: boom")):
             bad.write_text(text)
             rc = main(["report", "--report", str(bad), "--out", str(tmp_path / "out")])
             assert rc == 1, text
@@ -810,12 +822,12 @@ class TestScipyLoadsOnFirstUse:
     def test_no_scipy_for_adp_and_fixed_penalty_gam(self):
         loaded = run_fresh(
             "from smoothbench.smoothers import MethodId, apply_to_values, default_spec\n"
-            "from smoothbench.smoothers import deletion_loocv, linear_parts, loocv_state\n"
+            "from smoothbench.smoothers import deletion_loocv, linear_parts\n"
             "adp, gam = default_spec(MethodId.ADP), default_spec(MethodId.GAM)\n"
             "assert gam.named_params()['auto_penalty'] == 0\n"
             "apply_to_values(adp, y)\n"
             "imp = y[::-1].copy()\n"
-            "deletion_loocv(adp, y, imp, loocv_state(MethodId.ADP, y, imp))[1]()\n"
+            "deletion_loocv(MethodId.ADP, y, imp)(adp)[1]()\n"
             "apply_to_values(gam, y)\n"
             "linear_parts(gam, y)[2]()\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -975,6 +987,8 @@ _LOAD_OVERFLOW = (1, [(1e200 * (1 + 0.1 * i), 100.0, 30.0, 10.0 + i) for i in ra
 # 1e306 copies/ml, finite in the file, is 1e309 copies/L after the unit factor
 _UNIT_OVERFLOW = (1, [(v, 100.0, 30.0, 10.0) for v in (1e306, 2e10, 3e10)])
 _UNIT_ERROR = "error: line 2: virus_copies_per_ml='1e+306' overflows on its unit factor 1000"
+# a surveillance file in Latin-1, not UTF-8: the site is Z\xfcrich
+_LATIN_1 = ",".join(SURVEILLANCE_COLUMNS).encode() + b"\n2021-01-01,Z\xfcrich,1e10,100,30\n"
 
 
 class TestErrorContract:
@@ -1076,13 +1090,26 @@ class TestErrorContract:
          1, "error: f_nh4 must be positive and finite, got inf"),
         (_LOAD_OVERFLOW, ["normalize", "--f-nh4", "inf"],
          1, "error: f_nh4 must be positive and finite, got inf"),
+        # {path} is the site file; a file that is not UTF-8 is an input error
+        (_LATIN_1, ["ingest"], 1, "error: cannot read "),
+        (_LATIN_1, ["smooth", "--method", "sma", "--param", "window=3"],
+         1, "error: cannot read "),
+        (_LATIN_1, ["report", "--report", "{path}"], 1, "error: cannot read "),
+        (_LATIN_1, ["benchmark", "--config", "{path}", "--input", "{path}"],
+         1, "error: cannot read "),
     ], ids=["calibrate", "normalize", "regress-nh4", "benchmark-nh4", "regress-overflow",
             "ingest-unit", "smooth-unit", "normalize-unit", "calibrate-seed",
-            "benchmark-f-nh4", "normalize-f-nh4"])
+            "benchmark-f-nh4", "normalize-f-nh4", "ingest-latin-1", "smooth-latin-1",
+            "report-latin-1", "config-latin-1"])
     def test_pinned_repros(self, site, argv, code, message, tmp_path, capsys):
         path = tmp_path / "site.csv"
-        _write_surveillance(path, *site)
-        argv = argv + ["--input", str(path), "--out", str(tmp_path / "out")]
+        if isinstance(site, bytes):
+            path.write_bytes(site)
+        else:
+            _write_surveillance(path, *site)
+        if "{path}" not in argv:
+            argv = argv + ["--input", "{path}"]
+        argv = [a.format(path=path) for a in argv] + ["--out", str(tmp_path / "out")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == code

@@ -34,7 +34,7 @@ from smoothbench.smoothers.windows import equivalent_kernel, scatter_rows
 from smoothbench.timeseries import TimeSeries
 
 from conftest import random_series, reference_gaussian_weights, reference_pol_design
-from test_stacked import DEGENERATE, spec_at
+from test_stacked import DEGENERATE, deletion_smooths, spec_at
 
 
 def matrix_of(values, source):
@@ -169,16 +169,15 @@ class TestBuildMatrix:
             with pytest.raises(SeriesTooShort):
                 build_loocv_matrix(default_spec(method), TimeSeries.from_values([1.0]))
 
-    def test_fast_path_matches_per_deletion_loop(self, noisy_sine, monkeypatch):
+    def test_fast_path_matches_per_deletion_loop(self, noisy_sine):
         specs = [
             spec for m in LINEAR_METHODS for spec in specs_across_box(m, len(noisy_sine))
         ]
         fast = [build_loocv_matrix(spec, noisy_sine).matrix for spec in specs]
-        # the one door to the fast forms closed: every method takes the
-        # per-deletion loop
-        monkeypatch.setattr(ev, "deletion_loocv", lambda *a, **k: None)
+        y = noisy_sine.values()
+        imp = deletion_imputations(y, noisy_sine.day_index())
         for spec, matrix in zip(specs, fast):
-            slow = build_loocv_matrix(spec, noisy_sine).matrix
+            slow = deletion_smooths(spec, y, imp)
             np.testing.assert_allclose(
                 matrix, slow, rtol=1e-10, atol=1e-12, err_msg=spec.method.value
             )

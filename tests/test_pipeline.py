@@ -656,13 +656,21 @@ class TestReportIo:
     def test_absent_keys_read_as_none(self, raw_report):
         payload = json.loads(reports_json([raw_report]))
         stored = payload["reports"][0]
-        for key in ("index", "params", "ga_seed", "error", "ga_evaluations"):
+        # an outcome without an index is a failed one, which no cluster labels
+        failed = raw_report.outcomes[0].method
+        assert failed not in raw_report.cluster.medoids
+        for key in ("index", "params", "ga_seed", "ga_evaluations"):
             del stored["methods"][0][key]
+        stored["methods"][0]["error"] = "EvaluationFailure: no viable genome"
+        del stored["cluster"]["assignments"][failed.value]
+        del stored["methods"][1]["error"]
         del stored["regression"]
         stored["methods"][1]["index"]["aic"] = None
         (back,) = parse_reports_json(json.dumps(payload))
-        assert back.outcomes[0] == pl.MethodOutcome(raw_report.outcomes[0].method)
+        assert back.outcomes[0] == pl.MethodOutcome(
+            failed, error="EvaluationFailure: no viable genome")
         assert back.outcomes[0].ga_evaluations == 0
+        assert back.outcomes[1].error is None
         assert back.outcomes[1].index.aic == float("-inf")
         assert back.outcomes[1].index.method == raw_report.outcomes[1].method.value
         assert back.regression is None

@@ -27,9 +27,11 @@ A ``LoocvEvaluator`` keeps SUP's bass-free stage and ADP's table of window
 fits across parameter vectors; its diagonal, matrix, indices and GA result
 are checked against the stateless path, and its stage and fits are counted.
 """
+import contextlib
 import math
 from datetime import date, timedelta
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +100,12 @@ def deletion_stack(y: np.ndarray) -> np.ndarray:
     stack = np.tile(y, (n, 1))
     np.fill_diagonal(stack, deletion_imputations(y, np.arange(n, dtype=float)))
     return stack
+
+
+def deletion_smooths(spec: SmootherSpec, y: np.ndarray, imp: np.ndarray) -> np.ndarray:
+    """The LOOCV matrix as T deletion smooths in one stacked call: column i is
+    the smooth of ``y`` with ``y[i]`` replaced by ``imp[i]``."""
+    return np.ascontiguousarray(apply_to_values(spec, smoothers.deletion_stack(y, imp)).T)
 
 
 @st.composite
@@ -499,7 +507,7 @@ def assert_adp_matches_references(series: TimeSeries, window, min_degree, max_de
     loocv = build_loocv_matrix(spec, series)
     diagonal = loocv.diagonal.copy()  # computed before the matrix is built
     # column i is the filter of deletion series i, one series at a time and stacked
-    assert_bits_equal(loocv.matrix, ev._deletion_smooths(spec, y, imp), label)
+    assert_bits_equal(loocv.matrix, deletion_smooths(spec, y, imp), label)
     stack = np.tile(y, (len(y), 1))
     np.fill_diagonal(stack, imp)
     want = np.ascontiguousarray(reference_stacked_adp(stack, *params).T)
@@ -563,11 +571,13 @@ def test_adp_at_t365(rng):
 
 
 def test_adp_matrix_needs_no_deletion_smooths(monkeypatch, rng):
-    def refuse(*args):
-        raise AssertionError("ADP's LOOCV matrix smoothed a whole deletion series")
+    def refuse_stacks(spec, values):
+        if np.ndim(values) == 2:
+            raise AssertionError("ADP's LOOCV matrix smoothed a whole deletion series")
+        return apply_to_values(spec, values)
 
-    monkeypatch.setattr(ev, "_deletion_smooths", refuse)
-    monkeypatch.setattr(ev, "apply_to_values", refuse)
+    monkeypatch.setattr(smoothers, "apply_to_values", refuse_stacks)
+    monkeypatch.setattr(ev, "apply_to_values", refuse_stacks)
     series = TimeSeries.from_values(np.cumsum(rng.normal(size=40)))
     loocv = build_loocv_matrix(SmootherSpec(MethodId.ADP, (9.0, 0.0, 4.0)), series)
     assert loocv.matrix.shape == (40, 40)
@@ -872,7 +882,7 @@ def stateless_loocv(spec: SmootherSpec, series: TimeSeries) -> ev.LoocvMatrix:
     each deletion series (SUP computes its bass-free stage inside the call)."""
     y = series.values()
     imp = deletion_imputations(y, series.day_index())
-    return ev.LoocvMatrix(ev._deletion_smooths(spec, y, imp), series)
+    return ev.LoocvMatrix(deletion_smooths(spec, y, imp), series)
 
 
 def stateless_score(spec: SmootherSpec, loocv: ev.LoocvMatrix, objective: str):
@@ -896,26 +906,42 @@ def assert_evaluator_matches_stateless(method: MethodId, series: TimeSeries) -> 
     evaluator = ev.LoocvEvaluator(method, series)
     y = series.values()
     imp = deletion_imputations(y, series.day_index())
-    for spec in evaluator_specs(method, len(series)):
-        label = str(spec)
-        loocv = evaluator.loocv(spec)
-        diagonal = loocv.diagonal.copy()  # computed before the matrix is built
-        want = stateless_loocv(spec, series)
-        assert_bits_equal(diagonal, want.diagonal.copy(), label)
-        assert_bits_equal(loocv.matrix, want.matrix, label)
-        if method is MethodId.ADP:
-            params = tuple(int(p) for p in spec.params)
-            assert_bits_equal(diagonal, reference_adp_diagonal(y, imp, *params), label)
-        for objective in ("aic", "mae", "combined"):
-            read = None if objective == "combined" else objective
-            got = scored(lambda: ev.evaluate_method(spec, evaluator, objective=read))
-            assert got == scored(lambda: stateless_score(spec, want, objective)), (
-                label, objective)
+    with kept_sup_stages() as stages:
+        for spec in evaluator_specs(method, len(series)):
+            label = str(spec)
+            loocv = evaluator.loocv(spec)
+            diagonal = loocv.diagonal.copy()  # computed before the matrix is built
+            want = stateless_loocv(spec, series)
+            assert_bits_equal(diagonal, want.diagonal.copy(), label)
+            assert_bits_equal(loocv.matrix, want.matrix, label)
+            if method is MethodId.ADP:
+                params = tuple(int(p) for p in spec.params)
+                assert_bits_equal(diagonal, reference_adp_diagonal(y, imp, *params), label)
+            for objective in ("aic", "mae", "combined"):
+                read = None if objective == "combined" else objective
+                got = scored(lambda: ev.evaluate_method(spec, evaluator, objective=read))
+                assert got == scored(lambda: stateless_score(spec, want, objective)), (
+                    label, objective)
     if method is MethodId.SUP:
-        # the kept stage is still the stage of the deletion stack
+        # one stage kept for every bass, still the stage of the deletion stack
+        (stage,) = stages
         stack = smoothers.deletion_stack(y, imp)
-        for got, want in zip(evaluator.state, supsmu.bass_free_stage(stack)):
+        for got, want in zip(stage, supsmu.bass_free_stage(stack)):
             assert_bits_equal(got, want, "sup stage")
+
+
+@contextlib.contextmanager
+def kept_sup_stages():
+    """The bass-free stages that ``deletion_loocv`` builds inside the block."""
+    stages = []
+    real = smoothers.bass_free_stage
+
+    def keeping(stack):
+        stages.append(real(stack))
+        return stages[-1]
+
+    with mock.patch.object(smoothers, "bass_free_stage", keeping):
+        yield stages
 
 
 @st.composite
@@ -1019,16 +1045,28 @@ def test_each_adp_diagonal_fit_is_made_once(monkeypatch):
     assert {key[2] for key in made[len(ga_made):]} == set(range(-half, half + 1)) - {0}
 
 
-def test_evaluator_keeps_its_arrays_read_only():
+def test_evaluator_keeps_its_arrays_read_only(monkeypatch):
     series = TimeSeries.from_values(DEGENERATE["step_1e6"])
+    inputs = []
+    real = ev.deletion_loocv
+
+    def keeping(method, y, imp):
+        inputs.extend((y, imp))
+        return real(method, y, imp)
+
+    monkeypatch.setattr(ev, "deletion_loocv", keeping)
     sup = ev.LoocvEvaluator(MethodId.SUP, series)
     sup.loocv(SmootherSpec(MethodId.SUP, (4.0,)))
-    for values in (sup.y, sup.imp, *sup.state):
-        assert not values.flags.writeable
-    adp = ev.LoocvEvaluator(MethodId.ADP, series)
-    adp.loocv(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0))).matrix
-    assert len(adp.state._fits) == 4 * 7  # every degree at every shift of the window
-    assert all(not a.flags.writeable for pair in adp.state._fits.values() for a in pair)
+    assert len(inputs) == 2
+    assert not any(values.flags.writeable for values in inputs)
+    y, imp = inputs
+    stage = supsmu.bass_free_stage(smoothers.deletion_stack(y, imp))
+    assert not any(a.flags.writeable for a in stage)
+    fits = savgol.WindowFits(y, imp)
+    for shift in range(-3, 4):
+        fits.filter(7, 0, 3, shift)
+    assert len(fits._fits) == 4 * 7  # every degree at every shift of the window
+    assert all(not a.flags.writeable for pair in fits._fits.values() for a in pair)
     with pytest.raises(ValueError, match="evaluator of sup"):
         sup.loocv(SmootherSpec(MethodId.ADP, (7.0, 0.0, 3.0)))
     with pytest.raises(ValueError, match="evaluator of sup"):
